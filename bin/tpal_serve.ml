@@ -480,8 +480,10 @@ let policy =
 let batch_us =
   Arg.(value & opt float 200.
     & info [ "batch-us" ] ~docv:"US"
-        ~doc:"Server mode: micro-batch delay bound — a small request waits \
-              at most this long for its batch to fill.")
+        ~doc:"Server mode: micro-batch delay bound — a small request \
+              parked behind a busy pool joins its queue at the first \
+              completion after waiting this long; an idle pool takes it \
+              at once.")
 
 let batch_max =
   Arg.(value & opt int 8

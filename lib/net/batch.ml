@@ -8,8 +8,9 @@
     broadcast) costs about as much as a small request's whole kernel,
     so entering the session once per {e batch} instead of once per
     {e request} multiplies small-request throughput by up to the batch
-    width.  The price is bounded, knowable latency: a request waits at
-    most [delay_s] for its batch to fill — the batch-delay knob.
+    width.  The price is latency, worth paying only while the pool is
+    busy: {!Shard} sends smalls to an idle pool at once and calls
+    {!poll} at each completion, so [delay_s] bounds only that wait.
 
     Holds items in arrival order; never reorders. *)
 
@@ -66,7 +67,7 @@ let add (b : 'a t) ~(now : float) (x : 'a) : [ `Hold | `Flush of 'a list ] =
   else `Hold
 
 (** [poll b ~now]: [Some batch] when the age bound has expired for the
-    pending items, [None] otherwise — the flusher tick. *)
+    pending items, [None] otherwise. *)
 let poll (b : 'a t) ~(now : float) : 'a list option =
   if b.n > 0 && now -. b.oldest >= b.delay_s then Some (take b) else None
 

@@ -378,8 +378,11 @@ let accept_loop (t : t) : unit =
 (** [create ?config addr ()] binds and listens on [addr] (a Unix path
     is unlinked first; TCP port 0 picks a free port — read the real
     one back with {!bound_addr}), boots the shard fabric, and starts
-    accepting. *)
+    accepting.  Ignores SIGPIPE process-wide: a write to a peer that
+    has hung up must fail with EPIPE on that connection, not kill the
+    process. *)
 let create ?(config = default_config) (addr : addr) () : t =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listen_fd, bound =
     match addr with
     | Unix_path p ->

@@ -26,7 +26,9 @@ type config = {
                                  here is {e per shard}) *)
   policy : Router.policy;
   batch_max : int;  (** members per micro-batch; <= 1 disables batching *)
-  batch_delay_us : float;  (** max wait for a partial batch to fill *)
+  batch_delay_us : float;
+      (** how long a partial batch may wait behind a busy pool; a pool
+          with nothing running or queued takes parked smalls at once *)
   batch_size_max : int;
       (** only requests with [size <=] this are batched (small
           requests — the same units as the router's [small_max]) *)
@@ -103,8 +105,6 @@ type t = {
   mutable batched_members : int;
   mutable closing : bool;
   mutable final : Serve.Pool.stats array option;  (** set once closed *)
-  mutable flusher : Thread.t option;
-  flusher_stop : bool Atomic.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -144,7 +144,8 @@ let exec_member (e : (module Workloads.Exec.S)) : Serve.Pool.work -> int =
 
 (* Fan a resolved batch back out to its members.  Runs on a
    pool-internal thread with no locks held. *)
-let resolve_batch (t : t) (members : member array) (slots : int array)
+let rec resolve_batch (t : t) (shard : int) (members : member array)
+    (slots : int array)
     (res : (Serve.Pool.completion, Serve.Pool.error) result) : unit =
   Mutex.lock t.m;
   let now = Mclock.now_s () in
@@ -165,11 +166,12 @@ let resolve_batch (t : t) (members : member array) (slots : int array)
       in
       resolve_locked t m.ticket r)
     members;
+  flush_locked t shard;
   Mutex.unlock t.m;
   run_cbs t
 
 (* Submit [members] as one session entry.  Called with [t.m] held. *)
-let submit_batch_locked (t : t) (shard : int) (members : member list) : unit =
+and submit_batch_locked (t : t) (shard : int) (members : member list) : unit =
   match members with
   | [] -> ()
   | _ ->
@@ -200,7 +202,7 @@ let submit_batch_locked (t : t) (shard : int) (members : member list) : unit =
          batch competes as one unit *)
       let submit_res =
         Serve.Pool.submit t.pools.(shard) ~tenant:"_batch" ~deadline_s ~size
-          ~on_resolve:(fun res -> resolve_batch t arr slots res)
+          ~on_resolve:(resolve_batch t shard arr slots)
           work
       in
       (match submit_res with
@@ -212,31 +214,22 @@ let submit_batch_locked (t : t) (shard : int) (members : member list) : unit =
           (* backpressure (or a closing pool) applies to every member *)
           Array.iter (fun m -> resolve_locked t m.ticket (Error e)) arr)
 
-(* ------------------------------------------------------------------ *)
-
-let flusher_loop (t : t) : unit =
-  let tick =
-    Float.min 0.005 (Float.max 5e-5 (t.cfg.batch_delay_us /. 2e6))
-  in
-  while not (Atomic.get t.flusher_stop) do
-    Thread.delay tick;
-    Mutex.lock t.m;
-    if not t.closing then begin
-      let now = Mclock.now_s () in
-      Array.iteri
-        (fun s b ->
-          match Batch.poll b ~now with
-          | Some ms -> submit_batch_locked t s ms
-          | None -> ())
-        t.batchers
-    end;
-    Mutex.unlock t.m;
-    run_cbs t
-  done
+(* A pool starts new work only after a completion or on a submit to
+   an idle pool, and the shard sees both.  At a completion, flush all
+   of [shard]'s parked smalls when its pool has nothing running or
+   queued, else only a batch whose oldest member has waited out the
+   delay.  Called with [t.m] held. *)
+and flush_locked (t : t) (shard : int) : unit =
+  let b = t.batchers.(shard) in
+  if Batch.pending b > 0 then
+    if Serve.Pool.idle t.pools.(shard) then
+      submit_batch_locked t shard (Batch.drain b)
+    else
+      Option.iter (submit_batch_locked t shard)
+        (Batch.poll b ~now:(Mclock.now_s ()))
 
 (** [create ?config ()] boots [config.shards] pools — each its own
-    warm session with [config.pool.runtime.domains] worker domains —
-    and, when batching is enabled, the batch flusher thread. *)
+    warm session with [config.pool.runtime.domains] worker domains. *)
 let create ?(config = default_config) () : t =
   if config.shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
   if config.batch_max > 1 && config.batch_delay_us < 0. then
@@ -244,33 +237,27 @@ let create ?(config = default_config) () : t =
   let pools =
     Array.init config.shards (fun _ -> Serve.Pool.create ~config:config.pool ())
   in
-  let t =
-    {
-      cfg = config;
-      pools;
-      m = Mutex.create ();
-      cv = Condition.create ();
-      results = Hashtbl.create 256;
-      cbs = Hashtbl.create 256;
-      pending_cbs = [];
-      targets = Hashtbl.create 256;
-      batchers =
-        Array.init config.shards (fun _ ->
-            Batch.create
-              ~max:(max 1 config.batch_max)
-              ~delay_s:(config.batch_delay_us /. 1e6));
-      next = 0;
-      submitted = 0;
-      routed = Array.make config.shards 0;
-      batched_members = 0;
-      closing = false;
-      final = None;
-      flusher = None;
-      flusher_stop = Atomic.make false;
-    }
-  in
-  if config.batch_max > 1 then t.flusher <- Some (Thread.create flusher_loop t);
-  t
+  {
+    cfg = config;
+    pools;
+    m = Mutex.create ();
+    cv = Condition.create ();
+    results = Hashtbl.create 256;
+    cbs = Hashtbl.create 256;
+    pending_cbs = [];
+    targets = Hashtbl.create 256;
+    batchers =
+      Array.init config.shards (fun _ ->
+          Batch.create
+            ~max:(max 1 config.batch_max)
+            ~delay_s:(config.batch_delay_us /. 1e6));
+    next = 0;
+    submitted = 0;
+    routed = Array.make config.shards 0;
+    batched_members = 0;
+    closing = false;
+    final = None;
+  }
 
 let shard_count (t : t) : int = t.cfg.shards
 
@@ -279,8 +266,8 @@ let shard_count (t : t) : int = t.cfg.shards
 let depths (t : t) : int array = Array.map Serve.Pool.depth t.pools
 
 (** [submit t ~tenant ?deadline_s ?size ?on_resolve w]: route, then
-    either park for micro-batching (small, batchable work when
-    batching is on) or submit directly to the chosen shard's pool.
+    either batch (small, batchable work when batching is on: sent at
+    once to an idle pool, else parked) or submit directly.
     Returns a shard-level ticket; [on_resolve] fires exactly once,
     with no shard lock held, when it resolves. *)
 let submit (t : t) ~(tenant : string) ?deadline_s ?(size = 1)
@@ -323,6 +310,8 @@ let submit (t : t) ~(tenant : string) ?deadline_s ?(size = 1)
         in
         Hashtbl.replace t.targets id (Parked shard);
         (match Batch.add t.batchers.(shard) ~now m with
+        | `Hold when Serve.Pool.idle t.pools.(shard) ->
+            submit_batch_locked t shard (Batch.drain t.batchers.(shard))
         | `Hold -> ()
         | `Flush ms -> submit_batch_locked t shard ms);
         Ok id
@@ -333,6 +322,7 @@ let submit (t : t) ~(tenant : string) ?deadline_s ?(size = 1)
             ~on_resolve:(fun res ->
               Mutex.lock t.m;
               resolve_locked t id res;
+              flush_locked t shard;
               Mutex.unlock t.m;
               run_cbs t)
             w
@@ -460,8 +450,6 @@ let close (t : t) : stats =
   Mutex.unlock t.m;
   run_cbs t;
   if first then begin
-    Atomic.set t.flusher_stop true;
-    Option.iter Thread.join t.flusher;
     let pool_stats = Array.map Serve.Pool.close t.pools in
     Mutex.lock t.m;
     t.final <- Some pool_stats;

@@ -809,6 +809,16 @@ let depth (t : t) : int =
   Mutex.unlock t.m;
   d
 
+(** [idle t]: nothing running and nothing queued.  Unlike {!depth}, a
+    retry waiting out its backoff does not count: it holds no place in
+    the queue until it matures, so work submitted meanwhile need not
+    wait for it. *)
+let idle (t : t) : bool =
+  Mutex.lock t.m;
+  let r = Option.is_none t.running && Sched.length t.sched = 0 in
+  Mutex.unlock t.m;
+  r
+
 (** [try_result t ticket] is a non-blocking probe. *)
 let try_result (t : t) (ticket : ticket) : (completion, error) result option =
   Mutex.lock t.m;

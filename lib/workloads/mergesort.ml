@@ -24,8 +24,8 @@ let insertion_sort (a : int array) (lo : int) (hi : int) : unit =
   done
 
 (* Serial sort of a segment: insertion sort for tiny ranges, the
-   stdlib's introsort above that (leaves are up to [grain] elements,
-   where insertion sort would be quadratic). *)
+   stdlib's heapsort ([Array.sort]) above that (leaves are up to
+   [grain] elements, where insertion sort would be quadratic). *)
 let seq_sort (a : int array) (lo : int) (hi : int) : unit =
   if hi - lo <= 32 then insertion_sort a lo hi
   else begin

@@ -378,45 +378,81 @@ let test_shard_roundtrip_mixed () =
   let resolved_after = Net.Shard.submit t ~tenant:"late" (Serve.Pool.Thunk (fun _ -> 0)) in
   check "closed shard refuses" true (resolved_after = Error Serve.Pool.Pool_closed)
 
+(* A small thunk that holds its pool until the test opens [latch]. *)
+let latched (latch : bool Atomic.t) : Serve.Pool.work =
+  Serve.Pool.Thunk
+    (fun _ ->
+      while not (Atomic.get latch) do
+        Thread.delay 1e-4
+      done;
+      0)
+
+let small_work = Serve.Pool.Thunk (Serve.Load.kernel 64)
+
+(* batch_max high + long delay: a batch never fills or ages out, so a
+   member leaves the batcher only when its pool can take it *)
+let parking_config ?shards () =
+  { (shard_config ?shards ~batch_max:64 ()) with batch_delay_us = 30_000_000. }
+
+let submit_ok ?(size = 1) ?on_resolve t tenant w =
+  match Net.Shard.submit t ~tenant ~size ?on_resolve w with
+  | Ok tk -> tk
+  | Error _ -> Alcotest.fail "submit rejected"
+
+let await_ok t tk =
+  match Net.Shard.await ~timeout_s:1. t tk with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "not resolved within 1 s: %a" Serve.Pool.pp_error e
+
+(* Poll [f] until it holds or [timeout_s] passes; its final verdict. *)
+let wait_until ?(timeout_s = 10.) f =
+  let stop = Unix.gettimeofday () +. timeout_s in
+  while (not (f ())) && Unix.gettimeofday () < stop do
+    Thread.delay 0.001
+  done;
+  f ()
+
+(* Records each flush's member count, newest first. *)
+let fill_log () =
+  let log = Atomic.make [] in
+  (log, Some (fun ~n ~wait_us:_ -> Atomic.set log (n :: Atomic.get log)))
+
 let test_shard_cancel_parked () =
-  (* batch_max high + long delay: a submitted small request stays
-     parked long enough to cancel deterministically *)
-  let cfg =
-    { (shard_config ~batch_max:64 ()) with batch_delay_us = 30_000_000. }
-  in
-  let t = Net.Shard.create ~config:cfg () in
+  (* a latched small takes the idle pool at once and holds it, so the
+     next small parks and stays parked long enough to cancel *)
+  let t = Net.Shard.create ~config:(parking_config ()) () in
+  let latch = Atomic.make false in
+  Fun.protect ~finally:(fun () ->
+      Atomic.set latch true;
+      ignore (Net.Shard.close t))
+  @@ fun () ->
+  ignore (submit_ok t "hold" (latched latch));
   let resolved = ref None in
-  let tk =
-    match
-      Net.Shard.submit t ~tenant:"a" ~size:1
-        ~on_resolve:(fun r -> resolved := Some r)
-        (Serve.Pool.Thunk (Serve.Load.kernel 64))
-    with
-    | Ok tk -> tk
-    | Error _ -> Alcotest.fail "submit rejected"
-  in
+  let tk = submit_ok t "a" ~on_resolve:(fun r -> resolved := Some r) small_work in
   check "cancel hits the parked member" true (Net.Shard.cancel t tk);
   (match !resolved with
   | Some (Error (Serve.Pool.Cancelled `Explicit)) -> ()
   | _ -> Alcotest.fail "expected a typed Cancelled resolution");
-  check "second cancel misses" true (not (Net.Shard.cancel t tk));
-  ignore (Net.Shard.close t)
+  check "second cancel misses" true (not (Net.Shard.cancel t tk))
 
 let test_shard_close_drains_parked () =
-  let cfg =
-    { (shard_config ~batch_max:64 ()) with batch_delay_us = 30_000_000. }
-  in
-  let t = Net.Shard.create ~config:cfg () in
-  let tks =
-    List.init 5 (fun i ->
-        match
-          Net.Shard.submit t ~tenant:(Printf.sprintf "t%d" i) ~size:1
-            (Serve.Pool.Thunk (Serve.Load.kernel 64))
-        with
-        | Ok tk -> tk
-        | Error _ -> Alcotest.fail "submit rejected")
+  let t = Net.Shard.create ~config:(parking_config ()) () in
+  let latch = Atomic.make false in
+  ignore (submit_ok t "hold" (latched latch));
+  let tks = List.init 5 (fun i -> submit_ok t (Printf.sprintf "t%d" i) small_work) in
+  (* open the latch only once close has flushed the parked members
+     (the latched small was flush 1), so close itself must place them *)
+  let opener =
+    Thread.create
+      (fun () ->
+        ignore
+          (wait_until (fun () ->
+               (Net.Shard.stats t).per_shard.(0).batch.flushes >= 2));
+        Atomic.set latch true)
+      ()
   in
   let st = Net.Shard.close t in
+  Thread.join opener;
   (* parked members were flushed at close: they either executed
      (pool drained them) or resolved typed — never lost *)
   List.iter
@@ -428,6 +464,71 @@ let test_shard_close_drains_parked () =
       | None -> Alcotest.fail "parked member lost at close")
     tks;
   check "close reports the policy" true (st.policy = "size-aware")
+
+let test_shard_idle_sends_at_once () =
+  (* nothing to amortize a dispatch against: the 30 s delay is not paid *)
+  let t = Net.Shard.create ~config:(parking_config ()) () in
+  Fun.protect ~finally:(fun () -> ignore (Net.Shard.close t)) @@ fun () ->
+  await_ok t (submit_ok t "a" small_work)
+
+let test_shard_completion_flushes_parked () =
+  let log, on_batch = fill_log () in
+  let t = Net.Shard.create ~config:{ (parking_config ()) with on_batch } () in
+  let latch = Atomic.make false in
+  Fun.protect ~finally:(fun () ->
+      Atomic.set latch true;
+      ignore (Net.Shard.close t))
+  @@ fun () ->
+  ignore (submit_ok t "hold" (latched latch));
+  let tks = List.init 3 (fun i -> submit_ok t (Printf.sprintf "t%d" i) small_work) in
+  Thread.delay 0.02;
+  check "parked while the pool is held" true
+    (List.for_all (fun tk -> Net.Shard.try_result t tk = None) tks);
+  Atomic.set latch true;
+  List.iter (await_ok t) tks;
+  check "the latch alone, then the three as one batch" true
+    (List.rev (Atomic.get log) = [ 1; 3 ])
+
+let test_shard_aged_join_busy_queue () =
+  let log, on_batch = fill_log () in
+  let cfg =
+    { (shard_config ~shards:1 ~batch_max:64 ()) with batch_delay_us = 1000.; on_batch }
+  in
+  let t = Net.Shard.create ~config:cfg () in
+  let first = Atomic.make false and rest = Atomic.make false in
+  Fun.protect ~finally:(fun () ->
+      Atomic.set first true;
+      Atomic.set rest true;
+      ignore (Net.Shard.close t))
+  @@ fun () ->
+  (* one direct request holds the pool and two queue behind it *)
+  let held = submit_ok ~size:16 t "d" (latched first) in
+  let queued = List.init 2 (fun _ -> submit_ok ~size:16 t "d" (latched rest)) in
+  let smalls = List.init 2 (fun i -> submit_ok t (Printf.sprintf "s%d" i) small_work) in
+  Thread.delay 0.02;
+  check "aged smalls wait for a completion" true (Atomic.get log = []);
+  Atomic.set first true;
+  check "the first completion sends them" true
+    (wait_until ~timeout_s:1. (fun () -> Atomic.get log = [ 2 ]));
+  check "while the queue is still held" true
+    (List.for_all (fun tk -> Net.Shard.try_result t tk = None) queued);
+  Atomic.set rest true;
+  List.iter (await_ok t) ((held :: queued) @ smalls)
+
+let test_shard_retry_backoff_is_idle () =
+  (* the pool's only work is a retry waiting out a 10-20 s backoff; it
+     starts nothing before then, so a small is not parked behind it *)
+  let pool =
+    { (pool_config ()) with retries = 1; retry_backoff_s = 20.; retry_backoff_max_s = 20. }
+  in
+  let t = Net.Shard.create ~config:{ (parking_config ~shards:1 ()) with pool } () in
+  Fun.protect ~finally:(fun () -> ignore (Net.Shard.close t)) @@ fun () ->
+  let fault = Serve.Pool.Thunk (fun _ -> raise (Par.Chaos.Injected { domain = 0; beat = 0 })) in
+  ignore (submit_ok ~size:16 t "f" fault);
+  check "the first attempt failed into backoff" true
+    (wait_until (fun () -> (Net.Shard.stats t).per_shard.(0).pool.retried = 1));
+  check_int "the retry still counts toward depth" 1 (Net.Shard.depths t).(0);
+  await_ok t (submit_ok t "a" small_work)
 
 (* ------------------------------------------------------------------ *)
 (* Loopback server: end-to-end smoke with the full audit. *)
@@ -469,6 +570,28 @@ let test_server_loopback_audit () =
   check "server saw the submits" true (st.submits >= 600);
   check "responses flowed" true (st.responses >= 600);
   check_int "no framing deaths" 0 st.dead_conns
+
+let test_server_survives_departed_peers () =
+  (* peers that hang up with replies still queued for them: the
+     server's writes then fail with EPIPE, which must stay on that
+     connection instead of killing the process with SIGPIPE *)
+  let srv =
+    Net.Server.create ~config:(server_config ())
+      (Net.Server.Tcp { host = "127.0.0.1"; port = 0 })
+      ()
+  in
+  let addr = Net.Server.bound_addr srv in
+  for _ = 1 to 20 do
+    let c = Net.Client.connect addr in
+    for _ = 1 to 50 do
+      Net.Client.send c Net.Wire.Metrics_request
+    done;
+    Net.Client.close c
+  done;
+  let c = Net.Client.connect addr in
+  check_int "still serving" 2 (Net.Client.shards c);
+  Net.Client.close c;
+  ignore (Net.Server.stop srv)
 
 let test_server_hello_shards () =
   let srv =
@@ -540,8 +663,18 @@ let suite =
         test_shard_cancel_parked;
       Alcotest.test_case "shard: close never loses parked work" `Slow
         test_shard_close_drains_parked;
+      Alcotest.test_case "shard: a lone small on an idle pool is sent at once"
+        `Quick test_shard_idle_sends_at_once;
+      Alcotest.test_case "shard: a completion flushes parked smalls as one batch"
+        `Quick test_shard_completion_flushes_parked;
+      Alcotest.test_case "shard: aged smalls join a busy queue at a completion"
+        `Quick test_shard_aged_join_busy_queue;
+      Alcotest.test_case "shard: a retry in backoff leaves the pool idle" `Quick
+        test_shard_retry_backoff_is_idle;
       Alcotest.test_case "server: loopback audit" `Slow
         test_server_loopback_audit;
+      Alcotest.test_case "server: peers that hang up never kill it" `Quick
+        test_server_survives_departed_peers;
       Alcotest.test_case "server: hello advertises shards" `Quick
         test_server_hello_shards;
       Alcotest.test_case "server: drain flushes typed responses" `Slow
