@@ -13,8 +13,9 @@
    --par-bench switches to the multi-domain pipeline instead: every
    real kernel in Workloads.Real_bench runs serially and then under
    Par.Runtime at each requested domain count, checksums are compared,
-   and wall-clock + speedup + scheduler counters are printed as a
-   table and written as machine-readable JSON (--json PATH, or the
+   and wall-clock + speedup + scheduler counters + the minor
+   collections during the timed call are printed as a table and
+   written as machine-readable JSON (--json PATH, or the
    BENCH_JSON environment variable; default BENCH_par.json). *)
 
 let run_figures () =
@@ -169,6 +170,7 @@ type par_row = {
   beats : int;
   max_deque : int;
   idle_ms : float;  (* total worker idle-backoff sleep *)
+  minor_gcs : int;  (* minor collections during the timed kernel call *)
 }
 
 (* median-of-k; k small because the kernels are sized to run for tens
@@ -177,14 +179,20 @@ let median_by (proj : 'a -> float) (xs : 'a list) : 'a =
   let sorted = List.sort (fun a b -> compare (proj a) (proj b)) xs in
   List.nth sorted (List.length sorted / 2)
 
-let time_median ~(repeat : int) (f : unit -> 'a) : float * 'a =
-  let samples =
-    List.init (max 1 repeat) (fun _ ->
-        let t0 = Mclock.now_s () in
-        let v = f () in
-        (Mclock.now_s () -. t0, v))
-  in
-  median_by fst samples
+let minor_gcs () = (Gc.quick_stat ()).minor_collections
+
+(* [f]'s wall-clock seconds, the minor collections during it (counted
+   outside the clocked interval; the count is global to all domains)
+   and its result *)
+let timed (f : unit -> 'a) : float * int * 'a =
+  let g0 = minor_gcs () in
+  let t0 = Mclock.now_s () in
+  let v = f () in
+  let t = Mclock.now_s () -. t0 in
+  (t, minor_gcs () - g0, v)
+
+let time_median ~(repeat : int) (f : unit -> 'a) : float * int * 'a =
+  median_by (fun (t, _, _) -> t) (List.init (max 1 repeat) (fun _ -> timed f))
 
 let json_escape (s : string) : string =
   let b = Buffer.create (String.length s) in
@@ -220,10 +228,11 @@ let row_json (r : par_row) =
     "      {\"bench\": \"%s\", \"domains\": %d, \"seconds\": %.6f, \
      \"session_seconds\": %.6f, \"speedup\": %.3f, \"checksum\": %d, \
      \"promotions\": %d, \"steals\": %d, \"steal_attempts\": %d, \"joins\": \
-     %d, \"beats\": %d, \"max_deque\": %d, \"idle_ms\": %.3f}"
+     %d, \"beats\": %d, \"max_deque\": %d, \"idle_ms\": %.3f, \
+     \"minor_gcs\": %d}"
     (json_escape r.bench) r.domains r.seconds r.session_seconds r.speedup
     r.checksum r.promotions r.steals r.steal_attempts r.joins r.beats
-    r.max_deque r.idle_ms
+    r.max_deque r.idle_ms r.minor_gcs
 
 let run_json ~(label : string) ~(scale : int) ~(beat_source : string)
     (rows : par_row list) : string =
@@ -384,22 +393,22 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
     (String.concat ", " (List.map string_of_int domains))
     scale source_name
     (Domain.recommended_domain_count ());
-  Printf.printf "%-16s %8s %10s %10s %8s %10s %8s %8s %8s\n%!" "bench"
+  Printf.printf "%-16s %8s %10s %10s %8s %10s %8s %8s %8s %9s\n%!" "bench"
     "domains" "kernel_s" "session_s" "speedup" "promos" "steals" "joins"
-    "beats";
+    "beats" "minor_gcs";
   let rows = ref [] in
   let traces = ref [] in
   let emit r =
     rows := r :: !rows;
-    Printf.printf "%-16s %8s %10.4f %10.4f %7.2fx %10d %8d %8d %8d\n%!"
+    Printf.printf "%-16s %8s %10.4f %10.4f %7.2fx %10d %8d %8d %8d %9d\n%!"
       r.bench
       (if r.domains = 0 then "serial" else string_of_int r.domains)
       r.seconds r.session_seconds r.speedup r.promotions r.steals r.joins
-      r.beats
+      r.beats r.minor_gcs
   in
   List.iter
     (fun (b : Workloads.Real_bench.t) ->
-      let serial_s, serial_sum =
+      let serial_s, serial_gcs, serial_sum =
         time_median ~repeat:3 (fun () ->
             Workloads.Real_bench.run_serial b ~scale)
       in
@@ -418,6 +427,7 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
           beats = 0;
           max_deque = 0;
           idle_ms = 0.;
+          minor_gcs = serial_gcs;
         };
       List.iter
         (fun d ->
@@ -428,17 +438,15 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
           let samples =
             List.init 3 (fun _ ->
                 let t0 = Mclock.now_s () in
-                let (par_sum, kernel_s), st =
+                let kernel, st =
                   Par.Runtime.run ~config:cfg (fun () ->
-                      let k0 = Mclock.now_s () in
-                      let sum = b.run (module Par.Runtime.Exec) ~scale in
-                      (sum, Mclock.now_s () -. k0))
+                      timed (fun () -> b.run (module Par.Runtime.Exec) ~scale))
                 in
                 let session_s = Mclock.now_s () -. t0 in
-                (kernel_s, session_s, par_sum, st))
+                (kernel, session_s, st))
           in
-          let kernel_s, session_s, par_sum, (st : Par.Runtime.stats) =
-            median_by (fun (k, _, _, _) -> k) samples
+          let (kernel_s, gcs, par_sum), session_s, (st : Par.Runtime.stats) =
+            median_by (fun ((k, _, _), _, _) -> k) samples
           in
           if par_sum <> serial_sum then begin
             Printf.eprintf
@@ -463,6 +471,7 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
               beats = st.total.beats;
               max_deque = st.total.max_deque;
               idle_ms = float_of_int st.total.idle_ns /. 1e6;
+              minor_gcs = gcs;
             })
         domains;
       (* one extra run per kernel with the ring tracers attached, at

@@ -813,8 +813,11 @@ let worker_loop (ctx : ctx) : unit =
     let nap = nap_s ~failures:!failures in
     if nap <= 0. then Domain.cpu_relax ()
     else begin
-      let ns = int_of_float (nap *. 1e9) in
+      (* book the time actually slept: timer slack stretches a short
+         nap well past its request (a 1 µs one sleeps tens of µs) *)
+      let t0 = Mclock.now_ns () in
       Unix.sleepf nap;
+      let ns = Mclock.now_ns () - t0 in
       ctx.worker.st_idle_ns <- ctx.worker.st_idle_ns + ns;
       fire ctx (Nap { ns })
     end

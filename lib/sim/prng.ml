@@ -14,15 +14,26 @@
     generation) give each concern its own split stream, so adding
     draws to one concern cannot perturb another. *)
 
-type t = { mutable state : int64; gamma : int64 }
+(* State at byte 0 and gamma at byte 8, both unboxed.  A [mutable
+   int64] record field boxes every new state and an out-of-line
+   [next_int64] boxes every output (8 minor-heap words per [float]
+   draw); with the bytes and the [@inline]s below, a draw allocates at
+   most its own boxed result, and [int] and [bool] draws nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
+let make ~(state : int64) ~(gamma : int64) : t =
+  let t = Bytes.create 16 in
+  Bytes.set_int64_ne t 0 state;
+  Bytes.set_int64_ne t 8 gamma;
+  t
+
 let create ~(seed : int) : t =
-  { state = Int64.of_int seed; gamma = golden_gamma }
+  make ~state:(Int64.of_int seed) ~gamma:golden_gamma
 
 (* Stafford variant-13 mixer — the splitmix64 output function. *)
-let mix64 (z : int64) : int64 =
+let[@inline] mix64 (z : int64) : int64 =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -45,9 +56,12 @@ let mix_gamma (z : int64) : int64 =
   let pairs = Int64.logxor z (Int64.shift_right_logical z 1) in
   if popcount64 pairs < 24 then Int64.logxor z 0xAAAAAAAAAAAAAAAAL else z
 
-let next_int64 (t : t) : int64 =
-  t.state <- Int64.add t.state t.gamma;
-  mix64 t.state
+let[@inline] advance (t : t) : int64 =
+  let s = Int64.add (Bytes.get_int64_ne t 0) (Bytes.get_int64_ne t 8) in
+  Bytes.set_int64_ne t 0 s;
+  s
+
+let[@inline] next_int64 (t : t) : int64 = mix64 (advance t)
 
 (** Independent stream derived from [t], advancing [t] by two draws.
     The child's state and gamma are both freshly mixed, so parent and
@@ -56,11 +70,9 @@ let next_int64 (t : t) : int64 =
     of the previous implementation, which derived the child's state
     from the parent's next state with the same increment). *)
 let split (t : t) : t =
-  t.state <- Int64.add t.state t.gamma;
-  let state = mix64 t.state in
-  t.state <- Int64.add t.state t.gamma;
-  let gamma = mix_gamma t.state in
-  { state; gamma }
+  let state = mix64 (advance t) in
+  let gamma = mix_gamma (advance t) in
+  make ~state ~gamma
 
 (** Uniform integer in [0, bound) for [bound > 0]. *)
 let int (t : t) (bound : int) : int =
@@ -70,7 +82,7 @@ let int (t : t) (bound : int) : int =
   x mod bound
 
 (** Uniform float in [0, 1). *)
-let float (t : t) : float =
+let[@inline] float (t : t) : float =
   let x = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   x /. 9007199254740992. (* 2^53 *)
 

@@ -2,7 +2,12 @@
     million ints, uniform and exponential inputs): the sort and the
     merge are recursive divide-and-conquer, and a parallel copy loop
     moves items between the buffer and the array — so it exercises
-    both promotion of stack marks and promotion of loop ranges. *)
+    both promotion of stack marks and promotion of loop ranges.
+
+    A leaf of at most [grain] elements is sorted serially and in place
+    by {!seq_sort}, monomorphic on [int], with the leaf's own slice of
+    the buffer as scratch; its merge passes and {!merge_par}'s base
+    case share the one serial {!merge}. *)
 
 (** Deterministic inputs matching the paper's two distributions. *)
 let uniform_input ~(rng : Sim.Prng.t) ~(n : int) : int array =
@@ -23,16 +28,69 @@ let insertion_sort (a : int array) (lo : int) (hi : int) : unit =
     a.(!j + 1) <- x
   done
 
-(* Serial sort of a segment: insertion sort for tiny ranges, the
-   stdlib's heapsort ([Array.sort]) above that (leaves are up to
-   [grain] elements, where insertion sort would be quadratic). *)
-let seq_sort (a : int array) (lo : int) (hi : int) : unit =
-  if hi - lo <= 32 then insertion_sort a lo hi
-  else begin
-    let seg = Array.sub a lo (hi - lo) in
-    Array.sort compare seg;
-    Array.blit seg 0 a lo (hi - lo)
-  end
+(** Serial merge of [src[lo1,hi1)] and [src[lo2,hi2)] into
+    [dst[dlo..)]; [src] and [dst] must be different arrays. *)
+let merge (src : int array) (lo1 : int) (hi1 : int) (lo2 : int) (hi2 : int)
+    (dst : int array) (dlo : int) : unit =
+  let i = ref lo1 and j = ref lo2 and k = ref dlo in
+  while !i < hi1 && !j < hi2 do
+    let x = src.(!i) and y = src.(!j) in
+    if x <= y then begin
+      dst.(!k) <- x;
+      incr i
+    end
+    else begin
+      dst.(!k) <- y;
+      incr j
+    end;
+    incr k
+  done;
+  while !i < hi1 do
+    dst.(!k) <- src.(!i);
+    incr i;
+    incr k
+  done;
+  while !j < hi2 do
+    dst.(!k) <- src.(!j);
+    incr j;
+    incr k
+  done
+
+let run_len = 32
+
+(** [seq_sort a buf lo hi] sorts the leaf [a[lo,hi)] in place, using
+    [buf[lo,hi)] as scratch — the slice of [sort]'s buffer that no
+    other task touches while the leaf runs.  It insertion-sorts runs of
+    [run_len], then makes bottom-up {!merge} passes that alternate
+    between [a] and [buf], with one copy back when the pass count is
+    odd.  Nothing is allocated and every comparison is an inline [int]
+    one, where [Array.sort compare] would need a copy of the leaf and
+    make a polymorphic compare call per comparison: leaves are most of
+    the serial sort's time (DESIGN.md §9). *)
+let seq_sort (a : int array) (buf : int array) (lo : int) (hi : int) : unit =
+  let r = ref lo in
+  while !r < hi do
+    insertion_sort a !r (min hi (!r + run_len));
+    r := !r + run_len
+  done;
+  let src = ref a and dst = ref buf and width = ref run_len in
+  while !width < hi - lo do
+    let w = !width and s = !src and d = !dst in
+    let l = ref lo in
+    while !l < hi do
+      let m = min hi (!l + w) in
+      let h = min hi (m + w) in
+      merge s !l m m h d !l;
+      l := h
+    done;
+    src := d;
+    dst := s;
+    width := 2 * w
+  done;
+  if !src != a then
+    for i = lo to hi - 1 do
+      a.(i) <- buf.(i)
+    done
 
 (* Binary search for the first index in [lo,hi) with a.(i) >= key. *)
 let lower_bound (a : int array) (lo : int) (hi : int) (key : int) : int =
@@ -50,31 +108,7 @@ let rec merge_par (module E : Exec.S) ~(grain : int) (src : int array)
     (lo1 : int) (hi1 : int) (lo2 : int) (hi2 : int) (dst : int array)
     (dlo : int) : unit =
   let n1 = hi1 - lo1 and n2 = hi2 - lo2 in
-  if n1 + n2 <= grain then begin
-    (* serial merge *)
-    let i = ref lo1 and j = ref lo2 and k = ref dlo in
-    while !i < hi1 && !j < hi2 do
-      if src.(!i) <= src.(!j) then begin
-        dst.(!k) <- src.(!i);
-        incr i
-      end
-      else begin
-        dst.(!k) <- src.(!j);
-        incr j
-      end;
-      incr k
-    done;
-    while !i < hi1 do
-      dst.(!k) <- src.(!i);
-      incr i;
-      incr k
-    done;
-    while !j < hi2 do
-      dst.(!k) <- src.(!j);
-      incr j;
-      incr k
-    done
-  end
+  if n1 + n2 <= grain then merge src lo1 hi1 lo2 hi2 dst dlo
   else if n1 >= n2 then begin
     let mid1 = (lo1 + hi1) / 2 in
     let mid2 = lower_bound src lo2 hi2 src.(mid1) in
@@ -99,7 +133,7 @@ let sort ?(grain = 2048) (module E : Exec.S) (a : int array) : unit =
      otherwise *)
   let rec go lo hi ~to_a =
     if hi - lo <= grain then begin
-      seq_sort a lo hi;
+      seq_sort a buf lo hi;
       if not to_a then copy_par (module E) a buf lo hi
     end
     else begin

@@ -411,13 +411,24 @@ let test_backoff_bounded () =
     (Par.Runtime.nap_s ~failures:max_int = Par.Runtime.max_nap_s);
   (* end-to-end: ~30 ms of serial work sends the 3 idle workers far
      past the spin limit, then a promotable loop must still get
-     promoted and finish correctly *)
-  let n = 20_000 in
+     promoted and finish correctly.  The phase starts once every other
+     worker has napped: a stolen [main] can start before the last
+     domains are even spawned. *)
+  let n = 20_000 and domains = 4 and phase_ns = 30_000_000 in
   let hits = Array.make n 0 in
   let (), st =
-    Par.Runtime.run ~config:(cfg ~domains:4 ~heart_us:25. ()) (fun () ->
-        let t_end = Mclock.now_s () +. 0.03 in
-        while Mclock.now_s () < t_end do
+    Par.Runtime.run ~config:(cfg ~domains ~heart_us:25. ()) (fun () ->
+        let napped () =
+          Array.fold_left
+            (fun k (w : Par.Runtime.worker_stats) ->
+              if w.idle_ns > 0 then k + 1 else k)
+            0 (Par.Runtime.live_stats ()).per_worker
+        in
+        while napped () < domains - 1 do
+          Domain.cpu_relax ()
+        done;
+        let t_end = Mclock.now_ns () + phase_ns in
+        while Mclock.now_ns () < t_end do
           Sys.opaque_identity () |> ignore
         done;
         Par.Runtime.par_for ~lo:0 ~hi:n (fun i -> hits.(i) <- hits.(i) + 1))
@@ -427,7 +438,16 @@ let test_backoff_bounded () =
       if h <> 1 then Alcotest.failf "index %d ran %d times" i h)
     hits;
   check "work still promoted after the idle phase" true
-    (st.total.promotions > 0)
+    (st.total.promotions > 0);
+  (* the idle workers nap through nearly all of the serial phase, and a
+     nap is booked at the time it really slept, so the booked idle time
+     covers most of (domains - 1) x the phase *)
+  let want = (domains - 1) * phase_ns * 85 / 100 in
+  check
+    (Printf.sprintf "idle_ns %d covers 85%% of the idle workers' %d ns"
+       st.total.idle_ns ((domains - 1) * phase_ns))
+    true
+    (st.total.idle_ns >= want)
 
 (* ------------------------------------------------------------------ *)
 (* Runtime properties. *)

@@ -115,6 +115,26 @@ let test_prng_split_preserves_default_stream () =
       (Prng.int b 1_000_000)
   done
 
+(* Known answers, pinned so that a change to how the generator stores
+   or advances its state cannot move any stream: every seeded input,
+   checksum, simulator figure and fuzz corpus in the repository rests
+   on them. *)
+let test_prng_known_answers () =
+  let check_i64 = Alcotest.(check int64) in
+  let rng = Prng.create ~seed:42 in
+  List.iter
+    (fun want -> check_i64 "seed 42 next_int64" want (Prng.next_int64 rng))
+    [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L ];
+  let rng = Prng.create ~seed:0xBEA7 in
+  List.iter
+    (fun want -> check_int "seed 0xBEA7 int" want (Prng.int rng 1_000_000_000))
+    [ 254457288; 972130833; 301923547 ];
+  Alcotest.(check (float 0.)) "seed 0xBEA7 float" 0x1.b0f5712fb8afap-2
+    (Prng.float rng);
+  let child = Prng.split rng in
+  check_i64 "split child" 0x9627F2F6655A84F1L (Prng.next_int64 child);
+  check_i64 "parent after split" 0x18B4047EF3506B86L (Prng.next_int64 rng)
+
 let test_zipf_head_heavy () =
   let rng = Prng.create ~seed:3 in
   let n = 10_000 in
@@ -455,6 +475,7 @@ let suite =
         test_prng_split_chi_square;
       Alcotest.test_case "prng split keeps default stream" `Quick
         test_prng_split_preserves_default_stream;
+      Alcotest.test_case "prng known answers" `Quick test_prng_known_answers;
       Alcotest.test_case "zipf head-heaviness" `Quick test_zipf_head_heavy;
       Alcotest.test_case "eventq time order" `Quick test_eventq_orders_by_time;
       Alcotest.test_case "eventq tie-break order" `Quick

@@ -186,15 +186,49 @@ let test_knapsack_prunes () =
 
 (* --- mergesort --- *)
 
+(* Each (n, grain) pair shapes the leaves: a leaf of at most 32 needs
+   no merge pass, leaves of 33-64 need one (odd: the sorted run ends in
+   the buffer and is copied back) and leaves of 65-128 two (even);
+   n = 1_000 at grain 100 leaves ragged last runs; [None] is the
+   default grain. *)
 let test_mergesort_sorts () =
+  let inputs n =
+    [
+      ("uniform", Mergesort.uniform_input ~rng:(rng ()) ~n);
+      ("descending", Array.init n (fun i -> n - i));
+      ("all-equal", Array.make n 7);
+      ( "few-distinct",
+        Array.map (fun x -> x mod 3) (Mergesort.uniform_input ~rng:(rng ()) ~n)
+      );
+    ]
+  in
   List.iter
-    (fun n ->
-      let a = Mergesort.uniform_input ~rng:(rng ()) ~n in
-      let expected = Array.copy a in
-      Array.sort compare expected;
-      Mergesort.sort ~grain:64 (module Exec.Serial) a;
-      check (Printf.sprintf "sorted n=%d" n) true (a = expected))
-    [ 0; 1; 2; 63; 64; 65; 1_000; 10_000 ]
+    (fun (n, grain) ->
+      List.iter
+        (fun (kind, a) ->
+          let expected = Array.copy a in
+          Array.sort compare expected;
+          Mergesort.sort ?grain (module Exec.Serial) a;
+          check
+            (Printf.sprintf "sorted %s n=%d grain=%s" kind n
+               (Option.fold ~none:"default" ~some:string_of_int grain))
+            true (a = expected))
+        (inputs n))
+    [
+      (0, Some 64);
+      (1, Some 64);
+      (2, Some 64);
+      (20, Some 64);
+      (63, Some 64);
+      (64, Some 64);
+      (65, Some 64);
+      (128, Some 128);
+      (1_000, Some 64);
+      (1_000, Some 128);
+      (1_000, Some 100);
+      (10_000, Some 64);
+      (10_000, None);
+    ]
 
 let test_mergesort_exponential_input () =
   let a = Mergesort.exponential_input ~rng:(rng ()) ~n:5_000 in
@@ -206,6 +240,32 @@ let test_merge_par_correct () =
   let dst = Array.make 9 0 in
   Mergesort.merge_par ~grain:2 (module Exec.Serial) src 0 5 5 9 dst 0;
   check "parallel merge" true (dst = [| 1; 2; 3; 4; 5; 6; 7; 8; 9 |])
+
+(* --- Real_bench known answers --- *)
+
+(* Every kernel's scale-1 serial checksum, pinned: the inputs come from
+   [Sim.Prng] and the kernels must stay bit-identical, so a change to
+   either that moves an output fails here. *)
+let real_bench_checksums =
+  [
+    ("plus_reduce", 74431235009321116);
+    ("mergesort", 20000088134032571);
+    ("mandelbrot", 1014216);
+    ("spmv", 4490937439522048250);
+    ("kmeans", 3780654);
+    ("srad", 63101634859194129);
+    ("floyd_warshall", 190185);
+    ("knapsack", 974);
+  ]
+
+let test_real_bench_known_checksums () =
+  check "every kernel pinned" true
+    (List.map fst real_bench_checksums = Real_bench.names);
+  List.iter
+    (fun (name, want) ->
+      let b = Option.get (Real_bench.find name) in
+      check_int name want (Real_bench.run_serial b ~scale:1))
+    real_bench_checksums
 
 (* --- the workload registry --- *)
 
@@ -256,6 +316,8 @@ let suite =
       Alcotest.test_case "mergesort exponential" `Quick
         test_mergesort_exponential_input;
       Alcotest.test_case "parallel merge" `Quick test_merge_par_correct;
+      Alcotest.test_case "real_bench known checksums" `Quick
+        test_real_bench_known_checksums;
       Alcotest.test_case "registry completeness" `Quick test_registry_complete;
       Alcotest.test_case "registry sanity" `Quick test_registry_irs_sane;
       Alcotest.test_case "registry determinism" `Quick
