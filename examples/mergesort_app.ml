@@ -12,7 +12,9 @@ end
 let () =
   let rng = Sim.Prng.create ~seed:99 in
   let n = 1_000_000 in
-  let uniform = Workloads.Mergesort.uniform_input ~rng ~n in
+  let uniform =
+    Workloads.Mergesort.uniform_input (module Workloads.Exec.Serial) ~rng ~n
+  in
   let expo = Workloads.Mergesort.exponential_input ~rng ~n in
 
   List.iter

@@ -19,7 +19,8 @@ let () =
   let rng = Sim.Prng.create ~seed:2024 in
   let n = 30_000 in
   let m =
-    Workloads.Csr.powerlaw ~rng ~nrows:n ~ncols:n ~max_row_len:(n / 2) ()
+    Workloads.Csr.powerlaw (module Workloads.Exec.Serial) ~rng ~nrows:n ~ncols:n
+      ~max_row_len:(n / 2)
   in
   Printf.printf "power-law matrix: %d rows, %d non-zeros, heaviest row %d\n"
     n

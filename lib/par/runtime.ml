@@ -217,7 +217,8 @@ type pool = {
   cfg : config;
   heart_ns : int;  (** [cfg.heart_us] in integer nanoseconds, for the
                        [`Polling] fast path *)
-  t0_ns : int;  (** monotonic session start, for {!live_stats} *)
+  t0_ns : int;
+      (** monotonic session start, for {!live_stats} and [elapsed_s] *)
   workers : worker array;
   stop : bool Atomic.t;  (** main completed, or a task raised *)
   ping_stop : bool Atomic.t;
@@ -262,7 +263,8 @@ type worker_stats = {
 
 type stats = {
   domains : int;
-  elapsed_s : float;  (** wall-clock of the whole session *)
+  elapsed_s : float;
+      (** the whole session, on the monotonic clock {!live_stats} reads *)
   total : worker_stats;  (** sums over workers; [max_deque] is a max *)
   per_worker : worker_stats array;
 }
@@ -1058,7 +1060,6 @@ let run ?(config = default_config) (main : unit -> 'a) : 'a * stats =
         }
       in
       let result = ref None in
-      let t0 = Unix.gettimeofday () in
       (* main is an ordinary task on worker 0's deque; its completion
          implies every fork has joined, so no task can outlive it *)
       Ws_deque.push_bottom pool.workers.(0).deque
@@ -1095,7 +1096,9 @@ let run ?(config = default_config) (main : unit -> 'a) : 'a * stats =
       run_worker pool 0;
       Array.iter Domain.join others;
       stop_ping ();
-      let elapsed_s = Unix.gettimeofday () -. t0 in
+      (* the monotonic clock of [live_stats] and the idle counters, so
+         an idle fraction divides like by like *)
+      let elapsed_s = float_of_int (Mclock.now_ns () - pool.t0_ns) *. 1e-9 in
       (match Atomic.get pool.error with Some e -> raise e | None -> ());
       let per_worker = Array.map worker_stats pool.workers in
       let st =

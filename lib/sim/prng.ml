@@ -12,7 +12,11 @@
     parent.  Consumers that interleave draws from several concerns
     (steal-victim sampling, beat jitter, fault injection, program
     generation) give each concern its own split stream, so adding
-    draws to one concern cannot perturb another. *)
+    draws to one concern cannot perturb another.
+
+    A stream is also random access: {!jump} and {!skip} move [k]
+    draws in O(1), so disjoint blocks of one stream can be drawn in
+    parallel and still match a serial loop bit for bit. *)
 
 (* State at byte 0 and gamma at byte 8, both unboxed.  A [mutable
    int64] record field boxes every new state and an out-of-line
@@ -63,6 +67,22 @@ let[@inline] advance (t : t) : int64 =
 
 let[@inline] next_int64 (t : t) : int64 = mix64 (advance t)
 
+(* The state [k] draws ahead: splitmix64 adds gamma once per draw, so
+   the stream is random access (mod 2⁶⁴). *)
+let[@inline] ahead (t : t) (k : int) : int64 =
+  if k < 0 then invalid_arg "Prng: negative draw count";
+  Int64.add (Bytes.get_int64_ne t 0)
+    (Int64.mul (Int64.of_int k) (Bytes.get_int64_ne t 8))
+
+(** [jump t k]: a new generator positioned [k] draws ahead of [t] — it
+    produces what [t] would after [k] calls to {!next_int64} — leaving
+    [t] unchanged.  O(1).  [jump t 0] is a copy. *)
+let jump (t : t) (k : int) : t =
+  make ~state:(ahead t k) ~gamma:(Bytes.get_int64_ne t 8)
+
+(** [skip t k] advances [t] by [k] draws in O(1). *)
+let skip (t : t) (k : int) : unit = Bytes.set_int64_ne t 0 (ahead t k)
+
 (** Independent stream derived from [t], advancing [t] by two draws.
     The child's state and gamma are both freshly mixed, so parent and
     child sequences are statistically independent — in particular the
@@ -75,7 +95,7 @@ let split (t : t) : t =
   make ~state ~gamma
 
 (** Uniform integer in [0, bound) for [bound > 0]. *)
-let int (t : t) (bound : int) : int =
+let[@inline] int (t : t) (bound : int) : int =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* mask to the native 62-bit non-negative range before reducing *)
   let x = Int64.to_int (next_int64 t) land max_int in
@@ -85,6 +105,30 @@ let int (t : t) (bound : int) : int =
 let[@inline] float (t : t) : float =
   let x = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   x /. 9007199254740992. (* 2^53 *)
+
+let check_fill name (len_a : int) ~(pos : int) ~(len : int) : unit =
+  if pos < 0 || len < 0 || pos > len_a - len then invalid_arg name
+
+(** [fill_float t a ~pos ~len] stores [len] successive {!float} draws
+    in [a.(pos)] … [a.(pos + len - 1)].  The loop sits here, where the
+    draw inlines: a caller in another module cannot inline {!float}
+    under [-opaque] (dune's dev profile), so its own loop would box
+    every draw. *)
+let fill_float (t : t) (a : float array) ~(pos : int) ~(len : int) : unit =
+  check_fill "Prng.fill_float" (Array.length a) ~pos ~len;
+  for i = pos to pos + len - 1 do
+    a.(i) <- float t
+  done
+
+(** [fill_int t a ~pos ~len bound]: [len] successive [int t bound]
+    draws, stored from [a.(pos)] on, as {!fill_float}. *)
+let fill_int (t : t) (a : int array) ~(pos : int) ~(len : int) (bound : int)
+    : unit =
+  if bound <= 0 then invalid_arg "Prng.fill_int: bound must be positive";
+  check_fill "Prng.fill_int" (Array.length a) ~pos ~len;
+  for i = pos to pos + len - 1 do
+    a.(i) <- int t bound
+  done
 
 (** Uniform float in [0, hi). *)
 let float_range (t : t) (hi : float) : float = float t *. hi

@@ -27,3 +27,30 @@ module Serial : S = struct
     a ();
     b ()
 end
+
+(** Elements per block of {!par_blocks}: enough work per iteration that
+    a block outweighs its loop overhead, like the kernels' grains. *)
+let block = 4096
+
+(** [par_blocks (module E) ~n body] runs [body lo hi] through
+    [E.par_for] over the blocks [\[lo, hi)] of [\[0, n)], {!block}
+    elements each, the last one ragged. *)
+let par_blocks (module E : S) ~(n : int) (body : int -> int -> unit) : unit =
+  E.par_for ~lo:0
+    ~hi:((n + block - 1) / block)
+    (fun b ->
+      let lo = b * block in
+      body lo (min n (lo + block)))
+
+(** [par_draws (module E) ~rng ~per ~n body] builds an input of [n]
+    elements that draws [per] values each from [rng], in parallel and
+    bit-identical to a serial loop: {!par_blocks} runs [body r lo hi]
+    with [r] = [rng] jumped [lo * per] draws ahead, so a body that draws
+    [per] values per element in index order draws what the serial loop
+    would.  [rng] is then skipped past all [n * per] draws.  Under
+    {!Serial} this is the serial loop. *)
+let par_draws (module E : S) ~(rng : Sim.Prng.t) ~(per : int) ~(n : int)
+    (body : Sim.Prng.t -> int -> int -> unit) : unit =
+  par_blocks (module E) ~n (fun lo hi ->
+      body (Sim.Prng.jump rng (lo * per)) lo hi);
+  Sim.Prng.skip rng (n * per)

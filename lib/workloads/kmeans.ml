@@ -12,13 +12,22 @@ type t = {
   assign : int array;  (** [n] *)
 }
 
-let create ~(rng : Sim.Prng.t) ~(n : int) ~(dims : int) ~(k : int) : t =
-  let points =
-    Array.init n (fun _ -> Array.init dims (fun _ -> Sim.Prng.float rng))
-  in
+(** [n] points of [dims] uniform draws each, built in parallel; the
+    first centroids are every [(n / k)]-th point. *)
+let create (module E : Exec.S) ~(rng : Sim.Prng.t) ~(n : int) ~(dims : int)
+    ~(k : int) : t =
+  let points = Array.make n [||] in
+  Exec.par_draws (module E) ~rng ~per:dims ~n (fun r lo hi ->
+      for i = lo to hi - 1 do
+        let p = Array.create_float dims in
+        Sim.Prng.fill_float r p ~pos:0 ~len:dims;
+        points.(i) <- p
+      done);
   let centroids = Array.init k (fun i -> Array.copy points.(i * (n / k))) in
   { points; centroids; assign = Array.make n (-1) }
 
+(** Squared Euclidean distance over [a]'s coordinates — {!round}'s
+    distance, which it computes inline in the same order. *)
 let dist2 (a : float array) (b : float array) : float =
   let acc = ref 0. in
   for j = 0 to Array.length a - 1 do
@@ -30,16 +39,24 @@ let dist2 (a : float array) (b : float array) : float =
 (** One Lloyd round: parallel assignment, then a serial centroid
     update (the update is O(n·d) but memory-bound and cheap relative
     to assignment for moderate [k]). Returns the number of points
-    whose assignment changed. *)
+    whose assignment changed.  The distance is {!dist2} written out
+    inline: a call would return each distance as a boxed float. *)
 let round (module E : Exec.S) (st : t) : int =
   let n = Array.length st.points in
   let k = Array.length st.centroids in
   let dims = Array.length st.points.(0) in
   let changed = Array.make n 0 in
   E.par_for ~lo:0 ~hi:n (fun i ->
+      let p = st.points.(i) in
       let best = ref 0 and best_d = ref infinity in
       for c = 0 to k - 1 do
-        let d = dist2 st.points.(i) st.centroids.(c) in
+        let q = st.centroids.(c) in
+        let acc = ref 0. in
+        for j = 0 to Array.length p - 1 do
+          let d = p.(j) -. q.(j) in
+          acc := !acc +. (d *. d)
+        done;
+        let d = !acc in
         if d < !best_d then begin
           best_d := d;
           best := c

@@ -6,16 +6,23 @@
 
 type image = { width : int; height : int; pixels : int array }
 
-(** Escape-time iteration count for point (cx, cy). *)
+(** Escape-time iteration count for point (cx, cy): the first [i] at
+    which [|z_i|² > 4], or [max_iter].  A loop over local float refs,
+    which the compiler keeps unboxed, where a recursion would box [x]
+    and [y] at every step. *)
 let escape_time ~(max_iter : int) (cx : float) (cy : float) : int =
-  let rec go i x y =
-    if i >= max_iter then max_iter
-    else
-      let x2 = x *. x and y2 = y *. y in
-      if x2 +. y2 > 4.0 then i
-      else go (i + 1) (x2 -. y2 +. cx) ((2.0 *. x *. y) +. cy)
-  in
-  go 0 0. 0.
+  let x = ref 0. and y = ref 0. and i = ref 0 and escaped = ref false in
+  while (not !escaped) && !i < max_iter do
+    let x2 = !x *. !x and y2 = !y *. !y in
+    if x2 +. y2 > 4.0 then escaped := true
+    else begin
+      let x' = x2 -. y2 +. cx in
+      y := (2.0 *. !x *. !y) +. cy;
+      x := x';
+      incr i
+    end
+  done;
+  if !escaped then !i else max_iter
 
 (** Render the window [(x0,y0)–(x1,y1)], parallel over rows with a
     nested parallel loop over columns (the paper's structure). *)

@@ -9,9 +9,14 @@
     the buffer as scratch; its merge passes and {!merge_par}'s base
     case share the one serial {!merge}. *)
 
-(** Deterministic inputs matching the paper's two distributions. *)
-let uniform_input ~(rng : Sim.Prng.t) ~(n : int) : int array =
-  Array.init n (fun _ -> Sim.Prng.int rng 1_000_000_000)
+(** Deterministic inputs matching the paper's two distributions; the
+    uniform one is built in parallel. *)
+let uniform_input (module E : Exec.S) ~(rng : Sim.Prng.t) ~(n : int) :
+    int array =
+  let a = Array.make n 0 in
+  Exec.par_draws (module E) ~rng ~per:1 ~n (fun r lo hi ->
+      Sim.Prng.fill_int r a ~pos:lo ~len:(hi - lo) 1_000_000_000);
+  a
 
 let exponential_input ~(rng : Sim.Prng.t) ~(n : int) : int array =
   Array.init n (fun _ ->

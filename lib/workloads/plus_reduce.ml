@@ -27,6 +27,9 @@ let sum ?(grain = 8192) (module E : Exec.S) (a : float array) : float =
 
 let sum_serial (a : float array) : float = sum (module Exec.Serial) a
 
-(** Deterministic input generator. *)
-let input ~(rng : Sim.Prng.t) ~(n : int) : float array =
-  Array.init n (fun _ -> Sim.Prng.float rng)
+(** Deterministic input: [n] uniform draws, built in parallel. *)
+let input (module E : Exec.S) ~(rng : Sim.Prng.t) ~(n : int) : float array =
+  let a = Array.create_float n in
+  Exec.par_draws (module E) ~rng ~per:1 ~n (fun r lo hi ->
+      Sim.Prng.fill_float r a ~pos:lo ~len:(hi - lo));
+  a

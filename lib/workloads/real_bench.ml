@@ -16,10 +16,15 @@
     only, which the monotone atomic incumbent makes exact under any
     schedule.
 
-    Inputs are regenerated per run from fixed PRNG seeds; kernels
-    that mutate their input copy the pristine array first, so a
-    registry entry can be executed any number of times in any
-    order. *)
+    Inputs are rebuilt on every run from fixed PRNG seeds, so a
+    registry entry can be executed any number of times in any order.
+    The builders take the run's executor, as the kernels do: each
+    fills its input in parallel blocks of one random-access
+    [Sim.Prng] stream ({!Exec.par_draws}), bit-identical to the serial
+    build, and allocates nothing per element beyond the input itself.
+    Two builders stay serial: Floyd-Warshall's graph draws one or two
+    values per cell, so its stream cannot be cut into blocks, and
+    knapsack's instance has 26 items. *)
 
 type t = {
   name : string;
@@ -47,7 +52,7 @@ let plus_reduce =
     run =
       (fun (module E : Exec.S) ~scale ->
         let rng = Sim.Prng.create ~seed in
-        let a = Plus_reduce.input ~rng ~n:(n ~scale) in
+        let a = Plus_reduce.input (module E) ~rng ~n:(n ~scale) in
         float_bits (Plus_reduce.sum (module E) a));
   }
 
@@ -60,7 +65,7 @@ let mergesort =
     run =
       (fun (module E : Exec.S) ~scale ->
         let rng = Sim.Prng.create ~seed in
-        let a = Mergesort.uniform_input ~rng ~n:(n ~scale) in
+        let a = Mergesort.uniform_input (module E) ~rng ~n:(n ~scale) in
         Mergesort.sort (module E) a;
         if not (Mergesort.sorted a) then
           failwith "real_bench: mergesort produced an unsorted array";
@@ -92,13 +97,19 @@ let spmv =
       (fun (module E : Exec.S) ~scale ->
         let rng = Sim.Prng.create ~seed in
         let nrows = nrows ~scale in
-        let m = Csr.powerlaw ~rng ~nrows ~ncols:nrows ~max_row_len:64 () in
-        let x =
-          Array.init nrows (fun i -> 1.0 +. (float_of_int (i mod 13) /. 13.))
-        in
+        let m = Csr.powerlaw (module E) ~rng ~nrows ~ncols:nrows ~max_row_len:64 in
+        let x = Array.create_float nrows in
+        Exec.par_blocks (module E) ~n:nrows (fun lo hi ->
+            for i = lo to hi - 1 do
+              x.(i) <- 1.0 +. (float_of_int (i mod 13) /. 13.)
+            done);
         let y = Array.make nrows 0. in
         Csr.spmv (module E) m x y;
-        Array.fold_left (fun acc v -> acc lxor float_bits v) 0 y);
+        let sum = ref 0 in
+        for r = 0 to nrows - 1 do
+          sum := !sum lxor float_bits y.(r)
+        done;
+        !sum);
   }
 
 let kmeans =
@@ -110,7 +121,7 @@ let kmeans =
     run =
       (fun (module E : Exec.S) ~scale ->
         let rng = Sim.Prng.create ~seed in
-        let st = Kmeans.create ~rng ~n:(n ~scale) ~dims:8 ~k:12 in
+        let st = Kmeans.create (module E) ~rng ~n:(n ~scale) ~dims:8 ~k:12 in
         let (_ : int) = Kmeans.run (module E) st ~rounds:5 in
         Kmeans.checksum st);
   }
@@ -124,7 +135,7 @@ let srad =
     run =
       (fun (module E : Exec.S) ~scale ->
         let rng = Sim.Prng.create ~seed in
-        let st = Srad.create ~rng ~rows:(rows ~scale) ~cols:160 in
+        let st = Srad.create (module E) ~rng ~rows:(rows ~scale) ~cols:160 in
         Srad.run (module E) st ~iterations:4;
         float_bits (Srad.checksum st));
   }

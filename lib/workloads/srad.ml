@@ -18,12 +18,21 @@ type t = {
   de : float array;
 }
 
-let create ~(rng : Sim.Prng.t) ~(rows : int) ~(cols : int) : t =
+(** A [rows × cols] image of [exp] of uniform draws, built in
+    parallel. *)
+let create (module E : Exec.S) ~(rng : Sim.Prng.t) ~(rows : int) ~(cols : int)
+    : t =
   let n = rows * cols in
+  let image = Array.create_float n in
+  Exec.par_draws (module E) ~rng ~per:1 ~n (fun r lo hi ->
+      Sim.Prng.fill_float r image ~pos:lo ~len:(hi - lo);
+      for i = lo to hi - 1 do
+        image.(i) <- exp image.(i)
+      done);
   {
     rows;
     cols;
-    image = Array.init n (fun _ -> exp (Sim.Prng.float rng));
+    image;
     coeff = Array.make n 0.;
     dn = Array.make n 0.;
     ds = Array.make n 0.;
@@ -97,6 +106,8 @@ let run (module E : Exec.S) (st : t) ~(iterations : int) : unit =
     iteration (module E) st
   done
 
-(** Checksum for cross-scheduler validation (sum of the image,
-    rounded to tolerate benign float reassociation). *)
+(** Checksum for cross-scheduler validation: the sum of the image, in
+    index order.  It is exact, not rounded: every sweep writes each
+    pixel from the same operands under any schedule, so the image is
+    bit-identical across executors. *)
 let checksum (st : t) : float = Array.fold_left ( +. ) 0. st.image

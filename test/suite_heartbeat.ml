@@ -133,7 +133,9 @@ let test_result_value_returned () =
 let test_kernels_under_heartbeat () =
   let rng = Sim.Prng.create ~seed:5 in
   (* plus-reduce *)
-  let a = Workloads.Plus_reduce.input ~rng ~n:50_000 in
+  let a =
+    Workloads.Plus_reduce.input (module Workloads.Exec.Serial) ~rng ~n:50_000
+  in
   let expected = Workloads.Plus_reduce.sum_serial a in
   let got, _ = run (fun () -> Workloads.Plus_reduce.sum ~grain:512 (module E) a) in
   check "plus-reduce" true (abs_float (got -. expected) < 1e-6 *. abs_float expected);
@@ -146,7 +148,9 @@ let test_kernels_under_heartbeat () =
   check "spmv" true
     (Array.for_all2 (fun u v -> abs_float (u -. v) < 1e-6 *. (1. +. abs_float v)) y y_ser);
   (* mergesort *)
-  let arr = Workloads.Mergesort.uniform_input ~rng ~n:60_000 in
+  let arr =
+    Workloads.Mergesort.uniform_input (module Workloads.Exec.Serial) ~rng ~n:60_000
+  in
   let sorted_ref = Array.copy arr in
   Array.sort compare sorted_ref;
   let (), _ = run (fun () -> Workloads.Mergesort.sort ~grain:512 (module E) arr) in
@@ -159,8 +163,11 @@ let test_kernels_under_heartbeat () =
   let (), _ = run (fun () -> Workloads.Floyd_warshall.run (module E) d) in
   check "floyd-warshall" true (d = d_ser);
   (* kmeans assignment checksum *)
-  let st1 = Workloads.Kmeans.create ~rng:(Sim.Prng.create ~seed:8) ~n:1_500 ~dims:3 ~k:4 in
-  let st2 = Workloads.Kmeans.create ~rng:(Sim.Prng.create ~seed:8) ~n:1_500 ~dims:3 ~k:4 in
+  let kmeans () =
+    Workloads.Kmeans.create (module Workloads.Exec.Serial)
+      ~rng:(Sim.Prng.create ~seed:8) ~n:1_500 ~dims:3 ~k:4
+  in
+  let st1 = kmeans () and st2 = kmeans () in
   let _ = Workloads.Kmeans.run (module Workloads.Exec.Serial) st1 ~rounds:4 in
   let _ = run (fun () -> Workloads.Kmeans.run (module E) st2 ~rounds:4) in
   check_int "kmeans checksum" (Workloads.Kmeans.checksum st1)

@@ -582,9 +582,12 @@ let test_stats_accounting () =
       on_event = Some (fun ~worker:_ _ -> ignore (Atomic.fetch_and_add events 1))
     }
   in
+  let live = ref 0. in
   let (), st =
     Par.Runtime.run ~config (fun () ->
-        Par.Runtime.par_for ~lo:0 ~hi:100_000 (fun i -> Sys.opaque_identity i |> ignore))
+        Par.Runtime.par_for ~lo:0 ~hi:100_000 (fun i ->
+            Sys.opaque_identity i |> ignore);
+        live := (Par.Runtime.live_stats ()).elapsed_s)
   in
   check "some events fired" true (Atomic.get events > 0);
   check "promotions split into loop+branch" true
@@ -595,7 +598,11 @@ let test_stats_accounting () =
        0 st.per_worker
     = st.total.tasks_run);
   check_int "domains recorded" 2 st.domains;
-  check "elapsed measured" true (st.elapsed_s > 0.)
+  check "elapsed measured" true (st.elapsed_s > 0.);
+  (* both read the one monotonic clock from the one session start, so
+     the session outlasts any snapshot taken inside it *)
+  check "elapsed covers the last live snapshot" true
+    (!live > 0. && !live <= st.elapsed_s)
 
 (* The urgency hook (the serving layer's deadline-aware promotion
    hint): with an astronomically long heart period no beat ever fires

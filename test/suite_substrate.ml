@@ -135,6 +135,108 @@ let test_prng_known_answers () =
   check_i64 "split child" 0x9627F2F6655A84F1L (Prng.next_int64 child);
   check_i64 "parent after split" 0x18B4047EF3506B86L (Prng.next_int64 rng)
 
+(* Random access.  Each stream maker returns a fresh generator in the
+   same state, for several seeds and for split children (whose gamma is
+   not the golden one); [k] covers 0, 1, either side of a 4096-draw
+   block and a large odd distance. *)
+let prng_makers =
+  List.concat_map
+    (fun seed ->
+      [
+        (Printf.sprintf "seed %d" seed, fun () -> Prng.create ~seed);
+        ( Printf.sprintf "seed %d child" seed,
+          fun () -> Prng.split (Prng.create ~seed) );
+      ])
+    [ 0; 42; 0xBEA7; -7 ]
+
+let jump_distances = [ 0; 1; 4095; 4096; 1_000_003 ]
+let draws t = List.init 8 (fun _ -> Prng.next_int64 t)
+
+let test_prng_jump_skip () =
+  List.iter
+    (fun (name, make) ->
+      List.iter
+        (fun k ->
+          let label what = Printf.sprintf "%s, k=%d: %s" name k what in
+          let walked = make () in
+          for _ = 1 to k do
+            ignore (Prng.next_int64 walked)
+          done;
+          let expected = draws walked in
+          let t = make () and reference = make () in
+          let j = Prng.jump t k in
+          check (label "jump leaves t unchanged") true
+            (draws t = draws reference);
+          check (label "jump = k draws, unmoved by t's") true
+            (draws j = expected);
+          check (label "drawing from the jump never moves t") true
+            (draws t = draws reference);
+          let s = make () in
+          Prng.skip s k;
+          check (label "skip = k draws") true (draws s = expected))
+        jump_distances)
+    prng_makers;
+  Alcotest.check_raises "negative jump"
+    (Invalid_argument "Prng: negative draw count") (fun () ->
+      ignore (Prng.jump (Prng.create ~seed:1) (-1)))
+
+(* Bulk fills equal loops of single draws, over empty, partial and
+   whole ranges, and leave the generator where the loop would. *)
+let test_prng_fills () =
+  let bits a = Array.map Int64.bits_of_float a in
+  let ranges = [ (0, 0); (7, 0); (20, 0); (0, 20); (3, 10); (19, 1) ] in
+  List.iter
+    (fun (name, make) ->
+      List.iter
+        (fun (pos, len) ->
+          let label what = Printf.sprintf "%s, [%d,+%d): %s" name pos len what in
+          let t = make () and u = make () in
+          let a = Array.make 20 (-1.) and b = Array.make 20 (-1.) in
+          Prng.fill_float t a ~pos ~len;
+          for i = pos to pos + len - 1 do
+            b.(i) <- Prng.float u
+          done;
+          check (label "fill_float = float loop") true (bits a = bits b);
+          check (label "fill_float leaves the loop's state") true
+            (Prng.next_int64 t = Prng.next_int64 u);
+          List.iter
+            (fun bound ->
+              let t = make () and u = make () in
+              let a = Array.make 20 (-1) and b = Array.make 20 (-1) in
+              Prng.fill_int t a ~pos ~len bound;
+              for i = pos to pos + len - 1 do
+                b.(i) <- Prng.int u bound
+              done;
+              check (label (Printf.sprintf "fill_int %d = int loop" bound)) true
+                (a = b);
+              check (label "fill_int leaves the loop's state") true
+                (Prng.next_int64 t = Prng.next_int64 u))
+            [ 1; 7; 1_000_000_000; max_int ])
+        ranges)
+    prng_makers;
+  let t = Prng.create ~seed:3 in
+  List.iter
+    (fun bound ->
+      List.iter
+        (fun len ->
+          Alcotest.check_raises
+            (Printf.sprintf "fill_int bound %d, len %d" bound len)
+            (Invalid_argument "Prng.fill_int: bound must be positive")
+            (fun () -> Prng.fill_int t (Array.make 4 0) ~pos:0 ~len bound))
+        [ 0; 4 ])
+    [ 0; -3 ];
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "fill_float out of range [%d,+%d)" pos len)
+        (Invalid_argument "Prng.fill_float")
+        (fun () -> Prng.fill_float t (Array.make 4 0.) ~pos ~len);
+      Alcotest.check_raises
+        (Printf.sprintf "fill_int out of range [%d,+%d)" pos len)
+        (Invalid_argument "Prng.fill_int")
+        (fun () -> Prng.fill_int t (Array.make 4 0) ~pos ~len 10))
+    [ (-1, 1); (0, 5); (3, 2); (5, 0); (0, -1) ]
+
 let test_zipf_head_heavy () =
   let rng = Prng.create ~seed:3 in
   let n = 10_000 in
@@ -476,6 +578,8 @@ let suite =
       Alcotest.test_case "prng split keeps default stream" `Quick
         test_prng_split_preserves_default_stream;
       Alcotest.test_case "prng known answers" `Quick test_prng_known_answers;
+      Alcotest.test_case "prng jump and skip" `Quick test_prng_jump_skip;
+      Alcotest.test_case "prng bulk fills" `Quick test_prng_fills;
       Alcotest.test_case "zipf head-heaviness" `Quick test_zipf_head_heavy;
       Alcotest.test_case "eventq time order" `Quick test_eventq_orders_by_time;
       Alcotest.test_case "eventq tie-break order" `Quick

@@ -30,7 +30,8 @@ let test_csr_random_structure () =
 
 let test_csr_powerlaw_head_heavy () =
   let m =
-    Csr.powerlaw ~rng:(rng ()) ~nrows:2_000 ~ncols:2_000 ~max_row_len:2_000 ()
+    Csr.powerlaw (module Exec.Serial) ~rng:(rng ()) ~nrows:2_000 ~ncols:2_000
+      ~max_row_len:2_000
   in
   let longest = ref 0 in
   for r = 0 to m.nrows - 1 do
@@ -82,7 +83,7 @@ let test_spmv_nested_reduction_path () =
 (* --- plus-reduce --- *)
 
 let test_plus_reduce () =
-  let a = Plus_reduce.input ~rng:(rng ()) ~n:10_000 in
+  let a = Plus_reduce.input (module Exec.Serial) ~rng:(rng ()) ~n:10_000 in
   let naive = Array.fold_left ( +. ) 0. a in
   let got = Plus_reduce.sum ~grain:128 (module Exec.Serial) a in
   check "sum matches fold" true (abs_float (got -. naive) < 1e-6);
@@ -103,7 +104,7 @@ let test_mandelbrot () =
 (* --- kmeans --- *)
 
 let test_kmeans_converges () =
-  let st = Kmeans.create ~rng:(rng ()) ~n:600 ~dims:3 ~k:4 in
+  let st = Kmeans.create (module Exec.Serial) ~rng:(rng ()) ~n:600 ~dims:3 ~k:4 in
   let churn1 = Kmeans.round (module Exec.Serial) st in
   check "first round assigns everything" true (churn1 > 0);
   let _ = Kmeans.run (module Exec.Serial) st ~rounds:15 in
@@ -128,7 +129,7 @@ let test_kmeans_converges () =
 (* --- srad --- *)
 
 let test_srad_smooths () =
-  let st = Srad.create ~rng:(rng ()) ~rows:32 ~cols:32 in
+  let st = Srad.create (module Exec.Serial) ~rng:(rng ()) ~rows:32 ~cols:32 in
   let variance img =
     let n = Array.length img in
     let mean = Array.fold_left ( +. ) 0. img /. float_of_int n in
@@ -194,11 +195,13 @@ let test_knapsack_prunes () =
 let test_mergesort_sorts () =
   let inputs n =
     [
-      ("uniform", Mergesort.uniform_input ~rng:(rng ()) ~n);
+      ("uniform", Mergesort.uniform_input (module Exec.Serial) ~rng:(rng ()) ~n);
       ("descending", Array.init n (fun i -> n - i));
       ("all-equal", Array.make n 7);
       ( "few-distinct",
-        Array.map (fun x -> x mod 3) (Mergesort.uniform_input ~rng:(rng ()) ~n)
+        Array.map
+          (fun x -> x mod 3)
+          (Mergesort.uniform_input (module Exec.Serial) ~rng:(rng ()) ~n)
       );
     ]
   in
@@ -240,6 +243,201 @@ let test_merge_par_correct () =
   let dst = Array.make 9 0 in
   Mergesort.merge_par ~grain:2 (module Exec.Serial) src 0 5 5 9 dst 0;
   check "parallel merge" true (dst = [| 1; 2; 3; 4; 5; 6; 7; 8; 9 |])
+
+(* --- builders and hot loops against the code they replaced --- *)
+
+(* [Csr.powerlaw] as a list per row, then [of_rows] — the
+   implementation the flat two-pass build replaced, kept as its
+   oracle.  (ocamlopt evaluates the tuple right to left: value, then
+   column.) *)
+let powerlaw_rows ~rng ~nrows ~ncols ~max_row_len ?(s = 1.9) () =
+  Array.init nrows (fun _ ->
+      let rank = 1 + Sim.Prng.int rng nrows in
+      let len =
+        max 1
+          (int_of_float
+             (float_of_int max_row_len /. (float_of_int rank ** (s -. 1.))))
+      in
+      let len = min len ncols in
+      List.init len (fun _ -> (Sim.Prng.int rng ncols, Sim.Prng.float rng)))
+
+let powerlaw_lists ~rng ~nrows ~ncols ~max_row_len () : Csr.t =
+  Csr.of_rows ~ncols (powerlaw_rows ~rng ~nrows ~ncols ~max_row_len ())
+
+(* the escape-time recursion the loop replaced *)
+let escape_time_rec ~max_iter cx cy =
+  let rec go i x y =
+    if i >= max_iter then max_iter
+    else
+      let x2 = x *. x and y2 = y *. y in
+      if x2 +. y2 > 4.0 then i
+      else go (i + 1) (x2 -. y2 +. cx) ((2.0 *. x *. y) +. cy)
+  in
+  go 0 0. 0.
+
+let float_bits a = Array.map Int64.bits_of_float a
+
+let same_csr (a : Csr.t) (b : Csr.t) =
+  a.nrows = b.nrows && a.ncols = b.ncols && a.row_ptr = b.row_ptr
+  && a.col_idx = b.col_idx
+  && float_bits a.values = float_bits b.values
+
+(* battery shape; small ncols, so long rows repeat columns and the
+   arrays are compacted; s near 1, so most rows are long; s = 1 and
+   s < 1, where the length does not fall with the rank; fewer rows
+   than one block *)
+let powerlaw_shapes =
+  [
+    ("battery", 30_000, 30_000, 64, 1.9);
+    ("ncols 8", 5_000, 8, 64, 1.9);
+    ("s 1.05", 3_000, 3_000, 64, 1.05);
+    ("s 1", 500, 500, 20, 1.0);
+    ("s 0.7", 500, 60, 4, 0.7);
+    ("under a block", 100, 100, 64, 1.9);
+  ]
+
+let test_powerlaw_oracle () =
+  let compacted = ref false in
+  List.iter
+    (fun (name, nrows, ncols, max_row_len, s) ->
+      let r1 = rng () and r2 = rng () in
+      let rows = powerlaw_rows ~rng:r1 ~nrows ~ncols ~max_row_len ~s () in
+      let want = Csr.of_rows ~ncols rows in
+      let drawn = Array.fold_left (fun acc l -> acc + List.length l) 0 rows in
+      if Csr.nnz want < drawn then compacted := true;
+      let got =
+        Csr.powerlaw ~s (module Exec.Serial) ~rng:r2 ~nrows ~ncols ~max_row_len
+      in
+      check (name ^ ": row_ptr") true (got.row_ptr = want.row_ptr);
+      check (name ^ ": col_idx") true (got.col_idx = want.col_idx);
+      check (name ^ ": values bit for bit") true
+        (float_bits got.values = float_bits want.values);
+      check (name ^ ": rng left where the list build leaves it") true
+        (Sim.Prng.next_int64 r1 = Sim.Prng.next_int64 r2))
+    powerlaw_shapes;
+  check "a shape drops duplicate columns, so the arrays are compacted" true
+    !compacted
+
+(* Every builder, serially and on a 2-domain session whose every poll
+   beats (so promotions split the block loop mid-fill), against the
+   serial loop it replaced: fewer elements than one block, an exact
+   multiple of the block, and a ragged last block.  Each must also
+   leave its generator where the loop does. *)
+let test_builders_parallel_equal_serial () =
+  let block = Exec.block in
+  let config =
+    { Par.Runtime.default_config with domains = 2; heart_us = 0.; poll_stride = 1 }
+  in
+  let promotions = ref 0 in
+  let agree label ~oracle ~build ~same =
+    let ro = rng () and rs = rng () and rp = rng () in
+    let o = oracle ro in
+    let s = build (module Exec.Serial : Exec.S) rs in
+    let p, st =
+      Par.Runtime.run ~config (fun () -> build (module Par.Runtime.Exec : Exec.S) rp)
+    in
+    promotions := !promotions + st.total.promotions;
+    check (label ^ ", serial") true (same o s);
+    check (label ^ ", 2 domains") true (same o p);
+    let next = Sim.Prng.next_int64 ro in
+    check (label ^ ": generators end where the loop's does") true
+      (Sim.Prng.next_int64 rs = next && Sim.Prng.next_int64 rp = next)
+  in
+  let same_floats a b = float_bits a = float_bits b in
+  List.iter
+    (fun n ->
+      let label = Printf.sprintf "n=%d: %s" n in
+      agree (label "plus_reduce input") ~same:same_floats
+        ~oracle:(fun rng -> Array.init n (fun _ -> Sim.Prng.float rng))
+        ~build:(fun e rng -> Plus_reduce.input e ~rng ~n);
+      agree (label "mergesort input") ~same:( = )
+        ~oracle:(fun rng -> Array.init n (fun _ -> Sim.Prng.int rng 1_000_000_000))
+        ~build:(fun e rng -> Mergesort.uniform_input e ~rng ~n);
+      agree (label "kmeans points") ~same:(Array.for_all2 same_floats)
+        ~oracle:(fun rng ->
+          Array.init n (fun _ -> Array.init 3 (fun _ -> Sim.Prng.float rng)))
+        ~build:(fun e rng -> (Kmeans.create e ~rng ~n ~dims:3 ~k:4).points);
+      agree (label "srad image") ~same:same_floats
+        ~oracle:(fun rng -> Array.init n (fun _ -> exp (Sim.Prng.float rng)))
+        ~build:(fun e rng -> (Srad.create e ~rng ~rows:(n / 4) ~cols:4).image);
+      agree (label "csr powerlaw") ~same:same_csr
+        ~oracle:(fun rng -> powerlaw_lists ~rng ~nrows:n ~ncols:n ~max_row_len:64 ())
+        ~build:(fun e rng -> Csr.powerlaw e ~rng ~nrows:n ~ncols:n ~max_row_len:64))
+    [ 100; 2 * block; (2 * block) + 100 ];
+  check "promotions landed mid-fill" true (!promotions > 0)
+
+let test_escape_time_oracle () =
+  List.iter
+    (fun max_iter ->
+      for ix = 0 to 80 do
+        for iy = 0 to 30 do
+          let cx = -2.5 +. (0.05 *. float_of_int ix)
+          and cy = -1.5 +. (0.1 *. float_of_int iy) in
+          let want = escape_time_rec ~max_iter cx cy in
+          let got = Mandelbrot.escape_time ~max_iter cx cy in
+          if got <> want then
+            Alcotest.failf "escape_time max_iter=%d (%g, %g): %d, recursion %d"
+              max_iter cx cy got want
+        done
+      done)
+    [ -1; 0; 1; 2; 5; 100; 1_000 ]
+
+let test_kmeans_round_oracle () =
+  let st = Kmeans.create (module Exec.Serial) ~rng:(rng ()) ~n:2_000 ~dims:8 ~k:12 in
+  for round = 1 to 4 do
+    let frozen = Array.map Array.copy st.centroids in
+    ignore (Kmeans.round (module Exec.Serial) st);
+    Array.iteri
+      (fun i got ->
+        let best = ref 0 and best_d = ref infinity in
+        Array.iteri
+          (fun c q ->
+            let d = Kmeans.dist2 st.points.(i) q in
+            if d < !best_d then begin
+              best_d := d;
+              best := c
+            end)
+          frozen;
+        if got <> !best then
+          Alcotest.failf "round %d, point %d: assigned %d, dist2 says %d" round i
+            got !best)
+      st.assign
+  done
+
+(* Allocation budgets, in minor-heap words.  The test is built like the
+   benchmark, in dune's default profile, whose [-opaque] stops calls
+   across modules from inlining: these catch an edit that makes a hot
+   loop box its floats again.  The count is the domain's, so each
+   budget takes the least of three runs, in case another thread
+   allocated meanwhile. *)
+let minor_words (f : unit -> unit) : float =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_allocation_budget () =
+  let base = minor_words ignore in
+  let words f =
+    List.fold_left Float.min infinity
+      (List.init 3 (fun _ -> minor_words f -. base))
+  in
+  let cx = Sys.opaque_identity (-0.5) and cy = Sys.opaque_identity 0.1 in
+  Alcotest.(check (float 0.)) "escape_time: 0 words" 0.
+    (words (fun () ->
+         ignore
+           (Sys.opaque_identity (Mandelbrot.escape_time ~max_iter:10_000 cx cy))));
+  let r = rng () in
+  let fa = Array.create_float 10_000 and ia = Array.make 10_000 0 in
+  Alcotest.(check (float 0.)) "fill_float: 0 words" 0.
+    (words (fun () -> Sim.Prng.fill_float r fa ~pos:0 ~len:10_000));
+  Alcotest.(check (float 0.)) "fill_int: 0 words" 0.
+    (words (fun () -> Sim.Prng.fill_int r ia ~pos:0 ~len:10_000 1_000));
+  let n = 4_000 and k = 12 in
+  let st = Kmeans.create (module Exec.Serial) ~rng:(rng ()) ~n ~dims:8 ~k in
+  let w = words (fun () -> ignore (Kmeans.round (module Exec.Serial) st)) in
+  (* a boxed distance alone would be 2 words per (point, centroid) *)
+  if w > float_of_int n then
+    Alcotest.failf "Kmeans.round: %.0f words for n=%d, k=%d (budget %d)" w n k n
 
 (* --- Real_bench known answers --- *)
 
@@ -316,6 +514,12 @@ let suite =
       Alcotest.test_case "mergesort exponential" `Quick
         test_mergesort_exponential_input;
       Alcotest.test_case "parallel merge" `Quick test_merge_par_correct;
+      Alcotest.test_case "powerlaw vs list build" `Quick test_powerlaw_oracle;
+      Alcotest.test_case "builders: 2 domains = serial" `Quick
+        test_builders_parallel_equal_serial;
+      Alcotest.test_case "escape_time vs recursion" `Quick test_escape_time_oracle;
+      Alcotest.test_case "kmeans round vs dist2" `Quick test_kmeans_round_oracle;
+      Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
       Alcotest.test_case "real_bench known checksums" `Quick
         test_real_bench_known_checksums;
       Alcotest.test_case "registry completeness" `Quick test_registry_complete;
