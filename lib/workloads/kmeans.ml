@@ -13,9 +13,12 @@ type t = {
 }
 
 (** [n] points of [dims] uniform draws each, built in parallel; the
-    first centroids are every [(n / k)]-th point. *)
+    first centroids are every [(n / k)]-th point.  [n] and [k] must be
+    at least 1. *)
 let create (module E : Exec.S) ~(rng : Sim.Prng.t) ~(n : int) ~(dims : int)
     ~(k : int) : t =
+  if n < 1 then invalid_arg "Kmeans.create: n < 1";
+  if k < 1 then invalid_arg "Kmeans.create: k < 1";
   let points = Array.make n [||] in
   Exec.par_draws (module E) ~rng ~per:dims ~n (fun r lo hi ->
       for i = lo to hi - 1 do
@@ -39,26 +42,67 @@ let dist2 (a : float array) (b : float array) : float =
 (** One Lloyd round: parallel assignment, then a serial centroid
     update (the update is O(n·d) but memory-bound and cheap relative
     to assignment for moderate [k]). Returns the number of points
-    whose assignment changed.  The distance is {!dist2} written out
-    inline: a call would return each distance as a boxed float. *)
+    whose assignment changed.
+
+    The distance is {!dist2} written out inline: a call would return
+    each distance as a boxed float.  Four centroids share a pass over
+    a point's coordinates, so four independent chains of adds overlap
+    where one chain would wait out each add's latency.  Each
+    chain sums in {!dist2}'s coordinate order, and the strict [<]
+    updates run in centroid order, so ties go to the lower index and
+    every assignment is the one {!dist2} picks.  A remainder loop
+    takes the last [k mod 4] centroids one at a time. *)
 let round (module E : Exec.S) (st : t) : int =
   let n = Array.length st.points in
-  let k = Array.length st.centroids in
+  let cs = st.centroids in
+  let k = Array.length cs in
   let dims = Array.length st.points.(0) in
   let changed = Array.make n 0 in
   E.par_for ~lo:0 ~hi:n (fun i ->
       let p = st.points.(i) in
       let best = ref 0 and best_d = ref infinity in
-      for c = 0 to k - 1 do
-        let q = st.centroids.(c) in
+      let c = ref 0 in
+      while !c + 4 <= k do
+        let c0 = !c in
+        let q0 = cs.(c0) and q1 = cs.(c0 + 1) in
+        let q2 = cs.(c0 + 2) and q3 = cs.(c0 + 3) in
+        let a0 = ref 0. and a1 = ref 0. and a2 = ref 0. and a3 = ref 0. in
+        for j = 0 to Array.length p - 1 do
+          let x = p.(j) in
+          let d0 = x -. q0.(j) and d1 = x -. q1.(j) in
+          let d2 = x -. q2.(j) and d3 = x -. q3.(j) in
+          a0 := !a0 +. (d0 *. d0);
+          a1 := !a1 +. (d1 *. d1);
+          a2 := !a2 +. (d2 *. d2);
+          a3 := !a3 +. (d3 *. d3)
+        done;
+        if !a0 < !best_d then begin
+          best_d := !a0;
+          best := c0
+        end;
+        if !a1 < !best_d then begin
+          best_d := !a1;
+          best := c0 + 1
+        end;
+        if !a2 < !best_d then begin
+          best_d := !a2;
+          best := c0 + 2
+        end;
+        if !a3 < !best_d then begin
+          best_d := !a3;
+          best := c0 + 3
+        end;
+        c := c0 + 4
+      done;
+      for c = !c to k - 1 do
+        let q = cs.(c) in
         let acc = ref 0. in
         for j = 0 to Array.length p - 1 do
           let d = p.(j) -. q.(j) in
           acc := !acc +. (d *. d)
         done;
-        let d = !acc in
-        if d < !best_d then begin
-          best_d := d;
+        if !acc < !best_d then begin
+          best_d := !acc;
           best := c
         end
       done;

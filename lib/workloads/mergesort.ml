@@ -7,7 +7,10 @@
     A leaf of at most [grain] elements is sorted serially and in place
     by {!seq_sort}, monomorphic on [int], with the leaf's own slice of
     the buffer as scratch; its merge passes and {!merge_par}'s base
-    case share the one serial {!merge}. *)
+    case share the one serial {!merge}.  Its select is branch-free:
+    on uniform keys, the run that supplies the next element is a coin
+    flip, so a branch there would be mispredicted about every other
+    element (DESIGN.md §9). *)
 
 (** Deterministic inputs matching the paper's two distributions; the
     uniform one is built in parallel. *)
@@ -33,21 +36,29 @@ let insertion_sort (a : int array) (lo : int) (hi : int) : unit =
     a.(!j + 1) <- x
   done
 
+(* [Bool.to_int] is a [val], so under dune's [-opaque] dev build it
+   would be a call. *)
+external int_of_bool : bool -> int = "%identity"
+
 (** Serial merge of [src[lo1,hi1)] and [src[lo2,hi2)] into
-    [dst[dlo..)]; [src] and [dst] must be different arrays. *)
+    [dst[dlo..)]; [src] and [dst] must be different arrays.  Ties take
+    the left run's element first.
+
+    The select has no jump: [t] is 1 when the right run's head is the
+    smaller, [-t] masks [x lxor y] so the store writes [y] or [x], and
+    the indices advance by [t] and [1 - t].  ocamlopt compiles the
+    comparison to [cmp]/[setl], leaving only the predictable loop-exit
+    and bounds-check branches.  Keys are only compared, never
+    subtracted, so the merge is exact for every [int]. *)
 let merge (src : int array) (lo1 : int) (hi1 : int) (lo2 : int) (hi2 : int)
     (dst : int array) (dlo : int) : unit =
   let i = ref lo1 and j = ref lo2 and k = ref dlo in
   while !i < hi1 && !j < hi2 do
     let x = src.(!i) and y = src.(!j) in
-    if x <= y then begin
-      dst.(!k) <- x;
-      incr i
-    end
-    else begin
-      dst.(!k) <- y;
-      incr j
-    end;
+    let t = int_of_bool (y < x) in
+    dst.(!k) <- x lxor ((x lxor y) land -t);
+    i := !i + 1 - t;
+    j := !j + t;
     incr k
   done;
   while !i < hi1 do
@@ -108,10 +119,14 @@ let lower_bound (a : int array) (lo : int) (hi : int) (key : int) : int =
 
 (** Parallel merge of [src[lo1,hi1)] and [src[lo2,hi2)] into
     [dst[dlo..)]: recursive splitting on the larger half's median, as
-    in the classic work-efficient parallel merge. *)
+    in the classic work-efficient parallel merge.  [grain] must be at
+    least 2: split at its median, a one-element run keeps its element
+    in the upper half, so a merge of 1 + 1 elements would recurse on
+    itself forever. *)
 let rec merge_par (module E : Exec.S) ~(grain : int) (src : int array)
     (lo1 : int) (hi1 : int) (lo2 : int) (hi2 : int) (dst : int array)
     (dlo : int) : unit =
+  if grain < 2 then invalid_arg "Mergesort.merge_par: grain < 2";
   let n1 = hi1 - lo1 and n2 = hi2 - lo2 in
   if n1 + n2 <= grain then merge src lo1 hi1 lo2 hi2 dst dlo
   else if n1 >= n2 then begin
@@ -130,8 +145,11 @@ let copy_par (module E : Exec.S) (src : int array) (dst : int array)
     (lo : int) (hi : int) : unit =
   E.par_for ~lo ~hi (fun i -> dst.(i) <- src.(i))
 
-(** [sort (module E) a] sorts [a] in place. *)
+(** [sort (module E) a] sorts [a] in place, in leaves of at most
+    [grain] elements; [grain] must be at least 2, as for
+    {!merge_par}. *)
 let sort ?(grain = 2048) (module E : Exec.S) (a : int array) : unit =
+  if grain < 2 then invalid_arg "Mergesort.sort: grain < 2";
   let n = Array.length a in
   let buf = Array.make n 0 in
   (* sort a[lo,hi) leaving the result in [a] when [to_a], in [buf]

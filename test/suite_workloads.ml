@@ -203,6 +203,13 @@ let test_mergesort_sorts () =
           (fun x -> x mod 3)
           (Mergesort.uniform_input (module Exec.Serial) ~rng:(rng ()) ~n)
       );
+      (* keys whose differences overflow: a select that subtracts
+         them picks the wrong run *)
+      ( "extremes",
+        Array.map
+          (fun x -> [| min_int; max_int; 0; -1 |].(x mod 4))
+          (Mergesort.uniform_input (module Exec.Serial) ~rng:(rng ()) ~n)
+      );
     ]
   in
   List.iter
@@ -244,6 +251,35 @@ let test_merge_par_correct () =
   Mergesort.merge_par ~grain:2 (module Exec.Serial) src 0 5 5 9 dst 0;
   check "parallel merge" true (dst = [| 1; 2; 3; 4; 5; 6; 7; 8; 9 |])
 
+(* Parameters under which a kernel would recurse forever or index out
+   of bounds are refused at entry.  A grain of 1 is refused too: the
+   parallel merge of two one-element runs [1] and [2] splits into
+   itself. *)
+let test_degenerate_parameters () =
+  List.iter
+    (fun grain ->
+      Alcotest.check_raises
+        (Printf.sprintf "sort grain %d" grain)
+        (Invalid_argument "Mergesort.sort: grain < 2")
+        (fun () -> Mergesort.sort ~grain (module Exec.Serial) [| 1; 2 |]);
+      Alcotest.check_raises
+        (Printf.sprintf "merge_par grain %d" grain)
+        (Invalid_argument "Mergesort.merge_par: grain < 2")
+        (fun () ->
+          Mergesort.merge_par ~grain (module Exec.Serial) [| 1; 2 |] 0 1 1 2
+            (Array.make 2 0) 0))
+    [ 1; 0; -1 ];
+  let a = [| 3; 1; 2 |] in
+  Mergesort.sort ~grain:2 (module Exec.Serial) a;
+  check "grain 2 sorts" true (a = [| 1; 2; 3 |]);
+  let create ~n ~k () =
+    ignore (Kmeans.create (module Exec.Serial) ~rng:(rng ()) ~n ~dims:2 ~k)
+  in
+  Alcotest.check_raises "kmeans n 0" (Invalid_argument "Kmeans.create: n < 1")
+    (create ~n:0 ~k:1);
+  Alcotest.check_raises "kmeans k 0" (Invalid_argument "Kmeans.create: k < 1")
+    (create ~n:10 ~k:0)
+
 (* --- builders and hot loops against the code they replaced --- *)
 
 (* [Csr.powerlaw] as a list per row, then [of_rows] — the
@@ -274,6 +310,32 @@ let escape_time_rec ~max_iter cx cy =
       else go (i + 1) (x2 -. y2 +. cx) ((2.0 *. x *. y) +. cy)
   in
   go 0 0. 0.
+
+(* the branchy merge the branch-free select replaced *)
+let merge_branchy src lo1 hi1 lo2 hi2 dst dlo =
+  let i = ref lo1 and j = ref lo2 and k = ref dlo in
+  while !i < hi1 && !j < hi2 do
+    let x = src.(!i) and y = src.(!j) in
+    if x <= y then begin
+      dst.(!k) <- x;
+      incr i
+    end
+    else begin
+      dst.(!k) <- y;
+      incr j
+    end;
+    incr k
+  done;
+  while !i < hi1 do
+    dst.(!k) <- src.(!i);
+    incr i;
+    incr k
+  done;
+  while !j < hi2 do
+    dst.(!k) <- src.(!j);
+    incr j;
+    incr k
+  done
 
 let float_bits a = Array.map Int64.bits_of_float a
 
@@ -382,11 +444,60 @@ let test_escape_time_oracle () =
       done)
     [ -1; 0; 1; 2; 5; 100; 1_000 ]
 
-let test_kmeans_round_oracle () =
-  let st = Kmeans.create (module Exec.Serial) ~rng:(rng ()) ~n:2_000 ~dims:8 ~k:12 in
-  for round = 1 to 4 do
+(* Run pairs for [merge]: duplicates, negatives, the extreme keys,
+   empty sides, all-equal runs, one run wholly below the other, and
+   random runs over a few keys including the extremes. *)
+let merge_pairs =
+  let r = rng () in
+  let keys = [| min_int; -7; -1; 0; 1; 7; max_int |] in
+  let random_run len =
+    let a = Array.init len (fun _ -> keys.(Sim.Prng.int r (Array.length keys))) in
+    Array.sort compare a;
+    a
+  in
+  [
+    ([| 1; 2; 2; 3 |], [| 2; 2; 4 |]);
+    ([| -5; -3; 0 |], [| -4; -4; 1 |]);
+    ([| min_int; 0; max_int |], [| min_int; -1; max_int |]);
+    ([| min_int; min_int |], [| max_int |]);
+    ([| max_int |], [| min_int; min_int |]);
+    ([| max_int; max_int |], [| -1; 0; max_int |]);
+    ([||], [| 1; 2 |]);
+    ([| 1; 2 |], [||]);
+    ([||], [||]);
+    ([| 7; 7; 7 |], [| 7; 7 |]);
+    ([| 1; 2; 3 |], [| 10; 11 |]);
+    ([| 10; 11 |], [| 1; 2; 3 |]);
+  ]
+  @ List.init 20 (fun i -> (random_run (i * 3), random_run (i * 5 mod 17)))
+
+(* Each run pair sits inside [src] with cells before, between and after
+   it, and merges into the middle of a [dst] of sentinels, so a cell
+   written outside the destination range shows as a difference. *)
+let test_merge_oracle () =
+  List.iteri
+    (fun c (r1, r2) ->
+      let n1 = Array.length r1 and n2 = Array.length r2 in
+      let src = Array.concat [ [| 5 |]; r1; [| 6; 6 |]; r2; [| 8 |] ] in
+      let lo1 = 1 and lo2 = n1 + 3 in
+      let fresh () = Array.make (n1 + n2 + 4) 424242 in
+      let want = fresh () and got = fresh () in
+      merge_branchy src lo1 (lo1 + n1) lo2 (lo2 + n2) want 2;
+      Mergesort.merge src lo1 (lo1 + n1) lo2 (lo2 + n2) got 2;
+      if got <> want then
+        Alcotest.failf "merge pair %d (%d + %d elements): not the branchy merge"
+          c n1 n2)
+    merge_pairs
+
+(* [round]'s assignment against {!Kmeans.dist2} with strict [<] in
+   centroid order, for k below, at and around the four-centroid groups
+   and dims from 1 up; the churn is the count of points whose
+   assignment moved. *)
+let kmeans_round_agrees (st : Kmeans.t) ~rounds label =
+  for round = 1 to rounds do
     let frozen = Array.map Array.copy st.centroids in
-    ignore (Kmeans.round (module Exec.Serial) st);
+    let before = Array.copy st.assign in
+    let churn = Kmeans.round (module Exec.Serial) st in
     Array.iteri
       (fun i got ->
         let best = ref 0 and best_d = ref infinity in
@@ -399,10 +510,39 @@ let test_kmeans_round_oracle () =
             end)
           frozen;
         if got <> !best then
-          Alcotest.failf "round %d, point %d: assigned %d, dist2 says %d" round i
-            got !best)
-      st.assign
+          Alcotest.failf "%s round %d, point %d: assigned %d, dist2 says %d" label
+            round i got !best)
+      st.assign;
+    let moved = ref 0 in
+    Array.iteri (fun i c -> if c <> before.(i) then incr moved) st.assign;
+    check_int (Printf.sprintf "%s round %d churn" label round) !moved churn
   done
+
+let test_kmeans_round_oracle () =
+  List.iter
+    (fun k ->
+      List.iter
+        (fun dims ->
+          let st = Kmeans.create (module Exec.Serial) ~rng:(rng ()) ~n:400 ~dims ~k in
+          kmeans_round_agrees st ~rounds:3 (Printf.sprintf "k=%d dims=%d" k dims))
+        [ 1; 3; 8 ])
+    [ 1; 3; 4; 5; 12; 13 ];
+  (* identical centroids, within a group of four (0, 1), across groups
+     (2, 5) and into the remainder (3, 8): the lower index wins, so the
+     higher twin gets no point *)
+  let n = 450 and k = 9 in
+  let st = Kmeans.create (module Exec.Serial) ~rng:(rng ()) ~n ~dims:3 ~k in
+  List.iter
+    (fun (lo, hi) -> st.centroids.(hi) <- Array.copy st.centroids.(lo))
+    [ (0, 1); (2, 5); (3, 8) ];
+  kmeans_round_agrees st ~rounds:1 "twins";
+  List.iter
+    (fun (lo, hi) ->
+      check_int (Printf.sprintf "twin %d's own point" lo) lo
+        st.assign.(lo * (n / k));
+      check (Printf.sprintf "twin %d gets nothing" hi) true
+        (not (Array.mem hi st.assign)))
+    [ (0, 1); (2, 5); (3, 8) ]
 
 (* Allocation budgets, in minor-heap words.  The test is built like the
    benchmark, in dune's default profile, whose [-opaque] stops calls
@@ -437,7 +577,25 @@ let test_allocation_budget () =
   let w = words (fun () -> ignore (Kmeans.round (module Exec.Serial) st)) in
   (* a boxed distance alone would be 2 words per (point, centroid) *)
   if w > float_of_int n then
-    Alcotest.failf "Kmeans.round: %.0f words for n=%d, k=%d (budget %d)" w n k n
+    Alcotest.failf "Kmeans.round: %.0f words for n=%d, k=%d (budget %d)" w n k n;
+  let n = 10_000 in
+  let a = Mergesort.uniform_input (module Exec.Serial) ~rng:(rng ()) ~n in
+  let buf = Array.make n 0 in
+  Alcotest.(check (float 0.)) "merge: 0 words" 0.
+    (words (fun () -> Mergesort.merge a 0 (n / 2) (n / 2) n buf 0));
+  Alcotest.(check (float 0.)) "seq_sort: 0 words" 0.
+    (words (fun () -> Mergesort.seq_sort a buf 0 n));
+  (* the pixel array plus a few words per row (its closures and boxed
+     [cy]); a boxed [cx] alone would be 2 words per pixel *)
+  let width = 400 and height = 8 in
+  let budget = (width * height) + (32 * height) in
+  let w =
+    words (fun () ->
+        ignore (Mandelbrot.render (module Exec.Serial) ~width ~height ()))
+  in
+  if w > float_of_int budget then
+    Alcotest.failf "Mandelbrot.render: %.0f words for %dx%d (budget %d)" w width
+      height budget
 
 (* --- Real_bench known answers --- *)
 
@@ -518,6 +676,8 @@ let suite =
       Alcotest.test_case "builders: 2 domains = serial" `Quick
         test_builders_parallel_equal_serial;
       Alcotest.test_case "escape_time vs recursion" `Quick test_escape_time_oracle;
+      Alcotest.test_case "merge vs branchy merge" `Quick test_merge_oracle;
+      Alcotest.test_case "degenerate parameters" `Quick test_degenerate_parameters;
       Alcotest.test_case "kmeans round vs dist2" `Quick test_kmeans_round_oracle;
       Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
       Alcotest.test_case "real_bench known checksums" `Quick
