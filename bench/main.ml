@@ -14,9 +14,8 @@
    real kernel in Workloads.Real_bench runs serially and then under
    Par.Runtime at each requested domain count, checksums are compared,
    and wall-clock + speedup + scheduler counters + the minor
-   collections during the timed call are printed as a table and
-   written as machine-readable JSON (--json PATH, or the
-   BENCH_JSON environment variable; default BENCH_par.json). *)
+   collections during the timed call are printed as a table and, with
+   --json PATH, written as machine-readable JSON. *)
 
 let run_figures () =
   print_endline
@@ -194,20 +193,6 @@ let timed (f : unit -> 'a) : float * int * 'a =
 let time_median ~(repeat : int) (f : unit -> 'a) : float * int * 'a =
   median_by (fun (t, _, _) -> t) (List.init (max 1 repeat) (fun _ -> timed f))
 
-let json_escape (s : string) : string =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* ---- trajectory JSON ----------------------------------------------
    BENCH_par.json is an accumulating trajectory: one run object per
    `--par-bench` invocation (with `--append`), so before/after points
@@ -218,10 +203,7 @@ let json_escape (s : string) : string =
                          "results": [ <rows> ] }, ... ] }
 
    Appending is textual (no JSON dependency): the previous runs are
-   extracted as the raw inner text of the "trajectory" array; a legacy
-   single-run file (top-level "results") is wrapped as the first
-   trajectory entry so pre-existing data points survive the schema
-   change. *)
+   extracted as the raw inner text of the "trajectory" array. *)
 
 let row_json (r : par_row) =
   Printf.sprintf
@@ -230,9 +212,9 @@ let row_json (r : par_row) =
      \"promotions\": %d, \"steals\": %d, \"steal_attempts\": %d, \"joins\": \
      %d, \"beats\": %d, \"max_deque\": %d, \"idle_ms\": %.3f, \
      \"minor_gcs\": %d}"
-    (json_escape r.bench) r.domains r.seconds r.session_seconds r.speedup
-    r.checksum r.promotions r.steals r.steal_attempts r.joins r.beats
-    r.max_deque r.idle_ms r.minor_gcs
+    (Stats.Chrome_trace.escape r.bench)
+    r.domains r.seconds r.session_seconds r.speedup r.checksum r.promotions
+    r.steals r.steal_attempts r.joins r.beats r.max_deque r.idle_ms r.minor_gcs
 
 let run_json ~(label : string) ~(scale : int) ~(beat_source : string)
     (rows : par_row list) : string =
@@ -246,71 +228,60 @@ let run_json ~(label : string) ~(scale : int) ~(beat_source : string)
      %s\n\
     \      ]\n\
     \    }"
-    (json_escape label)
+    (Stats.Chrome_trace.escape label)
     (Domain.recommended_domain_count ())
-    scale (json_escape beat_source)
+    scale (Stats.Chrome_trace.escape beat_source)
     (String.concat ",\n" (List.map row_json rows))
 
-(* The balanced [...] following "key": in [content], as raw inner
-   text.  Sufficient for our own emitted JSON (no brackets inside
-   strings). *)
+(* The balanced [...] following the "key": string in [content], as
+   raw inner text.  Brackets and quotes inside string literals (and
+   [\\]-escapes within them) are skipped, so any label round-trips. *)
 let extract_array (content : string) (key : string) : string option =
-  let needle = Printf.sprintf "\"%s\"" key in
-  match
-    let rec find i =
-      if i + String.length needle > String.length content then None
-      else if String.sub content i (String.length needle) = needle then Some i
-      else find (i + 1)
-    in
-    find 0
-  with
-  | None -> None
-  | Some at -> (
-      match String.index_from_opt content at '[' with
-      | None -> None
-      | Some open_b ->
-          let rec scan i depth =
-            if i >= String.length content then None
-            else
-              match content.[i] with
-              | '[' -> scan (i + 1) (depth + 1)
-              | ']' ->
-                  if depth = 1 then Some i else scan (i + 1) (depth - 1)
-              | _ -> scan (i + 1) depth
-          in
-          scan open_b 0
-          |> Option.map (fun close_b ->
-                 String.sub content (open_b + 1) (close_b - open_b - 1)))
-
-(* Value of a top-level "key": N int field, for legacy conversion. *)
-let extract_int (content : string) (key : string) ~(default : int) : int =
-  let needle = Printf.sprintf "\"%s\":" key in
-  let rec find i =
-    if i + String.length needle > String.length content then default
-    else if String.sub content i (String.length needle) = needle then begin
-      let rec skip j =
-        if j < String.length content && content.[j] = ' ' then skip (j + 1)
-        else j
-      in
-      let start = skip (i + String.length needle) in
-      let rec grab j =
-        if
-          j < String.length content
-          && (match content.[j] with '0' .. '9' | '-' -> true | _ -> false)
-        then grab (j + 1)
-        else j
-      in
-      let stop = grab start in
-      if stop > start then
-        match int_of_string_opt (String.sub content start (stop - start)) with
-        | Some n -> n
-        | None -> default
-      else default
-    end
-    else find (i + 1)
+  let n = String.length content in
+  (* the index just past the literal whose body starts at [i] *)
+  let rec after_string i =
+    if i >= n then n
+    else
+      match content.[i] with
+      | '\\' -> after_string (i + 2)
+      | '"' -> i + 1
+      | _ -> after_string (i + 1)
   in
-  find 0
+  let rec skip_ws i =
+    if i < n && String.contains " \t\r\n" content.[i] then skip_ws (i + 1)
+    else i
+  in
+  let needle = Printf.sprintf "\"%s\"" key in
+  let rec find i =
+    if i >= n then None
+    else if content.[i] <> '"' then find (i + 1)
+    else
+      let j = after_string (i + 1) in
+      let colon = skip_ws j in
+      if String.sub content i (j - i) = needle && colon < n
+         && content.[colon] = ':'
+      then Some (skip_ws (colon + 1))
+      else find j
+  in
+  let rec close i depth =
+    if i >= n then None
+    else
+      match content.[i] with
+      | '"' -> close (after_string (i + 1)) depth
+      | '[' -> close (i + 1) (depth + 1)
+      | ']' -> if depth = 1 then Some i else close (i + 1) (depth - 1)
+      | _ -> close (i + 1) depth
+  in
+  match find 0 with
+  | Some open_b when open_b < n && content.[open_b] = '[' ->
+      close open_b 0
+      |> Option.map (fun close_b ->
+             String.sub content (open_b + 1) (close_b - open_b - 1))
+  | _ -> None
 
+(* The runs already in [path]'s trajectory; [None] when the file does
+   not exist.  A file without a readable "trajectory" array is refused
+   (exit 2) rather than overwritten. *)
 let prior_runs (path : string) : string option =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error _ -> None
@@ -318,22 +289,10 @@ let prior_runs (path : string) : string option =
       match extract_array content "trajectory" with
       | Some inner when String.trim inner <> "" -> Some (String.trim inner)
       | Some _ -> None
-      | None -> (
-          (* legacy single-run schema: wrap it as the first entry *)
-          match extract_array content "results" with
-          | None -> None
-          | Some results ->
-              Some
-                (Printf.sprintf
-                   "{\n\
-                   \      \"label\": \"pre-trajectory (legacy)\",\n\
-                   \      \"host_cores\": %d,\n\
-                   \      \"scale\": %d,\n\
-                   \      \"results\": [%s]\n\
-                   \    }"
-                   (extract_int content "host_cores" ~default:0)
-                   (extract_int content "scale" ~default:1)
-                   results)))
+      | None ->
+          Printf.eprintf "%s has no readable \"trajectory\" array; not \
+                          appending to it\n%!" path;
+          exit 2)
 
 let write_par_json ~(path : string) ~(label : string) ~(scale : int)
     ~(beat_source : string) ~(append : bool) (rows : par_row list) : unit =
@@ -517,12 +476,7 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
            0 !traces));
   let rows = List.rev !rows in
   (match json with
-  | None -> (
-      match Sys.getenv_opt "BENCH_JSON" with
-      | None -> ()
-      | Some path ->
-          write_par_json ~path ~label ~scale ~beat_source:source_name ~append
-            rows)
+  | None -> ()
   | Some path ->
       write_par_json ~path ~label ~scale ~beat_source:source_name ~append rows);
   match assert_geomean with
@@ -564,7 +518,7 @@ let serve_run_json ~(label : string) ~(chaos_seed : int option)
     String.concat ", "
       (List.map
          (fun (tenant, s) ->
-           Printf.sprintf "\"%s\": %s" (json_escape tenant)
+           Printf.sprintf "\"%s\": %s" (Stats.Chrome_trace.escape tenant)
              (Obs.Hist.summary_json s))
          r.latency_per_tenant)
   in
@@ -590,7 +544,7 @@ let serve_run_json ~(label : string) ~(chaos_seed : int option)
      %.3f, \"pool_latency\": %s, \"latency_per_tenant\": {%s}}\n\
     \      ]\n\
     \    }"
-    (json_escape label)
+    (Stats.Chrome_trace.escape label)
     (Domain.recommended_domain_count ())
     spec.requests spec.tenants spec.rate_rps spec.seed (1e3 *. spec.slo_s)
     (match chaos_seed with None -> "null" | Some n -> string_of_int n)
@@ -722,13 +676,14 @@ let net_run_json ~(label : string) ~(policy : string) ~(shards : int)
      \"large_p95_ms\": %.4f, \"elapsed_s\": %.3f}\n\
     \      ]\n\
     \    }"
-    (json_escape label)
+    (Stats.Chrome_trace.escape label)
     (Domain.recommended_domain_count ())
     spec.requests spec.tenants spec.seed (1e3 *. spec.slo_s)
     (match chaos_seed with None -> "null" | Some n -> string_of_int n)
-    retries (json_escape policy) shards spec.conns spec.window batch_max
-    batch_us r.submitted r.completed r.met r.missed r.rejected r.cancelled
-    r.failed r.closed r.lost r.duplicated r.mismatched r.throughput_rps
+    retries
+    (Stats.Chrome_trace.escape policy)
+    shards spec.conns spec.window batch_max batch_us r.submitted r.completed
+    r.met r.missed r.rejected r.cancelled r.failed r.closed r.lost r.duplicated r.mismatched r.throughput_rps
     r.all.p50_ms r.all.p95_ms r.all.p99_ms r.small.p95_ms r.small.p99_ms
     r.large.p95_ms r.elapsed_s
 
@@ -883,7 +838,7 @@ let usage () =
      without --par-bench: regenerate the simulated figures (unless\n\
      REPRO_QUICK=1) and run the Bechamel microbenchmark suite.\n\
      With --par-bench: run the real kernels on the multi-domain runtime\n\
-     and write BENCH_par.json (or --json PATH / $BENCH_JSON).\n\
+     and, with --json PATH, write the trajectory (e.g. BENCH_par.json).\n\
      With --serve-bench: drive a seeded open-loop load (Poisson arrivals,\n\
      Zipf tenants, mixed kernel sizes) through the multi-tenant execution\n\
      server, audit exactly-once execution, and write the latency/goodput\n\
@@ -898,8 +853,8 @@ let usage () =
     \  --shards N --conns N --window N (per-conn in-flight bound)\n\
     \  --batch-max N --batch-us F (micro-batching) --small-max N\n\
     \  --append            add this run to the file's trajectory instead\n\
-    \                      of overwriting (legacy single-run files are\n\
-    \                      wrapped as the first trajectory entry)\n\
+    \                      of overwriting (exit 2, file untouched, when\n\
+    \                      it has no readable trajectory)\n\
     \  --label NAME        label for this trajectory entry\n\
     \  --beat-source S     polling (default) or ping: drive beats from\n\
     \                      the workers' own polls on a monotonic clock,\n\

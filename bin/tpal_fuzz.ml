@@ -1,8 +1,9 @@
 (* Differential fuzzing driver: generate random TPAL programs and
    cross-check them across the sequential evaluator, the discrete-event
    simulator (all interrupt mechanisms, several core counts, optional
-   fault injection), the real heartbeat runtime, and the multi-domain
-   runtime (--par lists the domain counts; --no-par skips it).
+   fault injection), and the real heartbeat runtime, Par.Runtime
+   (--par lists its domain counts, 1 = serial with promotion; --no-par
+   skips it).
 
      tpal_fuzz --count 1000 --seed 1
      tpal_fuzz --count 200 --cores 1,4 --mech ipi --no-faults
@@ -29,11 +30,11 @@ let parse_cores (s : string) : int list =
       | _ -> Fmt.failwith "bad core count %S (expected e.g. 1,4,15)" c)
     (String.split_on_char ',' s)
 
-let run ~seed ~count ~cores ~mech ~faults ~chaos ~chaos_par ~hb ~par ~serve
+let run ~seed ~count ~cores ~mech ~faults ~chaos ~chaos_par ~par ~serve
     ~minimize ~out ~progress =
   match
     { Fuzz.Diff.cores = parse_cores cores; mechs = parse_mechs mech; faults;
-      chaos; hb; par = (if par = "" then [] else parse_cores par); chaos_par }
+      chaos; par = (if par = "" then [] else parse_cores par); chaos_par }
   with
   | exception Failure msg ->
       Fmt.epr "tpal_fuzz: %s@." msg;
@@ -130,9 +131,6 @@ let chaos_par =
           injected raises) and require bit-identical outputs for \
           timing-only plans and the typed fault for raising ones.")
 
-let no_hb =
-  Arg.(value & flag & info [ "no-hb" ] ~doc:"Skip the real heartbeat-runtime executor.")
-
 let par =
   Arg.(value & opt string "1,2,4"
     & info [ "par" ] ~docv:"D,D,…"
@@ -161,13 +159,13 @@ let cmd =
     (Cmd.info "tpal_fuzz" ~doc)
     Term.(
       const
-        (fun seed count cores mech no_faults chaos chaos_par no_hb par no_par
-             serve minimize out quiet ->
+        (fun seed count cores mech no_faults chaos chaos_par par no_par serve
+             minimize out quiet ->
           run ~seed ~count ~cores ~mech ~faults:(not no_faults) ~chaos
-            ~chaos_par ~hb:(not no_hb)
+            ~chaos_par
             ~par:(if no_par then "" else par)
             ~serve ~minimize ~out ~progress:(not quiet))
-      $ seed $ count $ cores $ mech $ no_faults $ chaos $ chaos_par $ no_hb
-      $ par $ no_par $ serve $ minimize $ out $ quiet)
+      $ seed $ count $ cores $ mech $ no_faults $ chaos $ chaos_par $ par
+      $ no_par $ serve $ minimize $ out $ quiet)
 
 let () = exit (Cmd.eval' cmd)

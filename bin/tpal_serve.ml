@@ -346,9 +346,7 @@ let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
     st.cancelled st.cancels st.retried st.restarts st.failures
     st.stalls_detected;
   if metrics then begin
-    (match st.runtime with
-    | Some rt -> Fmt.pr "%a@." Obs.Metrics.pp (Par.Runtime.metrics ?tracer rt)
-    | None -> ());
+    Fmt.pr "%a@." Obs.Metrics.pp (Serve.Pool.metrics ?tracer st);
     Fmt.pr "latency (all tenants): %a@." Obs.Hist.pp_summary st.latency;
     List.iter
       (fun (tenant, s) ->

@@ -1,7 +1,8 @@
 (* fib at the assembly level: the paper's Appendix-B program with an
    explicit call stack, promotion-ready marks, prmsplit promotion of
    the oldest frame, and joink continuations — traced step by step —
-   next to the same recursion under the effects runtime.
+   next to the same recursion under the heartbeat runtime at one
+   domain.  Exits 1 when that run differs from serial.
 
    Run with:  dune exec examples/fib_tpal.exe *)
 
@@ -44,25 +45,27 @@ let () =
   in
   print_endline (Tpal.Trace.to_string around_promotion);
 
-  (* 4. The same recursion under the real effects runtime. *)
-  let rec fib n =
+  (* 4. The same recursion under the real heartbeat runtime. *)
+  let rec fib fork2 n =
     if n < 2 then n
     else begin
       let x = ref 0 and y = ref 0 in
-      Heartbeat.Hb_runtime.fork2
-        (fun () -> x := fib (n - 1))
-        (fun () -> y := fib (n - 2));
+      fork2
+        (fun () -> x := fib fork2 (n - 1))
+        (fun () -> y := fib fork2 (n - 2));
       !x + !y
     end
   in
-  let f, st =
-    Heartbeat.Hb_runtime.run
+  let f, { Par.Runtime.total = st; _ } =
+    Par.Runtime.run
       ~config:
-        { Heartbeat.Hb_runtime.default_config with
+        { Par.Runtime.default_config with
+          domains = 1;
           heart_us = 50.;
           source = `Polling }
-      (fun () -> fib 30)
+      (fun () -> fib Par.Runtime.fork2 30)
   in
   Fmt.pr
-    "@.fib(30) effects runtime: %d | beats=%d promotions=%d joins=%d@." f
-    st.beats st.promotions st.joins
+    "@.fib(30) heartbeat runtime: %d | beats=%d promotions=%d joins=%d@." f
+    st.beats st.promotions st.joins;
+  if f <> fib Workloads.Exec.Serial.fork2 30 then exit 1

@@ -1,13 +1,10 @@
 (* mergesort: the paper's mixed recursive-and-loop benchmark — the
    sort and merge expose parallelism by divide-and-conquer (promotable
    stack marks), the copy loop by a parallel for (promotable ranges).
+   Sorted on the heartbeat runtime at one domain, beats from the ping
+   domain; exits 1 when a result differs from serial.
 
    Run with:  dune exec examples/mergesort_app.exe *)
-
-module Hb : Workloads.Exec.S = struct
-  let par_for = Heartbeat.Hb_runtime.par_for
-  let fork2 = Heartbeat.Hb_runtime.fork2
-end
 
 let () =
   let rng = Sim.Prng.create ~seed:99 in
@@ -22,21 +19,20 @@ let () =
       let a = Array.copy input in
       let reference = Array.copy input in
       Workloads.Mergesort.sort (module Workloads.Exec.Serial) reference;
-      let (), st =
-        Heartbeat.Hb_runtime.run
+      let (), { total = st; _ } =
+        Par.Runtime.run
           ~config:
-            { Heartbeat.Hb_runtime.default_config with
-              heart_us = 100.;
-              source = `Ping_thread }
-          (fun () -> Workloads.Mergesort.sort ~grain:4096 (module Hb) a)
+            { Par.Runtime.default_config with domains = 1; heart_us = 100. }
+          (fun () ->
+            Workloads.Mergesort.sort ~grain:4096 (module Par.Runtime.Exec) a)
       in
+      let sorted = Workloads.Mergesort.sorted a and matches = a = reference in
       Printf.printf
         "%-12s %d ints: sorted=%b matches-serial=%b | beats=%d promotions=%d \
-         (branch=%d loop=%d) joins=%d peak-queue=%d\n%!"
-        name n
-        (Workloads.Mergesort.sorted a)
-        (a = reference) st.beats st.promotions st.branch_promotions
-        st.loop_promotions st.joins st.max_queue)
+         (branch=%d loop=%d) joins=%d peak-deque=%d\n%!"
+        name n sorted matches st.beats st.promotions st.branch_promotions
+        st.loop_promotions st.joins st.max_deque;
+      if not (sorted && matches) then exit 1)
     [ ("uniform", uniform); ("exponential", expo) ];
 
   (* Figure 7 shape for mergesort on the simulated testbed: both

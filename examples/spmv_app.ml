@@ -2,18 +2,16 @@
    paper's showcase of irregular nested parallelism.
 
    Three views of the same computation:
-   1. the real kernel under the effects-based heartbeat runtime
+   1. the real kernel under the heartbeat runtime at one domain
       (actual promotions on a real power-law CSR matrix);
    2. correctness against the serial kernel;
    3. the simulated 15-core testbed: Cilk's eager decomposition vs
       TPAL's heartbeat, reproducing the Figure 7 shape.
 
-   Run with:  dune exec examples/spmv_app.exe *)
+   Exits 1 when the result differs from serial or the event hook
+   disagrees with the runtime's counters.
 
-module Hb : Workloads.Exec.S = struct
-  let par_for = Heartbeat.Hb_runtime.par_for
-  let fork2 = Heartbeat.Hb_runtime.fork2
-end
+   Run with:  dune exec examples/spmv_app.exe *)
 
 let () =
   let rng = Sim.Prng.create ~seed:2024 in
@@ -44,22 +42,24 @@ let () =
   and ev_branch = ref 0
   and ev_suspends = ref 0
   and ev_tasks = ref 0 in
-  let on_event : Heartbeat.Hb_runtime.event -> unit = function
-    | Heartbeat.Hb_runtime.Beat -> incr ev_beats
+  let on_event ~worker:_ : Par.Runtime.event -> unit = function
+    | Par.Runtime.Beat -> incr ev_beats
     | Promoted `Loop -> incr ev_loop
     | Promoted `Branch -> incr ev_branch
     | Join_suspend -> incr ev_suspends
     | Task_start -> incr ev_tasks
-    | Join_resume | Task_finish | Stall_detected _ -> ()
+    | _ -> ()
   in
-  let (), st =
-    Heartbeat.Hb_runtime.run
+  let (), { total = st; _ } =
+    Par.Runtime.run
       ~config:
-        { Heartbeat.Hb_runtime.default_config with
+        { Par.Runtime.default_config with
+          domains = 1;
           heart_us = 100.;
           source = `Polling;
           on_event = Some on_event }
-      (fun () -> Workloads.Csr.spmv ~row_grain:1024 (module Hb) m x y)
+      (fun () ->
+        Workloads.Csr.spmv ~row_grain:1024 (module Par.Runtime.Exec) m x y)
   in
   let ok =
     Array.for_all2
@@ -70,12 +70,17 @@ let () =
     "heartbeat runtime: result matches serial = %b | beats=%d promotions=%d \
      (loops=%d, branches=%d) joins=%d\n"
     ok st.beats st.promotions st.loop_promotions st.branch_promotions st.joins;
+  let hook_beats = !ev_beats = st.beats
+  and hook_promotions =
+    !ev_loop = st.loop_promotions && !ev_branch = st.branch_promotions
+  and hook_suspends = !ev_suspends = st.joins
+  and hook_tasks = !ev_tasks = st.tasks_run in
   Printf.printf
-    "event hook agrees: beats=%b promotions=%b suspends=%b | promoted tasks \
-     executed=%d\n"
-    (!ev_beats = st.beats)
-    (!ev_loop = st.loop_promotions && !ev_branch = st.branch_promotions)
-    (!ev_suspends = st.joins) !ev_tasks;
+    "event hook agrees: beats=%b promotions=%b suspends=%b tasks=%b | tasks \
+     run=%d\n"
+    hook_beats hook_promotions hook_suspends hook_tasks st.tasks_run;
+  if not (ok && hook_beats && hook_promotions && hook_suspends && hook_tasks)
+  then exit 1;
 
   (* Simulated testbed, Figure 7 shape. *)
   let w = Option.get (Workloads.Workload.find "spmv-powerlaw") in

@@ -32,14 +32,12 @@
       bound at the {e surviving} core count with an allowance for the
       lease-detection latency of each recovery, and repeated runs are
       bit-identical (seed determinism of the recovery machinery).
-    - {b hb-*}: the program executed on the real heartbeat runtime
-      (OCaml effects, wall-clock beats) matches the reference
-      outputs.
-    - {b par-*}: the program executed on the multi-domain runtime
-      ({!Par_exec}) at each configured domain count matches the
-      reference outputs — forks really run concurrently here, so this
-      oracle is the battery's only check of cross-domain promotion,
-      stealing, and join resolution. *)
+    - {b par-*}: the program executed on the real heartbeat runtime
+      ({!Par_exec}: OCaml effects, wall-clock beats) at each
+      configured domain count matches the reference outputs — at one
+      domain serial with promotion, at more with forks really running
+      concurrently, so this oracle is the battery's only check of
+      cross-domain promotion, stealing, and join resolution. *)
 
 open Tpal
 
@@ -53,7 +51,6 @@ type cfg = {
       (** run the crash/stall/slow-core schedule battery (the recovery
           layer's oracle); off by default — it roughly doubles the
           simulator share of the battery *)
-  hb : bool;
   par : int list;
       (** domain counts for the multi-domain runtime oracle; [[]]
           switches it off *)
@@ -72,7 +69,6 @@ let default_cfg =
     mechs = [ Sim.Interrupts.Ping_thread; Papi; Nautilus_ipi ];
     faults = true;
     chaos = false;
-    hb = true;
     par = [ 1; 2; 4 ];
     chaos_par = false;
   }
@@ -491,15 +487,7 @@ let check ?(cfg = default_cfg) ?(seed = 0) (prog : Ast.program)
                 in
                 add (check_chaos ~params ~mech lw.ir ~work ~span)
               end);
-          (* --- the real heartbeat runtime --- *)
-          (if cfg.hb then
-             match Hb_exec.run ~options:(with_heart 17) prog with
-             | Error e -> add [ div "hb-stuck" "%a" Machine_error.pp e ]
-             | Ok (task, _stats) ->
-                 add
-                   (compare_outputs ~oracle:"hb-outputs" ~what:"hb runtime"
-                      expected (snapshot outputs task.regs)));
-          (* --- the multi-domain runtime, per domain count --- *)
+          (* --- the real runtime, per domain count --- *)
           List.iter
             (fun domains ->
               match Par_exec.run ~options:(with_heart 17) ~domains prog with

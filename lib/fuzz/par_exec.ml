@@ -13,10 +13,6 @@ open Tpal
 
 exception Stuck = Tpal_drive.Stuck
 
-module Drive = Tpal_drive.Make (struct
-  let fork2 = Par.Runtime.fork2
-end)
-
 let config ?(chaos : Par.Chaos.plan option) ~(domains : int)
     ~(heart_us : float) () : Par.Runtime.config =
   {
@@ -41,7 +37,7 @@ let run ?(options = Eval.default_options) ?(domains = 2) ?(heart_us = 50.)
     let task, stats =
       Par.Runtime.run
         ~config:(config ?chaos ~domains ~heart_us ())
-        (fun () -> Drive.interpret ~options p)
+        (fun () -> Tpal_drive.interpret ~options p)
     in
     Ok (task, stats)
   with Stuck e -> Error e

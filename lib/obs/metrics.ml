@@ -3,8 +3,9 @@
     watch (steal-failure rate, promotions per beat, idle share).
 
     The record is plain data — {!Par.Runtime.metrics} fills it from a
-    session's stats, the serve pool from its own counters — so this
-    module stays dependency-free below [par]/[serve]. *)
+    session's stats, and {!Serve.Pool.metrics} adds the pool's own
+    retry, restart and lease-stall counters — so this module stays
+    dependency-free below [par]/[serve]. *)
 
 type t = {
   domains : int;

@@ -1,7 +1,9 @@
 (** A real multi-domain heartbeat runtime on OCaml 5: the paper's §3
     runtime executed on hardware parallelism rather than on the
-    abstract machine, the discrete-event simulator, or the
-    single-domain effects runtime ({!Heartbeat.Hb_runtime}).
+    abstract machine or the discrete-event simulator.  At
+    [domains = 1] it is serial with promotion: promoted tasks
+    interleave on the calling domain, and every promotion, suspension
+    and join still takes the real code path.
 
     One {e worker domain} per configured core, each owning a
     thread-safe Chase–Lev deque ({!Ws_deque}); a dedicated {e ping
@@ -40,17 +42,21 @@
       [waiter := No_waiter] when its suspension returns, at which
       point no task of the join is live.
 
-    Promotion-ready marks, the mark-list discipline and the
-    outermost-first policy are exactly {!Heartbeat.Hb_runtime}'s.  The
-    mark list is part of the computation (the ref travels with a
-    suspended continuation and is re-installed on the resuming
-    worker), and is only ever touched by the domain currently running
-    that computation — so it needs no synchronisation, but it does
-    mean {e no scheduler state may be cached across a call into user
-    code}: any nested [par_for]/[fork2] may suspend, migrate the
-    computation to another domain, and return there.  Every operation
-    below therefore re-reads the worker context from domain-local
-    storage after potential suspension points. *)
+    Promotion-ready marks are the paper's mark list (§B.2): one entry
+    per live [fork2]/[par_for] frame, polled only at promotion-ready
+    program points (loop strips, spawn and join sites), and a beat
+    promotes the outermost entry first.  Loop promotions of a child
+    share the original join record, like [loop-par-try-promote] in
+    the paper's prod program.  The mark list is part of the
+    computation (the ref travels with a suspended continuation and is
+    re-installed on the resuming worker), and is only ever touched by
+    the domain currently running that computation — so it needs no
+    synchronisation, but it does mean {e no scheduler state may be
+    cached across a call into user code}: any nested
+    [par_for]/[fork2] may suspend, migrate the computation to another
+    domain, and return there.  Every operation below therefore
+    re-reads the worker context from domain-local storage after
+    potential suspension points. *)
 
 type join = {
   pending : int Atomic.t;
@@ -240,8 +246,8 @@ type pool = {
 
 type ctx = { pool : pool; worker : worker }
 
-(** A scheduler-invariant violation (same classification as the
-    single-domain runtime's). *)
+(** A scheduler-invariant violation, carrying the classified machine
+    fault (the runtime's states map onto the abstract machine's). *)
 exception Machine_fault of Tpal.Machine_error.t
 
 type worker_stats = {

@@ -258,6 +258,19 @@ let stats (t : t) : stats =
   Mutex.unlock t.m;
   s
 
+(** [metrics ?tracer st]: the pool's {!Obs.Metrics} snapshot — the
+    session's {!Par.Runtime.metrics} ({!Obs.Metrics.zero} before
+    {!close}) with the pool's own retry, restart and lease-stall
+    counts folded in. *)
+let metrics ?(tracer : Obs.Trace.t option) (st : stats) : Obs.Metrics.t =
+  let rt =
+    match st.runtime with
+    | None -> Obs.Metrics.zero
+    | Some rt -> Par.Runtime.metrics ?tracer rt
+  in
+  { rt with Obs.Metrics.retries = st.retried; restarts = st.restarts;
+    stalls = st.stalls_detected }
+
 (* ------------------------------------------------------------------ *)
 (* Observability: the pool's trace track and latency accounting.
    Every helper below is called under [t.m], which is what makes the
@@ -319,7 +332,7 @@ let exec (w : work) : outcome =
   | Thunk f -> Checksum (f (module Par.Runtime.Exec))
   | Tpal { prog; options } ->
       Tpal_result
-        (match Fuzz.Par_exec.Drive.interpret ~options prog with
+        (match Fuzz.Tpal_drive.interpret ~options prog with
         | task -> Ok task
         | exception Fuzz.Tpal_drive.Stuck e -> Error e)
 

@@ -2,9 +2,9 @@
     submitted {e through the pool} (admission → DRR → EDF dispatch →
     warm-session execution with the promotion hint installed) must
     produce a register file bit-identical to the sequential
-    evaluator's — the same contract the battery's [hb-*] and [par-*]
-    oracles enforce for the direct executors, extended across the
-    whole serving path.  Driven by [tpal_fuzz --serve] and replayed in
+    evaluator's — the same contract the battery's [par-*] oracles
+    enforce for the direct executor, extended across the whole
+    serving path.  Driven by [tpal_fuzz --serve] and replayed in
     tier-1 by {!Suite_serve}. *)
 
 open Tpal

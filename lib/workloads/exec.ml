@@ -1,6 +1,7 @@
 (** The parallel-execution interface benchmark kernels are written
     against, so the same kernel code runs serially, under the
-    heartbeat effects runtime, or under any other scheduler.
+    heartbeat runtime ({!Par.Runtime.Exec}), or under any other
+    scheduler.
 
     This mirrors the paper's source level: [par_for] is [cilk_for]
     (with an optional reduction) and [fork2] is

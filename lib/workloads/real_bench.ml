@@ -6,8 +6,8 @@
     input through any {!Exec.S} executor and compares checksums.
 
     Every entry is {e schedule-deterministic}: its checksum is
-    identical under the serial executor, the single-domain heartbeat
-    runtime, and the multi-domain runtime at any domain count.  That
+    identical under the serial executor and the heartbeat runtime at
+    any domain count.  That
     is by construction — fixed reduction trees (plus_reduce, spmv),
     disjoint index writes with a join between dependent sweeps
     (mergesort, mandelbrot, kmeans, srad), a benign self-row race

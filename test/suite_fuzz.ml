@@ -15,16 +15,15 @@ let pp_divs ds =
        ds)
 
 (* a trimmed battery for per-commit latency: one mechanism, two core
-   counts, faults, the real heartbeat runtime, and one multi-domain
-   configuration still on *)
+   counts, faults, and the real runtime at one and two domains still
+   on *)
 let quick_cfg =
   {
     Diff.cores = [ 1; 4 ];
     mechs = [ Sim.Interrupts.Nautilus_ipi ];
     faults = true;
     chaos = false;
-    hb = true;
-    par = [ 2 ];
+    par = [ 1; 2 ];
     chaos_par = false;
   }
 
@@ -39,7 +38,6 @@ let chaos_par_cfg =
   {
     quick_cfg with
     Diff.faults = false;
-    hb = false;
     par = [ 1; 2 ];
     chaos_par = true;
   }
@@ -70,8 +68,8 @@ let test_battery_quick () =
 
 let test_battery_full_cfg () =
   (* a handful of seeds through the full default battery: all three
-     interrupt mechanisms, P ∈ {1, 4, 15}, fault injection, heartbeat
-     runtime *)
+     interrupt mechanisms, P ∈ {1, 4, 15}, fault injection, the real
+     runtime at 1, 2 and 4 domains *)
   for seed = 1000 to 1004 do
     let g = Gen.generate ~seed in
     match Diff.check_gen g with

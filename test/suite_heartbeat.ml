@@ -1,13 +1,10 @@
-(* Tests for the real effects-based heartbeat runtime: serial
-   equivalence under promotion on every kernel, join correctness,
-   nesting, and promotion policy. *)
+(* Tests for the real effects-based heartbeat runtime at one domain
+   (serial with promotion): serial equivalence under promotion on
+   every kernel, join correctness, nesting, promotion policy, the
+   ping-domain beat source, and the serve pool's lease watchdog. *)
 
-module Hb = Heartbeat.Hb_runtime
-
-module E : Workloads.Exec.S = struct
-  let par_for = Hb.par_for
-  let fork2 = Hb.fork2
-end
+module Hb = Par.Runtime
+module E = Par.Runtime.Exec
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -15,7 +12,8 @@ let check_int = Alcotest.(check int)
 (* An aggressive config so promotions definitely fire in fast tests:
    clock polling with a tiny heart. *)
 let hot : Hb.config =
-  { Hb.default_config with heart_us = 5.; source = `Polling; poll_stride = 4 }
+  { Hb.default_config with
+    domains = 1; heart_us = 5.; source = `Polling; poll_stride = 4 }
 
 let run f = Hb.run ~config:hot f
 
@@ -29,7 +27,7 @@ let test_on_event_hook_matches_stats () =
   and resumes = ref 0
   and starts = ref 0
   and finishes = ref 0 in
-  let on_event : Hb.event -> unit = function
+  let on_event ~worker:_ : Hb.event -> unit = function
     | Hb.Beat -> incr beats
     | Hb.Promoted `Loop -> incr loops
     | Hb.Promoted `Branch -> incr branches
@@ -37,11 +35,11 @@ let test_on_event_hook_matches_stats () =
     | Hb.Join_resume -> incr resumes
     | Hb.Task_start -> incr starts
     | Hb.Task_finish -> incr finishes
-    | Hb.Stall_detected _ -> ()
+    | _ -> ()
   in
   let n = 200_000 in
   let total = ref 0 in
-  let (), st =
+  let (), { total = st; _ } =
     Hb.run
       ~config:{ hot with on_event = Some on_event }
       (fun () -> Hb.par_for ~lo:0 ~hi:n (fun i -> total := !total + (i mod 3)))
@@ -51,7 +49,13 @@ let test_on_event_hook_matches_stats () =
   check_int "loop promotions" st.loop_promotions !loops;
   check_int "branch promotions" st.branch_promotions !branches;
   check_int "suspends" st.joins !suspends;
-  check_int "every promoted task started" st.promotions !starts;
+  check_int "resumes" st.resumes !resumes;
+  check_int "every task run started" st.tasks_run !starts;
+  (* at one domain a task is main, a promoted child or a resumed
+     parent *)
+  check_int "tasks = main + promoted + resumed"
+    (1 + st.promotions + st.resumes)
+    st.tasks_run;
   check_int "every started task finished" !starts !finishes;
   check "suspends eventually resumed" true (!resumes <= !suspends)
 
@@ -60,7 +64,7 @@ let test_par_for_covers_every_index () =
   let hits = Array.make n 0 in
   let (), st = run (fun () -> Hb.par_for ~lo:0 ~hi:n (fun i -> hits.(i) <- hits.(i) + 1)) in
   check "each index exactly once" true (Array.for_all (fun h -> h = 1) hits);
-  check "promotions fired" true (st.promotions > 0)
+  check "promotions fired" true (st.total.promotions > 0)
 
 let test_par_for_empty_and_single () =
   let count = ref 0 in
@@ -87,8 +91,8 @@ let test_nested_fork2_tree () =
   in
   let total, st = run (fun () -> sum 12) in
   check_int "leaf count" 4096 total;
-  check "branch promotions" true (st.branch_promotions > 0);
-  check_int "joins resolved completely" st.joins st.joins
+  check "branch promotions" true (st.total.branch_promotions > 0);
+  check_int "joins resolved completely" st.total.joins st.total.joins
 
 let test_nested_par_for () =
   let n = 300 in
@@ -110,7 +114,7 @@ let test_outermost_first_policy () =
         Hb.par_for ~lo:0 ~hi:64 (fun _ ->
             Hb.par_for ~lo:0 ~hi:2_000 (fun _ -> ignore (Sys.opaque_identity 0))))
   in
-  check "loop promotions dominate" true (st.loop_promotions > 0)
+  check "loop promotions dominate" true (st.total.loop_promotions > 0)
 
 let test_exceptions_propagate () =
   check "user exception escapes run" true
@@ -178,46 +182,66 @@ let test_kernels_under_heartbeat () =
   check_int "knapsack optimum" (Workloads.Knapsack.dp_optimum inst) res.best
 
 let test_ping_thread_source () =
-  (* the real OS-thread ticker delivers beats *)
-  let cfg = { Hb.default_config with heart_us = 200.; source = `Ping_thread } in
+  (* the default source, a ping domain raising the worker's flag every
+     ♥, delivers beats to a one-domain session *)
+  let cfg = { Hb.default_config with domains = 1; heart_us = 200. } in
   let acc = ref 0. in
   let (), st =
     Hb.run ~config:cfg (fun () ->
-        Hb.par_for ~lo:0 ~hi:2_000_000 (fun i ->
-            acc := !acc +. float_of_int (i land 7)))
+        let t0 = Mclock.now_s () in
+        while
+          (Hb.live_stats ()).total.beats = 0 && Mclock.now_s () -. t0 < 5.
+        do
+          Hb.par_for ~lo:0 ~hi:100_000 (fun i ->
+              acc := !acc +. float_of_int (i land 7))
+        done)
   in
-  check "computation survives the ping thread" true (!acc > 0.);
-  check "ticker beats observed" true (st.beats >= 0)
+  check "computation survives the ping domain" true (!acc > 0.);
+  check "ping beats observed" true (st.total.beats > 0)
 
 let test_serial_when_heart_huge () =
-  let cfg = { Hb.default_config with heart_us = 1e9; source = `Polling } in
+  let cfg =
+    { Hb.default_config with domains = 1; heart_us = 1e9; source = `Polling }
+  in
   let (), st =
     Hb.run ~config:cfg (fun () -> Hb.par_for ~lo:0 ~hi:10_000 ignore)
   in
-  check_int "no promotions with huge heart" 0 st.promotions
+  check_int "no promotions with huge heart" 0 st.total.promotions
 
 let test_stalls_flow_into_metrics () =
-  (* the lease watchdog's trips must reach the unified Obs.Metrics
-     snapshot (the same surface Par.Runtime and the serve pool report
-     through), not stay private to Hb_runtime.stats *)
-  let stall_cfg =
-    { hot with Hb.heart_us = 50.; poll_stride = 1; lease_beats = 2 }
+  (* the serve pool's lease-watchdog trips must reach the unified
+     Obs.Metrics snapshot next to the session's own counters, not stay
+     private to Pool.stats *)
+  let pool =
+    Serve.Pool.create
+      ~config:{ Serve.Pool.default_config with runtime = hot; lease_s = 0.005 }
+      ()
   in
-  let (), st =
-    Hb.run ~config:stall_cfg (fun () ->
-        Hb.par_for ~lo:0 ~hi:8 (fun i ->
-            (* one iteration wedges far past the lease TTL
-               (lease_beats·♥ = 100 µs) *)
-            if i = 4 then Unix.sleepf 0.01))
+  let work =
+    Serve.Pool.Thunk
+      (fun (module E : Workloads.Exec.S) ->
+        let acc = Atomic.make 0 in
+        E.par_for ~lo:0 ~hi:20_000 (fun i ->
+            ignore (Atomic.fetch_and_add acc i));
+        (* wedge far past the lease without reaching a poll *)
+        Unix.sleepf 0.2;
+        Atomic.get acc)
   in
+  (match Serve.Pool.submit pool ~tenant:"a" work with
+  | Ok t -> ignore (Serve.Pool.await ~timeout_s:30. pool t)
+  | Error _ -> Alcotest.fail "submit rejected");
+  let st = Serve.Pool.close pool in
   check "watchdog tripped" true (st.stalls_detected >= 1);
-  let m = Hb.metrics ~elapsed_s:0.02 st in
-  check_int "stalls fold into Obs.Metrics" st.stalls_detected
-    m.Obs.Metrics.stalls;
-  check_int "beats fold" st.beats m.Obs.Metrics.beats;
-  check_int "promotions fold" st.promotions m.Obs.Metrics.promotions;
-  check_int "joins fold" st.joins m.Obs.Metrics.joins;
-  check_int "single-domain snapshot" 1 m.Obs.Metrics.domains
+  match st.runtime with
+  | None -> Alcotest.fail "no runtime stats after close"
+  | Some { total = rt; _ } ->
+      let m = Serve.Pool.metrics st in
+      check_int "stalls fold into Obs.Metrics" st.stalls_detected
+        m.Obs.Metrics.stalls;
+      check_int "beats fold" rt.beats m.Obs.Metrics.beats;
+      check_int "promotions fold" rt.promotions m.Obs.Metrics.promotions;
+      check_int "joins fold" rt.joins m.Obs.Metrics.joins;
+      check_int "single-domain snapshot" 1 m.Obs.Metrics.domains
 
 let prop_par_for_sums_correctly =
   QCheck.Test.make ~name:"heartbeat par_for computes serial sums" ~count:25
