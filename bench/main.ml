@@ -167,6 +167,7 @@ type par_row = {
   steal_attempts : int;
   joins : int;
   beats : int;
+  polls : int;  (* promotion-ready polls: loop strip ends, fork points *)
   max_deque : int;
   idle_ms : float;  (* total worker idle-backoff sleep *)
   minor_gcs : int;  (* minor collections during the timed kernel call *)
@@ -210,11 +211,12 @@ let row_json (r : par_row) =
     "      {\"bench\": \"%s\", \"domains\": %d, \"seconds\": %.6f, \
      \"session_seconds\": %.6f, \"speedup\": %.3f, \"checksum\": %d, \
      \"promotions\": %d, \"steals\": %d, \"steal_attempts\": %d, \"joins\": \
-     %d, \"beats\": %d, \"max_deque\": %d, \"idle_ms\": %.3f, \
-     \"minor_gcs\": %d}"
+     %d, \"beats\": %d, \"polls\": %d, \"max_deque\": %d, \"idle_ms\": \
+     %.3f, \"minor_gcs\": %d}"
     (Stats.Chrome_trace.escape r.bench)
     r.domains r.seconds r.session_seconds r.speedup r.checksum r.promotions
-    r.steals r.steal_attempts r.joins r.beats r.max_deque r.idle_ms r.minor_gcs
+    r.steals r.steal_attempts r.joins r.beats r.polls r.max_deque r.idle_ms
+    r.minor_gcs
 
 let run_json ~(label : string) ~(scale : int) ~(beat_source : string)
     (rows : par_row list) : string =
@@ -352,18 +354,18 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
     (String.concat ", " (List.map string_of_int domains))
     scale source_name
     (Domain.recommended_domain_count ());
-  Printf.printf "%-16s %8s %10s %10s %8s %10s %8s %8s %8s %9s\n%!" "bench"
-    "domains" "kernel_s" "session_s" "speedup" "promos" "steals" "joins"
-    "beats" "minor_gcs";
+  Printf.printf "%-16s %8s %10s %10s %8s %10s %8s %8s %8s %8s %9s\n%!"
+    "bench" "domains" "kernel_s" "session_s" "speedup" "promos" "steals"
+    "joins" "beats" "polls" "minor_gcs";
   let rows = ref [] in
   let traces = ref [] in
   let emit r =
     rows := r :: !rows;
-    Printf.printf "%-16s %8s %10.4f %10.4f %7.2fx %10d %8d %8d %8d %9d\n%!"
+    Printf.printf "%-16s %8s %10.4f %10.4f %7.2fx %10d %8d %8d %8d %8d %9d\n%!"
       r.bench
       (if r.domains = 0 then "serial" else string_of_int r.domains)
       r.seconds r.session_seconds r.speedup r.promotions r.steals r.joins
-      r.beats r.minor_gcs
+      r.beats r.polls r.minor_gcs
   in
   List.iter
     (fun (b : Workloads.Real_bench.t) ->
@@ -384,6 +386,7 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
           steal_attempts = 0;
           joins = 0;
           beats = 0;
+          polls = 0;
           max_deque = 0;
           idle_ms = 0.;
           minor_gcs = serial_gcs;
@@ -428,6 +431,7 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
               steal_attempts = st.total.steal_attempts;
               joins = st.total.joins;
               beats = st.total.beats;
+              polls = st.total.polls;
               max_deque = st.total.max_deque;
               idle_ms = float_of_int st.total.idle_ns /. 1e6;
               minor_gcs = gcs;

@@ -20,7 +20,6 @@ let config ?(chaos : Par.Chaos.plan option) ~(domains : int)
     domains;
     heart_us;
     source = `Polling;
-    poll_stride = 1;
     chaos;
   }
 

@@ -24,6 +24,7 @@ type t = {
   callback_errors : int;  (** user [on_event] callbacks that raised *)
   faults_injected : int;  (** chaos-schedule faults that actually fired *)
   cancels : int;  (** cooperative cancellations observed at polls *)
+  polls : int;  (** promotion-ready polls (loop strip ends, fork points) *)
   retries : int;  (** failed requests re-admitted by the pool *)
   restarts : int;  (** warm session restarts after a runtime death *)
   stalls : int;  (** watchdog / lease stall detections *)
@@ -49,6 +50,7 @@ let zero =
     callback_errors = 0;
     faults_injected = 0;
     cancels = 0;
+    polls = 0;
     retries = 0;
     restarts = 0;
     stalls = 0;
@@ -76,14 +78,15 @@ let pp ppf (m : t) =
   Fmt.pf ppf
     "@[<v>domains            %d@,elapsed            %.6f s@,\
      beats              %d@,promotions         %d (%d loop, %d branch; \
-     %.2f/beat)@,joins/resumes      %d/%d@,steals             %d/%d attempts \
-     (%.1f%% failed)@,tasks              %d@,max deque depth    %d@,\
+     %.2f/beat)@,polls              %d@,joins/resumes      %d/%d@,\
+     steals             %d/%d attempts (%.1f%% failed)@,\
+     tasks              %d@,max deque depth    %d@,\
      idle sleep         %.3f ms (%.1f%% of worker-time)@,callback errors    \
      %d@,faults injected    %d@,cancels/retries    %d/%d@,\
      restarts/stalls    %d/%d@,traced events      %d (%d dropped)@]"
     m.domains m.elapsed_s m.beats m.promotions m.loop_promotions
-    m.branch_promotions (promotions_per_beat m) m.joins m.resumes m.steals
-    m.steal_attempts
+    m.branch_promotions (promotions_per_beat m) m.polls m.joins m.resumes
+    m.steals m.steal_attempts
     (100. *. steal_failure_rate m)
     m.tasks m.max_deque
     (float_of_int m.idle_ns /. 1e6)
@@ -101,15 +104,15 @@ let to_json_fields (m : t) : string =
   Printf.sprintf
     "\"domains\": %d, \"elapsed_s\": %s, \"beats\": %d, \"promotions\": %d, \
      \"steals\": %d, \"steal_attempts\": %d, \"steal_failure_rate\": %s, \
-     \"promotions_per_beat\": %s, \"joins\": %d, \"resumes\": %d, \
-     \"tasks\": %d, \"max_deque\": %d, \"idle_ns\": %d, \
+     \"promotions_per_beat\": %s, \"polls\": %d, \"joins\": %d, \
+     \"resumes\": %d, \"tasks\": %d, \"max_deque\": %d, \"idle_ns\": %d, \
      \"callback_errors\": %d, \"faults_injected\": %d, \"cancels\": %d, \
      \"retries\": %d, \"restarts\": %d, \"stalls\": %d, \
      \"traced\": %d, \"dropped\": %d"
     m.domains (num m.elapsed_s) m.beats m.promotions m.steals m.steal_attempts
     (num (steal_failure_rate m))
     (num (promotions_per_beat m))
-    m.joins m.resumes m.tasks m.max_deque m.idle_ns m.callback_errors
+    m.polls m.joins m.resumes m.tasks m.max_deque m.idle_ns m.callback_errors
     m.faults_injected m.cancels m.retries m.restarts m.stalls m.traced
     m.dropped
 

@@ -86,6 +86,9 @@ and branch_state = { mutable thunk : (unit -> unit) option; bjr : join }
 and loop_state = {
   mutable lo : int;
   mutable hi : int;
+  mutable strip : int;
+      (** iterations the next strip claims, resized by {!next_strip}
+          after each strip; a promoted child starts from it *)
   f : int -> unit;
   ljr : join;
 }
@@ -134,6 +137,7 @@ type worker = {
   mutable st_callback_errors : int;
   mutable st_faults : int;  (** chaos faults that fired on this worker *)
   mutable st_cancels : int;  (** polls that observed a cancel token *)
+  mutable st_polls : int;  (** polls: loop strip ends and fork points *)
   mutable chaos : Chaos.state option;
       (** fault-injection state, [Some] only for workers the session's
           chaos plan actually targets — every other worker (and every
@@ -150,8 +154,9 @@ type cancel_reason = [ `Explicit | `Deadline | `Lease ]
 type cancel_token = cancel_reason option Atomic.t
 (** A write-once cancellation flag shared between the computation and
     whoever may abort it.  Polled at every promotion-ready beat check,
-    so cancellation latency is one beat period — the same amortized
-    bound the paper gives promotion. *)
+    so cancellation latency is one loop strip — about ♥ / 8 of loop
+    time, at most {!max_strip} × the slowest iteration after a
+    slowdown — the same bound promotion has. *)
 
 exception Cancelled of cancel_reason
 (** Raised (repeatedly, once per poll) inside the computation once its
@@ -196,7 +201,6 @@ type config = {
   source : [ `Ping_domain | `Polling ];
       (** beat source: the dedicated ping domain (§3.4), or each
           worker polling the clock directly *)
-  poll_stride : int;  (** loop iterations between polls *)
   on_event : (worker:int -> event -> unit) option;
   tracer : Obs.Trace.t option;
       (** when set, every worker gets a per-domain {!Obs.Ring} track
@@ -213,7 +217,6 @@ let default_config =
     domains = 1;
     heart_us = 100.;
     source = `Ping_domain;
-    poll_stride = 32;
     on_event = None;
     tracer = None;
     chaos = None;
@@ -255,7 +258,7 @@ type worker_stats = {
   promotions : int;
   loop_promotions : int;
   branch_promotions : int;
-  joins : int;  (** parent suspensions on a join record *)
+  joins : int;  (** parents parked on a join record (each resumed once) *)
   resumes : int;  (** parents re-enqueued by their last child *)
   steals : int;
   steal_attempts : int;
@@ -265,6 +268,7 @@ type worker_stats = {
   callback_errors : int;  (** [on_event] callbacks that raised *)
   faults_injected : int;  (** chaos-schedule faults that fired *)
   cancels : int;  (** polls that observed a cancel token and unwound *)
+  polls : int;  (** promotion-ready polls: loop strip ends and fork points *)
 }
 
 type stats = {
@@ -433,6 +437,40 @@ let pop_mark (ctx : ctx) (e : entry) : unit =
            (Tpal.Machine_error.Mark_corruption
               { context = "pop_mark"; expected = describe_entry e; got }))
 
+(* Time-sized loop strips.  A strip of [par_for_range] runs until its
+   poll, so its length sets how long a pending beat, cancel or lease
+   waits.  A fixed count of iterations is wrong at both ends: too many
+   polls for a one-store body, too few for a heavy one.  So the strip
+   is sized by the time the previous one took, on the clock stamp the
+   poll reads anyway. *)
+
+(* The most iterations one strip claims.  It bounds how late a beat is
+   seen after a loop's iterations suddenly slow down: at most
+   [max_strip] × the slowest iteration + ♥. *)
+let max_strip = 8192
+
+(* The least strip target while ♥ > 0, in ns: under a serving layer's
+   urgency hint the effective ♥ can reach 0, and a clock read per
+   iteration would then cost more than a one-store body. *)
+let min_strip_target_ns = 1_000
+
+(* [next_strip ~heart_ns ~urgency ~strip ~elapsed_ns]: the length of
+   the strip after one of [strip] iterations took [elapsed_ns], for the
+   configured ♥ [heart_ns] and the urgency shift [urgency].  The target
+   is the effective ♥ / 8, at least [min_strip_target_ns]; the strip
+   doubles (up to [max_strip]) while strips take under half of it and
+   halves (down to 1) when one takes more.  ♥ = 0 keeps every strip
+   at one iteration, so every iteration ends in a due poll.  Pure, for
+   the policy tests. *)
+let next_strip ~(heart_ns : int) ~(urgency : int) ~(strip : int)
+    ~(elapsed_ns : int) : int =
+  if heart_ns <= 0 then 1
+  else
+    let target = max min_strip_target_ns ((heart_ns asr urgency) / 8) in
+    if elapsed_ns > target then max 1 (strip / 2)
+    else if 2 * elapsed_ns < target then min max_strip (2 * strip)
+    else strip
+
 (* [promote]: split the outermost (least-recent) promotable entry of
    the running computation — the paper's outermost-first policy.
    [pending] is raised before the task is pushed, so a join can never
@@ -481,11 +519,11 @@ let rec promote (ctx : ctx) : unit =
       w.st_promotions <- w.st_promotions + 1;
       w.st_loop_promotions <- w.st_loop_promotions + 1;
       fire ctx (Promoted `Loop);
-      let f = l.f and jr = l.ljr in
+      let f = l.f and jr = l.ljr and strip = l.strip in
       push_task ctx
         { run =
             (fun () ->
-              (try par_for_range child_lo child_hi f jr
+              (try par_for_range ~strip child_lo child_hi f jr
                with e -> record_err jr e);
               finish (cur_ctx ()) jr);
           marks = ref [];
@@ -494,12 +532,20 @@ let rec promote (ctx : ctx) : unit =
 (* [poll]: the promotion-ready program point — observe a pending beat
    and promote.  Fetches the context fresh: the computation may have
    migrated since the previous poll. *)
-and poll () : unit = poll_ctx (cur_ctx ())
+and poll () : unit =
+  let ctx = cur_ctx () in
+  poll_at ctx
+    (match ctx.pool.cfg.source with
+    | `Polling -> Mclock.now_ns ()
+    | `Ping_domain -> 0)
 
-(* [poll_ctx]: the same, for call sites that already hold a context
-   known to be fresh (no user code ran since it was fetched). *)
-and poll_ctx (ctx : ctx) : unit =
+(* [poll_at ctx now]: the same, for call sites that already hold a
+   context known to be fresh (no user code ran since it was fetched)
+   and a {!Mclock} stamp [now] taken just before; only the [`Polling]
+   beat check reads it. *)
+and poll_at (ctx : ctx) (now : int) : unit =
   let w = ctx.worker in
+  w.st_polls <- w.st_polls + 1;
   (* cooperative cancellation: one relaxed load on the live path.  The
      raise repeats at every poll of the unwinding computation, so a
      [try ... poll ()] downstream cannot accidentally swallow the
@@ -522,9 +568,8 @@ and poll_ctx (ctx : ctx) : unit =
         end
         else false
     | `Polling ->
-        (* monotonic: an NTP step of the wall clock must not make
-           beats fire continuously (forward) or never (backward) *)
-        let now = Mclock.now_ns () in
+        (* [now] is monotonic: an NTP step of the wall clock must not
+           make beats fire continuously (forward) or never (backward) *)
         let heart_ns = ctx.pool.heart_ns asr Atomic.get ctx.pool.urgency in
         if now - w.last_beat_ns >= heart_ns then begin
           w.last_beat_ns <- now;
@@ -558,36 +603,48 @@ and poll_ctx (ctx : ctx) : unit =
 
 (* The promotable loop runner: iterations of [lo, hi) with the range
    advertised on the mark list, strip-mined so the beat check
-   amortises over [poll_stride] iterations.  Each strip is {e claimed}
-   ([l.lo <- stop]) before it runs: a beat landing inside [f] — at a
-   nested promotion point, possibly after the computation suspended
-   and migrated to another domain — splits only the unclaimed
-   [stop, hi), so the tight loop below owns [lo0, stop) exclusively
-   and needs no per-iteration bookkeeping to keep the advertised range
-   live.  [l.hi] can only shrink to values > [stop] while the strip
-   runs (a promotion splits at [mid > l.lo = stop]), so a claimed
-   iteration is never handed out twice, and committing happens before
-   the strip-boundary [poll] by construction.  Promoted children
-   re-enter this runner with the shared join record, so their
+   amortises over a strip of [l.strip] iterations, resized after each
+   strip by {!next_strip} from its measured time.  One clock read per
+   strip serves both the sizing and the [`Polling] beat check.  Each
+   strip is {e claimed} ([l.lo <- stop]) before it runs: a beat
+   landing inside [f] — at a nested promotion point, possibly after
+   the computation suspended and migrated to another domain — splits
+   only the unclaimed [stop, hi), so the tight loop below owns
+   [lo0, stop) exclusively and needs no per-iteration bookkeeping to
+   keep the advertised range live.  [l.hi] can only shrink to values
+   > [stop] while the strip runs (a promotion splits at
+   [mid > l.lo = stop]), so a claimed iteration is never handed out
+   twice, and committing happens before the strip-boundary poll by
+   construction.  Promoted children re-enter this runner with the
+   shared join record and the parent's strip length, so their
    remaining iterations promote recursively. *)
-and par_for_range (lo : int) (hi : int) (f : int -> unit) (jr : join) : unit =
+and par_for_range ~(strip : int) (lo : int) (hi : int) (f : int -> unit)
+    (jr : join) : unit =
   if lo < hi then begin
     let ctx = cur_ctx () in
-    let l = { lo; hi; f; ljr = jr } in
+    let l = { lo; hi; strip; f; ljr = jr } in
     let e = E_loop l in
     push_mark ctx e;
-    let stride = max 1 ctx.pool.cfg.poll_stride in
+    let t0 = ref (Mclock.now_ns ()) in
     match
       while l.lo < l.hi do
-        let lo0 = l.lo in
-        let stop = if l.hi - lo0 <= stride then l.hi else lo0 + stride in
+        let lo0 = l.lo and strip = l.strip in
+        let stop = if l.hi - lo0 <= strip then l.hi else lo0 + strip in
         l.lo <- stop;
         for i = lo0 to stop - 1 do
           f i
         done;
+        let now = Mclock.now_ns () in
         (* the strip body may have suspended and migrated the
-           computation, so the poll re-fetches the context *)
-        poll ()
+           computation, so the context is re-fetched *)
+        let ctx = cur_ctx () in
+        let pool = ctx.pool in
+        l.strip <-
+          next_strip ~heart_ns:pool.heart_ns
+            ~urgency:(Atomic.get pool.urgency) ~strip
+            ~elapsed_ns:(now - !t0);
+        t0 := now;
+        poll_at ctx now
       done
     with
     | () -> pop_mark (cur_ctx ()) e
@@ -610,9 +667,6 @@ and par_for_range (lo : int) (hi : int) (f : int -> unit) (jr : join) : unit =
    generation is race-free. *)
 and join_on (jr : join) : unit =
   (if Atomic.get jr.pending > 1 then begin
-     let ctx = cur_ctx () in
-     ctx.worker.st_joins <- ctx.worker.st_joins + 1;
-     fire ctx Join_suspend;
      Effect.perform (Wait jr);
      Atomic.set jr.pending 1;
      Atomic.set jr.waiter No_waiter
@@ -630,7 +684,7 @@ let par_for ~(lo : int) ~(hi : int) (f : int -> unit) : unit =
   (* an inline error is recorded, not re-raised here: promoted children
      may still be running, and the join below must wait for all of them
      before the error continues upward *)
-  (try par_for_range lo hi f jr with e -> record_err jr e);
+  (try par_for_range ~strip:1 lo hi f jr with e -> record_err jr e);
   (try poll () with e -> record_err jr e);
   join_on jr
 
@@ -729,7 +783,16 @@ let handler : (unit, unit) Effect.Deep.handler =
                 else if
                   Atomic.compare_and_set jr.waiter No_waiter
                     (Waiting { k; marks; region })
-                then () (* parked; the last child re-enqueues us *)
+                then begin
+                  (* parked; the last child re-enqueues us.  Counted
+                     here rather than before the effect, so a parent
+                     that continues inline (either other branch) is no
+                     join: every counted join has exactly one resume.
+                     The computation may already run on the resuming
+                     domain; [ctx] is still this worker's own. *)
+                  ctx.worker.st_joins <- ctx.worker.st_joins + 1;
+                  fire ctx Join_suspend
+                end
                 else
                   (* the last child exchanged [Resumed] between our
                      release and our CAS *)
@@ -793,7 +856,8 @@ let try_steal ?(log_fails = false) (ctx : ctx) : task option =
    so idle thieves stop hammering victims' deque lines (the mechanism
    behind the 2–4-domain anti-scaling in the single-core
    BENCH_par.json) while still noticing freshly pushed work within a
-   bounded delay of one nap.  Any claimed task resets the ladder. *)
+   bounded delay of one capped nap (as slept, see [nap_s]).  Any
+   claimed task resets the ladder. *)
 let spin_limit = 32
 
 let max_nap_s = 200e-6
@@ -803,7 +867,10 @@ let nap_base_s = 1e-6
    spin) through [spin_limit], then [nap_base_s] doubling per failure,
    capped at [max_nap_s] — so the worst-case delay between work
    appearing and a fully backed-off thief's next sweep is one capped
-   nap, not an unbounded exponential.  Pure, for the policy tests. *)
+   nap, not an unbounded exponential.  That is the nap as slept, not
+   as requested: Linux's default 50 µs timer slack stretches a
+   200 µs [Unix.sleepf] to about 270 µs (DESIGN.md §9).  Pure, for
+   the policy tests. *)
 let nap_s ~(failures : int) : float =
   let past_spin = failures - spin_limit in
   if past_spin <= 0 then 0.
@@ -905,6 +972,7 @@ let make_worker ?(tracer : Obs.Trace.t option) ?(chaos : Chaos.state option)
     st_callback_errors = 0;
     st_faults = 0;
     st_cancels = 0;
+    st_polls = 0;
     chaos;
   }
 
@@ -924,6 +992,7 @@ let worker_stats (w : worker) : worker_stats =
     callback_errors = w.st_callback_errors;
     faults_injected = w.st_faults;
     cancels = w.st_cancels;
+    polls = w.st_polls;
   }
 
 let zero_stats =
@@ -942,6 +1011,7 @@ let zero_stats =
     callback_errors = 0;
     faults_injected = 0;
     cancels = 0;
+    polls = 0;
   }
 
 let sum_stats (per : worker_stats array) : worker_stats =
@@ -962,6 +1032,7 @@ let sum_stats (per : worker_stats array) : worker_stats =
         callback_errors = acc.callback_errors + s.callback_errors;
         faults_injected = acc.faults_injected + s.faults_injected;
         cancels = acc.cancels + s.cancels;
+        polls = acc.polls + s.polls;
       })
     zero_stats per
 
@@ -1002,6 +1073,7 @@ let metrics ?(tracer : Obs.Trace.t option) (st : stats) : Obs.Metrics.t =
     callback_errors = st.total.callback_errors;
     faults_injected = st.total.faults_injected;
     cancels = st.total.cancels;
+    polls = st.total.polls;
     retries = 0;
     restarts = 0;
     stalls = 0;

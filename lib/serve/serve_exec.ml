@@ -19,7 +19,6 @@ let pool_config ?(chaos : Par.Chaos.plan option) ?(retries = 0)
         domains;
         heart_us;
         source = `Polling;
-        poll_stride = 1;
         chaos;
       };
     (* fuzz programs are tiny; a generous lease keeps the watchdog

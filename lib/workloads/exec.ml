@@ -30,7 +30,12 @@ module Serial : S = struct
 end
 
 (** Elements per block of {!par_blocks}: enough work per iteration that
-    a block outweighs its loop overhead, like the kernels' grains. *)
+    a block outweighs its loop overhead, like the kernels' grains.  A
+    block is one [par_for] iteration of tens of µs to about a
+    millisecond (a [Kmeans.create] block allocates 4096 points), so
+    {!Par.Runtime}'s time-sized strips hold one block or a few: a beat
+    is seen within about a block, and an input of a few dozen blocks
+    still promotes. *)
 let block = 4096
 
 (** [par_blocks (module E) ~n body] runs [body lo hi] through

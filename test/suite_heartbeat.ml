@@ -13,7 +13,7 @@ let check_int = Alcotest.(check int)
    clock polling with a tiny heart. *)
 let hot : Hb.config =
   { Hb.default_config with
-    domains = 1; heart_us = 5.; source = `Polling; poll_stride = 4 }
+    domains = 1; heart_us = 5.; source = `Polling }
 
 let run f = Hb.run ~config:hot f
 

@@ -328,22 +328,19 @@ let test_polling_cadence () =
 
 (* ------------------------------------------------------------------ *)
 (* Strip-mining under forced promotion: with [heart_us = 0.] every
-   strip-boundary poll is due, so the advertised range is split at
-   every opportunity — maximum pressure on the claim-up-front
-   invariant (a promotion must only ever hand out iterations the
-   running strip has not claimed). *)
+   strip is one iteration and every strip-boundary poll is due, so the
+   advertised range is split at every opportunity — maximum pressure
+   on the claim-up-front invariant (a promotion must only ever hand
+   out iterations the running strip has not claimed).  Multi-iteration
+   strips under promotion are covered by
+   [test_time_sized_strips_exactly_once]. *)
 
 let test_strip_boundaries_exactly_once () =
   List.iter
     (fun domains ->
       let n = 10_000 in
       let hits = Array.make n 0 in
-      let config =
-        { (cfg ~domains ~heart_us:0. ()) with
-          source = `Polling;
-          poll_stride = 8;
-        }
-      in
+      let config = { (cfg ~domains ~heart_us:0. ()) with source = `Polling } in
       let (), st =
         Par.Runtime.run ~config (fun () ->
             Par.Runtime.par_for ~lo:0 ~hi:n (fun i ->
@@ -363,12 +360,7 @@ let test_strip_boundaries_exactly_once () =
   (* nested loops under the same forcing *)
   let n = 60 in
   let grid = Array.make (n * n) 0 in
-  let config =
-    { (cfg ~domains:3 ~heart_us:0. ()) with
-      source = `Polling;
-      poll_stride = 8;
-    }
-  in
+  let config = { (cfg ~domains:3 ~heart_us:0. ()) with source = `Polling } in
   let (), _ =
     Par.Runtime.run ~config (fun () ->
         Par.Runtime.par_for ~lo:0 ~hi:n (fun r ->
@@ -610,12 +602,7 @@ let test_stats_accounting () =
    the effective period down until every poll beats.  Also pins the
    clamp and the outside-session rejection. *)
 let test_urgency_promotes () =
-  let config =
-    { (cfg ~domains:1 ~heart_us:1e12 ()) with
-      source = `Polling;
-      poll_stride = 1;
-    }
-  in
+  let config = { (cfg ~domains:1 ~heart_us:1e12 ()) with source = `Polling } in
   let work () =
     let a = Array.make 4096 0 in
     Par.Runtime.par_for ~lo:0 ~hi:4096 (fun i -> a.(i) <- i)
@@ -653,6 +640,249 @@ let test_knapsack_incumbent_monotone () =
       check_int (Printf.sprintf "optimum at %d domains" domains) expect r.best)
     [ 1; 2; 4 ]
 
+(* ------------------------------------------------------------------ *)
+(* Time-sized loop strips: a strip's length follows the time the last
+   one took ([Runtime.next_strip]), so a poll comes about every ♥ / 8
+   of loop time whatever an iteration costs. *)
+
+let test_next_strip_policy () =
+  let next ?(heart_ns = 100_000) ?(urgency = 0) strip elapsed_ns =
+    Par.Runtime.next_strip ~heart_ns ~urgency ~strip ~elapsed_ns
+  in
+  (* ♥ = 100 µs: the target is 12.5 µs *)
+  check_int "fast strip doubles" 8 (next 4 1_000);
+  check_int "just under half the target doubles" 8 (next 4 6_249);
+  check_int "half the target holds" 4 (next 4 6_250);
+  check_int "the target itself holds" 4 (next 4 12_500);
+  check_int "an overrun halves" 2 (next 4 12_501);
+  check_int "a one-iteration strip never goes below 1" 1 (next 1 max_int);
+  check_int "the cap holds" Par.Runtime.max_strip
+    (next Par.Runtime.max_strip 0);
+  check_int "doubling stops at the cap" Par.Runtime.max_strip
+    (next ((Par.Runtime.max_strip / 2) + 1) 0);
+  List.iter
+    (fun (strip, elapsed) ->
+      check_int
+        (Printf.sprintf "♥ = 0 keeps strip %d at 1 (elapsed %d)" strip elapsed)
+        1
+        (next ~heart_ns:0 strip elapsed))
+    [ (1, 0); (4096, 0); (Par.Runtime.max_strip, 1); (2, 1_000_000) ];
+  (* the ~1 µs floor: full urgency takes the effective ♥ to 0, and a
+     tiny ♥ has a target far below a clock read *)
+  let floor = Par.Runtime.min_strip_target_ns in
+  check "the floor is about 1 us" true (floor >= 500 && floor <= 2_000);
+  List.iter
+    (fun (heart_ns, urgency) ->
+      let what = Printf.sprintf "♥ %d ns, urgency %d" heart_ns urgency in
+      check_int (what ^ ": under half the floor doubles") 8
+        (next ~heart_ns ~urgency 4 ((floor / 2) - 1));
+      check_int (what ^ ": within the floor holds") 4
+        (next ~heart_ns ~urgency 4 floor);
+      check_int (what ^ ": over the floor halves") 2
+        (next ~heart_ns ~urgency 4 (floor + 1)))
+    [ (100_000, Par.Runtime.max_urgency); (100_000, 20); (1, 0); (7_999, 0) ];
+  (* urgency shifts the target: at urgency 2 (♥ / 4 = 25 µs) the
+     target is 3.125 µs *)
+  check_int "urgency shrinks the target" 2 (next ~urgency:2 4 3_126);
+  check_int "urgency 2 holds at its target" 4 (next ~urgency:2 4 3_125);
+  (* iterated from one iteration, a loop settles where a strip takes
+     between half the target and the target, or at the cap *)
+  let settle ~iter_ns =
+    let s = ref 1 in
+    for _ = 1 to 64 do
+      s := next !s (!s * iter_ns)
+    done;
+    !s
+  in
+  check_int "1 us iterations settle at 8-iteration strips" 8
+    (settle ~iter_ns:1_000);
+  check_int "sub-ns iterations settle at the cap" Par.Runtime.max_strip
+    (settle ~iter_ns:0);
+  check_int "1 ms iterations settle at one iteration" 1
+    (settle ~iter_ns:1_000_000)
+
+(* Heavy iterations: 24 of 0.5 ms each.  A strip of one iteration
+   already overruns the target, so every iteration ends in a poll, and
+   a beat that falls due mid-loop promotes the rest of it. *)
+let test_heavy_iterations_promote () =
+  let config =
+    { (cfg ~domains:1 ~heart_us:100. ()) with source = `Polling }
+  in
+  let n = 24 in
+  let hits = Array.make n 0 in
+  let (), st =
+    Par.Runtime.run ~config (fun () ->
+        Par.Runtime.par_for ~lo:0 ~hi:n (fun i ->
+            Unix.sleepf 0.0005;
+            hits.(i) <- hits.(i) + 1))
+  in
+  Array.iteri
+    (fun i h -> if h <> 1 then Alcotest.failf "index %d ran %d times" i h)
+    hits;
+  check
+    (Printf.sprintf "24 x 0.5 ms iterations promote (beats %d, promotions %d)"
+       st.total.beats st.total.promotions)
+    true
+    (st.total.promotions > 0);
+  check
+    (Printf.sprintf "a poll after every heavy iteration (%d polls)"
+       st.total.polls)
+    true (st.total.polls >= n)
+
+(* One-store iterations: strips grow until one takes half the target,
+   so a million indices cost a few hundred polls.  The bound of 2,000
+   fails a fixed strip of up to 500 iterations. *)
+let test_one_store_loop_polls_rarely () =
+  let config =
+    { (cfg ~domains:1 ~heart_us:100. ()) with source = `Polling }
+  in
+  let n = 1_000_000 in
+  let a = Array.make n 0 in
+  let (), st =
+    Par.Runtime.run ~config (fun () ->
+        Par.Runtime.par_for ~lo:0 ~hi:n (fun i -> a.(i) <- i))
+  in
+  Array.iteri
+    (fun i x -> if x <> i then Alcotest.failf "a.(%d) = %d" i x)
+    a;
+  check
+    (Printf.sprintf "1 M one-store iterations take at most 2000 polls (%d)"
+       st.total.polls)
+    true
+    (st.total.polls > 0 && st.total.polls <= 2_000);
+  check_int "per-worker polls sum to the total" st.total.polls
+    (Array.fold_left
+       (fun k (w : Par.Runtime.worker_stats) -> k + w.polls)
+       0 st.per_worker);
+  check_int "polls reach Obs.Metrics" st.total.polls
+    (Par.Runtime.metrics st).polls
+
+(* Iterations that turn 1000x slower partway through: the strip grown
+   on fast iterations may run its full length on slow ones, so the
+   first beat after the slowdown can come as late as max_strip slow
+   iterations plus one ♥ — but no later.  A slow iteration's cost is
+   the slow phase's wall-clock over its iteration count, so polls and
+   promotions inside it are charged to the iterations.  The switch
+   counts executed iterations, not indices: a promotion reorders the
+   indices.  A host that preempts the loop for longer than the bound
+   can make one attempt late, so the bound must hold in one of three. *)
+let test_slowdown_beat_bound () =
+  let heart_us = 100. in
+  let fast = 4 * Par.Runtime.max_strip and slow = 2 * Par.Runtime.max_strip in
+  let n = fast + slow in
+  let sink = Array.make 64 0 in
+  let work k i =
+    for j = 1 to k do
+      sink.(j land 63) <- Sys.opaque_identity (i + j)
+    done
+  in
+  let attempt () =
+    let beats = ref [] in
+    let config =
+      {
+        (cfg ~domains:1 ~heart_us ()) with
+        source = `Polling;
+        on_event =
+          Some
+            (fun ~worker:_ -> function
+              | Par.Runtime.Beat -> beats := Mclock.now_ns () :: !beats
+              | _ -> ());
+      }
+    in
+    let executed = ref 0 and switch_ns = ref 0 and last_ns = ref 0 in
+    let (), _ =
+      Par.Runtime.run ~config (fun () ->
+          Par.Runtime.par_for ~lo:0 ~hi:n (fun i ->
+              incr executed;
+              if !executed <= fast then work 1 i
+              else begin
+                if !switch_ns = 0 then switch_ns := Mclock.now_ns ();
+                work 1000 i;
+                last_ns := Mclock.now_ns ()
+              end))
+    in
+    check_int "every iteration ran" n !executed;
+    match
+      List.sort compare (List.filter (fun t -> t >= !switch_ns) !beats)
+    with
+    | [] -> Alcotest.fail "no beat after the slowdown"
+    | first :: _ ->
+        let slow_ns = (!last_ns - !switch_ns) / slow in
+        let latency = first - !switch_ns
+        and bound =
+          (Par.Runtime.max_strip * slow_ns) + int_of_float (heart_us *. 1e3)
+        in
+        ( latency <= bound,
+          Printf.sprintf
+            "first beat %d ns after the slowdown, bound %d ns (slow              iteration %d ns)"
+            latency bound slow_ns )
+  in
+  let rec go tries =
+    let ok, what = attempt () in
+    if ok || tries = 1 then check what true ok else go (tries - 1)
+  in
+  go 3
+
+(* The coverage forced promotion at ♥ = 0 cannot give: strips of many
+   iterations, split by promotions.  A 2 µs ♥ keeps beats frequent
+   while its 1 µs strip target lets strips grow well past one
+   iteration. *)
+let test_time_sized_strips_exactly_once () =
+  let config domains =
+    { (cfg ~domains ~heart_us:2. ()) with source = `Polling }
+  in
+  List.iter
+    (fun domains ->
+      let n = 200_000 in
+      let hits = Array.make n 0 in
+      let (), st =
+        Par.Runtime.run ~config:(config domains) (fun () ->
+            Par.Runtime.par_for ~lo:0 ~hi:n (fun i ->
+                hits.(i) <- hits.(i) + 1))
+      in
+      Array.iteri
+        (fun i h ->
+          if h <> 1 then
+            Alcotest.failf "flat, domains=%d: index %d ran %d times" domains i
+              h)
+        hits;
+      check
+        (Printf.sprintf "flat, %d domains: promotions %d > 0" domains
+           st.total.promotions)
+        true
+        (st.total.promotions > 0);
+      check
+        (Printf.sprintf "flat, %d domains: %d polls for %d iterations" domains
+           st.total.polls n)
+        true
+        (st.total.polls < n / 4);
+      let rows = 300 and cols = 300 in
+      let grid = Array.make (rows * cols) 0 in
+      let (), st =
+        Par.Runtime.run ~config:(config domains) (fun () ->
+            Par.Runtime.par_for ~lo:0 ~hi:rows (fun r ->
+                Par.Runtime.par_for ~lo:0 ~hi:cols (fun c ->
+                    let k = (r * cols) + c in
+                    grid.(k) <- grid.(k) + 1)))
+      in
+      Array.iteri
+        (fun i h ->
+          if h <> 1 then
+            Alcotest.failf "nested, domains=%d: cell %d ran %d times" domains
+              i h)
+        grid;
+      check
+        (Printf.sprintf "nested, %d domains: promotions %d > 0" domains
+           st.total.promotions)
+        true
+        (st.total.promotions > 0);
+      check
+        (Printf.sprintf "nested, %d domains: %d polls for %d cells" domains
+           st.total.polls (rows * cols))
+        true
+        (st.total.polls < rows * cols / 4))
+    [ 1; 2; 4 ]
+
 let suite =
   ( "par",
     [
@@ -688,4 +918,13 @@ let suite =
         test_urgency_promotes;
       Alcotest.test_case "knapsack incumbent is monotone" `Quick
         test_knapsack_incumbent_monotone;
+      Alcotest.test_case "strip sizing policy" `Quick test_next_strip_policy;
+      Alcotest.test_case "heavy iterations promote" `Quick
+        test_heavy_iterations_promote;
+      Alcotest.test_case "one-store loop polls rarely" `Quick
+        test_one_store_loop_polls_rarely;
+      Alcotest.test_case "beat bound after a slowdown" `Quick
+        test_slowdown_beat_bound;
+      Alcotest.test_case "time-sized strips exactly once" `Quick
+        test_time_sized_strips_exactly_once;
     ] )

@@ -388,7 +388,7 @@ let test_powerlaw_oracle () =
 let test_builders_parallel_equal_serial () =
   let block = Exec.block in
   let config =
-    { Par.Runtime.default_config with domains = 2; heart_us = 0.; poll_stride = 1 }
+    { Par.Runtime.default_config with domains = 2; heart_us = 0. }
   in
   let promotions = ref 0 in
   let agree label ~oracle ~build ~same =
