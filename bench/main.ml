@@ -317,14 +317,6 @@ let write_par_json ~(path : string) ~(label : string) ~(scale : int)
   Printf.printf "wrote %s (%d rows%s)\n%!" path (List.length rows)
     (if prior <> None then ", appended to prior trajectory" else "")
 
-let geomean (xs : float list) : float =
-  match xs with
-  | [] -> nan
-  | xs ->
-      exp
-        (List.fold_left (fun acc x -> acc +. log x) 0. xs
-        /. float_of_int (List.length xs))
-
 let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
     ~(benches : string list option) ~(append : bool) ~(label : string)
     ~(source : [ `Ping_domain | `Polling ])
@@ -491,7 +483,7 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
           (fun r -> if r.domains = 1 then Some r.speedup else None)
           rows
       in
-      let g = geomean one_domain in
+      let g = Stats.geomean one_domain in
       Printf.printf
         "1-domain overhead: geomean %.3fx serial over %d kernels (floor \
          %.2fx)\n\

@@ -177,11 +177,10 @@ let run_workload (name : string) (domains : int) (scale : int)
             (fun i (w : Par.Runtime.worker_stats) ->
               Printf.printf
                 "  worker %d: tasks %d  promotions %d  steals %d/%d  joins \
-                 %d  max deque %d  idle %.3f ms  callback errors %d\n"
+                 %d  max deque %d  idle %.3f ms\n"
                 i w.tasks_run w.promotions w.steals w.steal_attempts w.joins
                 w.max_deque
-                (float_of_int w.idle_ns /. 1e6)
-                w.callback_errors)
+                (float_of_int w.idle_ns /. 1e6))
             st.per_worker
         end
         else

@@ -37,14 +37,7 @@ let pool_config ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms ~lease_s
        interleaves with the worker-domain tracks in the same trace *)
     tracer;
     runtime =
-      {
-        Par.Runtime.default_config with
-        domains;
-        heart_us;
-        source = `Polling;
-        tracer;
-        chaos;
-      };
+      { Par.Runtime.domains; heart_us; source = `Polling; tracer; chaos };
     sched =
       {
         Serve.Sched.cap;

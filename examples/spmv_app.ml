@@ -8,8 +8,8 @@
    3. the simulated 15-core testbed: Cilk's eager decomposition vs
       TPAL's heartbeat, reproducing the Figure 7 shape.
 
-   Exits 1 when the result differs from serial or the event hook
-   disagrees with the runtime's counters.
+   Exits 1 when the result differs from serial, or when the run's trace
+   dropped an event or disagrees with the runtime's counters.
 
    Run with:  dune exec examples/spmv_app.exe *)
 
@@ -33,23 +33,11 @@ let () =
   let y_serial = Workloads.Csr.spmv_serial m x in
 
   (* Real heartbeat runtime: rows are a promotable parallel loop, long
-     rows a promotable nested reduction.  The on_event hook watches the
-     scheduler live — the same event stream Sim_trace records for the
-     simulator. *)
+     rows a promotable nested reduction.  The worker's trace ring
+     records the scheduler's events — the same vocabulary Sim_trace
+     records for the simulator. *)
   let y = Array.make n 0. in
-  let ev_beats = ref 0
-  and ev_loop = ref 0
-  and ev_branch = ref 0
-  and ev_suspends = ref 0
-  and ev_tasks = ref 0 in
-  let on_event ~worker:_ : Par.Runtime.event -> unit = function
-    | Par.Runtime.Beat -> incr ev_beats
-    | Promoted `Loop -> incr ev_loop
-    | Promoted `Branch -> incr ev_branch
-    | Join_suspend -> incr ev_suspends
-    | Task_start -> incr ev_tasks
-    | _ -> ()
-  in
+  let tr = Obs.Trace.create () in
   let (), { total = st; _ } =
     Par.Runtime.run
       ~config:
@@ -57,7 +45,7 @@ let () =
           domains = 1;
           heart_us = 100.;
           source = `Polling;
-          on_event = Some on_event }
+          tracer = Some tr }
       (fun () ->
         Workloads.Csr.spmv ~row_grain:1024 (module Par.Runtime.Exec) m x y)
   in
@@ -70,16 +58,29 @@ let () =
     "heartbeat runtime: result matches serial = %b | beats=%d promotions=%d \
      (loops=%d, branches=%d) joins=%d\n"
     ok st.beats st.promotions st.loop_promotions st.branch_promotions st.joins;
-  let hook_beats = !ev_beats = st.beats
-  and hook_promotions =
-    !ev_loop = st.loop_promotions && !ev_branch = st.branch_promotions
-  and hook_suspends = !ev_suspends = st.joins
-  and hook_tasks = !ev_tasks = st.tasks_run in
+  let events = List.concat_map snd (Obs.Trace.events tr) in
+  let count p = List.length (List.filter (fun (_, e) -> p e) events) in
+  let dropped = Obs.Trace.total_dropped tr in
+  let trace_beats = count (( = ) Obs.Event.Beat) = st.beats
+  and trace_promotions =
+    count (( = ) (Obs.Event.Promote { kind = `Loop })) = st.loop_promotions
+    && count (( = ) (Obs.Event.Promote { kind = `Branch }))
+       = st.branch_promotions
+  and trace_joins =
+    count (( = ) Obs.Event.Join_suspend) = st.joins
+    && count (( = ) Obs.Event.Join_resume) = st.resumes
+  and trace_tasks =
+    count (function Task_start _ -> true | _ -> false) = st.tasks_run
+  in
   Printf.printf
-    "event hook agrees: beats=%b promotions=%b suspends=%b tasks=%b | tasks \
-     run=%d\n"
-    hook_beats hook_promotions hook_suspends hook_tasks st.tasks_run;
-  if not (ok && hook_beats && hook_promotions && hook_suspends && hook_tasks)
+    "trace agrees: beats=%b promotions=%b joins=%b tasks=%b | tasks run=%d, \
+     %d events traced, %d dropped\n"
+    trace_beats trace_promotions trace_joins trace_tasks st.tasks_run
+    (Obs.Trace.total_written tr) dropped;
+  if
+    not
+      (ok && dropped = 0 && trace_beats && trace_promotions && trace_joins
+     && trace_tasks)
   then exit 1;
 
   (* Simulated testbed, Figure 7 shape. *)

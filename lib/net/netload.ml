@@ -72,38 +72,15 @@ type report = {
   large : class_lat;
 }
 
-let percentile (sorted : float array) (p : float) : float =
-  match Array.length sorted with
-  | 0 -> nan
-  | n ->
-      let idx = int_of_float (p *. float_of_int (n - 1)) in
-      sorted.(max 0 (min (n - 1) idx))
-
 let class_of (samples : float list) : class_lat =
   let a = Array.of_list samples in
   Array.sort compare a;
   {
     count = Array.length a;
-    p50_ms = 1e3 *. percentile a 0.50;
-    p95_ms = 1e3 *. percentile a 0.95;
-    p99_ms = 1e3 *. percentile a 0.99;
+    p50_ms = 1e3 *. Serve.Load.percentile a 0.50;
+    p95_ms = 1e3 *. Serve.Load.percentile a 0.95;
+    p99_ms = 1e3 *. Serve.Load.percentile a 0.99;
   }
-
-let pick_weighted (rng : Sim.Prng.t) (weights : float array) : int =
-  let total = Array.fold_left ( +. ) 0. weights in
-  let x = Sim.Prng.float_range rng total in
-  let acc = ref 0. and chosen = ref (Array.length weights - 1) in
-  (try
-     Array.iteri
-       (fun i w ->
-         acc := !acc +. w;
-         if x < !acc then begin
-           chosen := i;
-           raise Exit
-         end)
-       weights
-   with Exit -> ());
-  !chosen
 
 (* One connection's share of the run: submit [count] requests with a
    [window]-bounded closed loop, then return the per-request records
@@ -128,8 +105,8 @@ let drive_conn (spec : spec) (addr : Server.addr) ~(conn_idx : int)
   let recs = Array.make count { ticket = -1; size_idx = 0; drr_size = 1; sent = 0. } in
   for i = 0 to count - 1 do
     Client.wait_inflight_below c ~submitted:i ~window:spec.window;
-    let tenant = Printf.sprintf "t%d" (pick_weighted rng tenant_weights) in
-    let si = pick_weighted rng size_weights in
+    let tenant = Printf.sprintf "t%d" (Serve.Load.pick_weighted rng tenant_weights) in
+    let si = Serve.Load.pick_weighted rng size_weights in
     let n = sizes.(si) in
     let drr_size = max 1 (n / base) in
     let tight = Sim.Prng.float rng < spec.tight_frac in

@@ -3,25 +3,24 @@
     a {!Ring}, with a fixed integer codec so a ring slot is four plain
     ints ([code; t_ns; a; b]).
 
-    Runtime events mirror {!Par.Runtime.event} (plus the promotion
-    kind and the steal outcome folded in); serve events cover the
-    admission / DRR–EDF dispatch / completion / degradation decisions
-    of {!Serve.Pool}.  Region and tenant identifiers are
-    {!Labels}-interned ints — resolve them through the owning
-    {!Trace.t}. *)
+    Runtime events are what a worker records on its own ring as it
+    schedules; serve events cover the admission / DRR–EDF dispatch /
+    completion / degradation decisions of {!Serve.Pool}.  Region and
+    tenant identifiers are {!Labels}-interned ints — resolve them
+    through the owning {!Trace.t}. *)
 
 type t =
   | Beat  (** a heartbeat observed at a promotion-ready poll *)
   | Promote of { kind : [ `Loop | `Branch ] }
   | Steal of { ok : bool; victim : int }
       (** one steal probe; failed probes are recorded only for the
-          first sweep of an idle drought (see {!Par.Runtime.event}) *)
+          first sweep of an idle drought, whose {!Nap}s cover the
+          rest *)
   | Join_suspend
   | Join_resume
   | Task_start of { region : int }
   | Task_finish of { region : int }
   | Nap of { ns : int }  (** an idle-backoff sleep that just ended *)
-  | Callback_error  (** a user [on_event] callback raised *)
   | Admit of { tenant : int }
   | Reject of { shed : bool }
       (** admission refused: queue bound ([shed = false]) or
@@ -70,7 +69,7 @@ let outcome_code = function
   | `Cancelled -> 3
 
 (** [encode e] is [(code, a, b)] — the non-timestamp words of a ring
-    slot. *)
+    slot.  Code 9 is free. *)
 let encode : t -> int * int * int = function
   | Beat -> (1, 0, 0)
   | Promote { kind = `Loop } -> (2, 0, 0)
@@ -81,7 +80,6 @@ let encode : t -> int * int * int = function
   | Task_start { region } -> (6, region, 0)
   | Task_finish { region } -> (7, region, 0)
   | Nap { ns } -> (8, ns, 0)
-  | Callback_error -> (9, 0, 0)
   | Admit { tenant } -> (10, tenant, 0)
   | Reject { shed } -> (11, bool_bit shed, 0)
   | Dispatch { tenant; urgency } -> (12, tenant, urgency)
@@ -108,7 +106,6 @@ let decode ~(code : int) ~(a : int) ~(b : int) : t option =
   | 6 -> Some (Task_start { region = a })
   | 7 -> Some (Task_finish { region = a })
   | 8 -> Some (Nap { ns = a })
-  | 9 -> Some Callback_error
   | 10 -> Some (Admit { tenant = a })
   | 11 -> Some (Reject { shed = a = 1 })
   | 12 -> Some (Dispatch { tenant = a; urgency = b })
@@ -151,7 +148,6 @@ let name : t -> string = function
   | Task_start _ -> "task-start"
   | Task_finish _ -> "task-finish"
   | Nap _ -> "nap"
-  | Callback_error -> "callback-error"
   | Admit _ -> "admit"
   | Reject { shed = false } -> "reject"
   | Reject { shed = true } -> "shed"

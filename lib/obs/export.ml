@@ -74,7 +74,6 @@ let to_chrome ?(pid = 0) ?(process = "tpal-par") (tr : Trace.t) :
                 (if ok then "steal" else "steal-attempt")
           | Join_suspend -> instant ~cat:"join" "join-block"
           | Join_resume -> instant ~cat:"join" "join-resume"
-          | Callback_error -> instant "callback-error"
           | Admit { tenant } ->
               instant ~cat:"serve"
                 ~args:[ ("tenant", C.Str (Trace.label tr tenant)) ]

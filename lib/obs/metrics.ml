@@ -21,7 +21,6 @@ type t = {
   tasks : int;
   max_deque : int;
   idle_ns : int;  (** total nanoseconds workers slept in idle backoff *)
-  callback_errors : int;  (** user [on_event] callbacks that raised *)
   faults_injected : int;  (** chaos-schedule faults that actually fired *)
   cancels : int;  (** cooperative cancellations observed at polls *)
   polls : int;  (** promotion-ready polls (loop strip ends, fork points) *)
@@ -47,7 +46,6 @@ let zero =
     tasks = 0;
     max_deque = 0;
     idle_ns = 0;
-    callback_errors = 0;
     faults_injected = 0;
     cancels = 0;
     polls = 0;
@@ -81,8 +79,8 @@ let pp ppf (m : t) =
      %.2f/beat)@,polls              %d@,joins/resumes      %d/%d@,\
      steals             %d/%d attempts (%.1f%% failed)@,\
      tasks              %d@,max deque depth    %d@,\
-     idle sleep         %.3f ms (%.1f%% of worker-time)@,callback errors    \
-     %d@,faults injected    %d@,cancels/retries    %d/%d@,\
+     idle sleep         %.3f ms (%.1f%% of worker-time)@,\
+     faults injected    %d@,cancels/retries    %d/%d@,\
      restarts/stalls    %d/%d@,traced events      %d (%d dropped)@]"
     m.domains m.elapsed_s m.beats m.promotions m.loop_promotions
     m.branch_promotions (promotions_per_beat m) m.polls m.joins m.resumes
@@ -91,29 +89,5 @@ let pp ppf (m : t) =
     m.tasks m.max_deque
     (float_of_int m.idle_ns /. 1e6)
     (100. *. idle_frac m)
-    m.callback_errors m.faults_injected m.cancels m.retries m.restarts
-    m.stalls m.traced m.dropped
-
-let num (x : float) : string =
-  if Float.is_nan x || Float.abs x = infinity then "0"
-  else Printf.sprintf "%.4f" x
-
-(** The snapshot as JSON object fields (no enclosing braces, so
-    callers can splice extra fields alongside). *)
-let to_json_fields (m : t) : string =
-  Printf.sprintf
-    "\"domains\": %d, \"elapsed_s\": %s, \"beats\": %d, \"promotions\": %d, \
-     \"steals\": %d, \"steal_attempts\": %d, \"steal_failure_rate\": %s, \
-     \"promotions_per_beat\": %s, \"polls\": %d, \"joins\": %d, \
-     \"resumes\": %d, \"tasks\": %d, \"max_deque\": %d, \"idle_ns\": %d, \
-     \"callback_errors\": %d, \"faults_injected\": %d, \"cancels\": %d, \
-     \"retries\": %d, \"restarts\": %d, \"stalls\": %d, \
-     \"traced\": %d, \"dropped\": %d"
-    m.domains (num m.elapsed_s) m.beats m.promotions m.steals m.steal_attempts
-    (num (steal_failure_rate m))
-    (num (promotions_per_beat m))
-    m.polls m.joins m.resumes m.tasks m.max_deque m.idle_ns m.callback_errors
     m.faults_injected m.cancels m.retries m.restarts m.stalls m.traced
     m.dropped
-
-let to_json (m : t) : string = "{" ^ to_json_fields m ^ "}"

@@ -54,11 +54,13 @@ let () =
 let empty = { seed = 0; faults = [] }
 let is_empty (p : plan) = p.faults = []
 
-let kind_name = function
-  | Stall _ -> "stall"
-  | Slow _ -> "slow"
-  | Drop _ -> "drop"
-  | Raise -> "raise"
+(** The trace event of a fault that fired: its kind, and the beats it
+    stalls, slows or drops. *)
+let event : fault_kind -> Obs.Event.t = function
+  | Stall n -> Chaos { kind = `Stall; arg = n }
+  | Slow { beats; _ } -> Chaos { kind = `Slow; arg = beats }
+  | Drop n -> Chaos { kind = `Drop; arg = n }
+  | Raise -> Chaos { kind = `Raise; arg = 0 }
 
 let pp_fault ppf (f : fault) =
   match f.kind with

@@ -134,7 +134,6 @@ type worker = {
   mutable st_tasks : int;
   mutable st_max_deque : int;
   mutable st_idle_ns : int;
-  mutable st_callback_errors : int;
   mutable st_faults : int;  (** chaos faults that fired on this worker *)
   mutable st_cancels : int;  (** polls that observed a cancel token *)
   mutable st_polls : int;  (** polls: loop strip ends and fork points *)
@@ -172,36 +171,12 @@ let () =
     | Cancelled r -> Some (Printf.sprintf "Par.Runtime.Cancelled(%s)" (reason_name r))
     | _ -> None)
 
-(** Observability hook events, fired from the worker's own code path
-    (callbacks must be cheap, domain-safe, and must not call back into
-    the runtime).  The [worker] argument of [on_event] identifies the
-    firing domain. *)
-type event =
-  | Beat
-  | Promoted of [ `Loop | `Branch ]
-  | Join_suspend
-  | Join_resume  (** last child re-enqueued the suspended parent *)
-  | Steal of { victim : int }
-  | Steal_fail of { victim : int }
-      (** an empty steal probe.  Only the {e first} sweep of an idle
-          drought is reported (per-probe reporting during backoff spin
-          would swamp both callbacks and rings with megahertz noise);
-          the {!Nap} events cover the rest of the drought. *)
-  | Task_start
-  | Task_finish
-  | Nap of { ns : int }  (** an idle-backoff sleep of [ns] just ended *)
-  | Fault of Chaos.fault_kind  (** an injected chaos fault fired here *)
-  | Cancel_seen of cancel_reason
-      (** a poll observed the session's cancel token and is about to
-          unwind the running computation *)
-
 type config = {
   domains : int;  (** worker domains; 1 = serial with promotion *)
   heart_us : float;  (** ♥ in microseconds *)
   source : [ `Ping_domain | `Polling ];
       (** beat source: the dedicated ping domain (§3.4), or each
           worker polling the clock directly *)
-  on_event : (worker:int -> event -> unit) option;
   tracer : Obs.Trace.t option;
       (** when set, every worker gets a per-domain {!Obs.Ring} track
           in this trace and feeds it the full event stream — export
@@ -217,7 +192,6 @@ let default_config =
     domains = 1;
     heart_us = 100.;
     source = `Ping_domain;
-    on_event = None;
     tracer = None;
     chaos = None;
   }
@@ -265,7 +239,6 @@ type worker_stats = {
   tasks_run : int;
   max_deque : int;
   idle_ns : int;  (** nanoseconds slept in idle backoff (naps only) *)
-  callback_errors : int;  (** [on_event] callbacks that raised *)
   faults_injected : int;  (** chaos-schedule faults that fired *)
   cancels : int;  (** polls that observed a cancel token and unwound *)
   polls : int;  (** promotion-ready polls: loop strip ends and fork points *)
@@ -327,48 +300,17 @@ let cancel_reason_of (tok : cancel_token) : cancel_reason option = Atomic.get to
 let set_cancel (tok : cancel_token option) : unit =
   Atomic.set (cur_ctx ()).pool.cancel tok
 
-(* Runtime events in the unified {!Obs.Event} vocabulary; task events
-   pick up the worker's current region label. *)
-let to_obs (w : worker) : event -> Obs.Event.t = function
-  | Beat -> Obs.Event.Beat
-  | Promoted kind -> Obs.Event.Promote { kind }
-  | Join_suspend -> Obs.Event.Join_suspend
-  | Join_resume -> Obs.Event.Join_resume
-  | Steal { victim } -> Obs.Event.Steal { ok = true; victim }
-  | Steal_fail { victim } -> Obs.Event.Steal { ok = false; victim }
-  | Task_start -> Obs.Event.Task_start { region = w.region }
-  | Task_finish -> Obs.Event.Task_finish { region = w.region }
-  | Nap { ns } -> Obs.Event.Nap { ns }
-  | Fault k ->
-      let kind, arg =
-        match k with
-        | Chaos.Stall n -> (`Stall, n)
-        | Chaos.Slow { beats; _ } -> (`Slow, beats)
-        | Chaos.Drop n -> (`Drop, n)
-        | Chaos.Raise -> (`Raise, 0)
-      in
-      Obs.Event.Chaos { kind; arg }
-  | Cancel_seen reason -> Obs.Event.Cancel { reason }
+(* [emit ctx e]: record [e] on the worker's ring.  A worker has a ring
+   iff the session has a tracer, so an untraced session pays the one
+   [None] branch.  An event with a run-time payload is a fresh block,
+   so its call site builds it only when {!traced}: an untraced session
+   allocates nothing for its events. *)
+let emit (ctx : ctx) (e : Obs.Event.t) : unit =
+  match (ctx.worker.ring, ctx.pool.cfg.tracer) with
+  | Some ring, Some tr -> Obs.Trace.emit tr ring e
+  | _ -> ()
 
-(* Feed the worker's ring (if tracing), then the user callback.  A
-   raising callback must not kill the worker domain mid-session — the
-   pool would deadlock on the lost worker — so exceptions are swallowed
-   into the [callback_errors] counter and surfaced via stats/metrics
-   instead of tearing the pool down. *)
-let fire (ctx : ctx) (e : event) : unit =
-  let w = ctx.worker in
-  (match (w.ring, ctx.pool.cfg.tracer) with
-  | Some ring, Some tr -> Obs.Trace.emit tr ring (to_obs w e)
-  | _ -> ());
-  match ctx.pool.cfg.on_event with
-  | None -> ()
-  | Some f -> (
-      try f ~worker:w.id e
-      with _ ->
-        w.st_callback_errors <- w.st_callback_errors + 1;
-        match (w.ring, ctx.pool.cfg.tracer) with
-        | Some ring, Some tr -> Obs.Trace.emit tr ring Obs.Event.Callback_error
-        | _ -> ())
+let traced (ctx : ctx) : bool = Option.is_some ctx.worker.ring
 
 (* pending starts at 1: the parent's stake (see the header comment) *)
 let fresh_join () =
@@ -402,7 +344,7 @@ let finish (ctx : ctx) (jr : join) : unit =
     match Atomic.exchange jr.waiter Resumed with
     | Waiting { k; marks; region } ->
         ctx.worker.st_resumes <- ctx.worker.st_resumes + 1;
-        fire ctx Join_resume;
+        emit ctx Obs.Event.Join_resume;
         push_task ctx
           { run = (fun () -> Effect.Deep.continue k ()); marks; region }
     | No_waiter ->
@@ -499,7 +441,7 @@ let rec promote (ctx : ctx) : unit =
       Atomic.incr b.bjr.pending;
       w.st_promotions <- w.st_promotions + 1;
       w.st_branch_promotions <- w.st_branch_promotions + 1;
-      fire ctx (Promoted `Branch);
+      emit ctx (Obs.Event.Promote { kind = `Branch });
       let jr = b.bjr in
       push_task ctx
         { run =
@@ -518,7 +460,7 @@ let rec promote (ctx : ctx) : unit =
       Atomic.incr l.ljr.pending;
       w.st_promotions <- w.st_promotions + 1;
       w.st_loop_promotions <- w.st_loop_promotions + 1;
-      fire ctx (Promoted `Loop);
+      emit ctx (Obs.Event.Promote { kind = `Loop });
       let f = l.f and jr = l.ljr and strip = l.strip in
       push_task ctx
         { run =
@@ -557,7 +499,7 @@ and poll_at (ctx : ctx) (now : int) : unit =
       | None -> ()
       | Some reason ->
           w.st_cancels <- w.st_cancels + 1;
-          fire ctx (Cancel_seen reason);
+          if traced ctx then emit ctx (Obs.Event.Cancel { reason });
           raise (Cancelled reason)));
   let due =
     match ctx.pool.cfg.source with
@@ -581,14 +523,14 @@ and poll_at (ctx : ctx) (now : int) : unit =
     match w.chaos with
     | None ->
         w.st_beats <- w.st_beats + 1;
-        fire ctx Beat;
+        emit ctx Obs.Event.Beat;
         promote ctx
     | Some cs ->
         let d = Chaos.on_beat cs in
         List.iter
           (fun (f : Chaos.fault) ->
             w.st_faults <- w.st_faults + 1;
-            fire ctx (Fault f.kind))
+            if traced ctx then emit ctx (Chaos.event f.kind))
           d.fired;
         if d.pause_s > 0. then Unix.sleepf d.pause_s;
         if d.raise_now then
@@ -597,7 +539,7 @@ and poll_at (ctx : ctx) (now : int) : unit =
           raise (Chaos.Injected { domain = w.id; beat = cs.beat })
         else if not d.drop then begin
           w.st_beats <- w.st_beats + 1;
-          fire ctx Beat;
+          emit ctx Obs.Event.Beat;
           promote ctx
         end
 
@@ -791,7 +733,7 @@ let handler : (unit, unit) Effect.Deep.handler =
                      The computation may already run on the resuming
                      domain; [ctx] is still this worker's own. *)
                   ctx.worker.st_joins <- ctx.worker.st_joins + 1;
-                  fire ctx Join_suspend
+                  emit ctx Obs.Event.Join_suspend
                 end
                 else
                   (* the last child exchanged [Resumed] between our
@@ -805,13 +747,13 @@ let run_task (ctx : ctx) (t : task) : unit =
   w.current_marks <- t.marks;
   w.region <- t.region;
   w.st_tasks <- w.st_tasks + 1;
-  fire ctx Task_start;
+  if traced ctx then emit ctx (Obs.Event.Task_start { region = w.region });
   (try Effect.Deep.match_with t.run () handler
    with e ->
      (* first failure wins; stop the pool, the session re-raises *)
      if Atomic.compare_and_set ctx.pool.error None (Some e) then ();
      Atomic.set ctx.pool.stop true);
-  fire ctx Task_finish
+  if traced ctx then emit ctx (Obs.Event.Task_finish { region = w.region })
 
 (* [steal_victim ~r ~self ~n k]: the k-th victim of one randomized
    sweep — start at a random offset among the other [n - 1] workers
@@ -826,10 +768,11 @@ let steal_victim ~(r : int) ~(self : int) ~(n : int) (k : int) : int =
   (self + d) mod n
 
 (* One randomized sweep over the other workers' deque tops.
-   [log_fails] controls whether empty probes are reported as
-   {!Steal_fail} events — the worker loop sets it only on the first
-   sweep of a drought, so backoff spinning does not flood the
-   observers (the counters are always exact regardless). *)
+   [log_fails] controls whether empty probes are traced as failed
+   [Steal] events — the worker loop sets it only on the first sweep of
+   a drought, so backoff spinning does not flood the rings with
+   megahertz noise; the [Nap] events cover the rest of the drought
+   (the counters are always exact regardless). *)
 let try_steal ?(log_fails = false) (ctx : ctx) : task option =
   let w = ctx.worker in
   let workers = ctx.pool.workers in
@@ -843,9 +786,11 @@ let try_steal ?(log_fails = false) (ctx : ctx) : task option =
     (match Ws_deque.steal_top workers.(victim).deque with
     | Some t ->
         w.st_steals <- w.st_steals + 1;
-        fire ctx (Steal { victim });
+        if traced ctx then emit ctx (Obs.Event.Steal { ok = true; victim });
         found := Some t
-    | None -> if log_fails then fire ctx (Steal_fail { victim }));
+    | None ->
+        if log_fails && traced ctx then
+          emit ctx (Obs.Event.Steal { ok = false; victim }));
     incr k
   done;
   !found
@@ -894,7 +839,7 @@ let worker_loop (ctx : ctx) : unit =
       Unix.sleepf nap;
       let ns = Mclock.now_ns () - t0 in
       ctx.worker.st_idle_ns <- ctx.worker.st_idle_ns + ns;
-      fire ctx (Nap { ns })
+      if traced ctx then emit ctx (Obs.Event.Nap { ns })
     end
   in
   let running = ref true in
@@ -969,7 +914,6 @@ let make_worker ?(tracer : Obs.Trace.t option) ?(chaos : Chaos.state option)
     st_tasks = 0;
     st_max_deque = 0;
     st_idle_ns = 0;
-    st_callback_errors = 0;
     st_faults = 0;
     st_cancels = 0;
     st_polls = 0;
@@ -989,7 +933,6 @@ let worker_stats (w : worker) : worker_stats =
     tasks_run = w.st_tasks;
     max_deque = w.st_max_deque;
     idle_ns = w.st_idle_ns;
-    callback_errors = w.st_callback_errors;
     faults_injected = w.st_faults;
     cancels = w.st_cancels;
     polls = w.st_polls;
@@ -1008,7 +951,6 @@ let zero_stats =
     tasks_run = 0;
     max_deque = 0;
     idle_ns = 0;
-    callback_errors = 0;
     faults_injected = 0;
     cancels = 0;
     polls = 0;
@@ -1029,7 +971,6 @@ let sum_stats (per : worker_stats array) : worker_stats =
         tasks_run = acc.tasks_run + s.tasks_run;
         max_deque = max acc.max_deque s.max_deque;
         idle_ns = acc.idle_ns + s.idle_ns;
-        callback_errors = acc.callback_errors + s.callback_errors;
         faults_injected = acc.faults_injected + s.faults_injected;
         cancels = acc.cancels + s.cancels;
         polls = acc.polls + s.polls;
@@ -1070,7 +1011,6 @@ let metrics ?(tracer : Obs.Trace.t option) (st : stats) : Obs.Metrics.t =
     tasks = st.total.tasks_run;
     max_deque = st.total.max_deque;
     idle_ns = st.total.idle_ns;
-    callback_errors = st.total.callback_errors;
     faults_injected = st.total.faults_injected;
     cancels = st.total.cancels;
     polls = st.total.polls;
@@ -1088,12 +1028,7 @@ let metrics ?(tracer : Obs.Trace.t option) (st : stats) : Obs.Metrics.t =
    process: every piece of scheduler state is pool-scoped and reached
    through the domain-local ctx, so N disjoint domain sets can each
    run their own heartbeat — the sharded serving layer ({!Net.Shard})
-   runs one warm session per shard.  [sessions] counts live sessions
-   (a diagnostics probe, not a guard). *)
-let sessions = Atomic.make 0
-
-(** Number of currently live sessions in this process. *)
-let session_count () : int = Atomic.get sessions
+   runs one warm session per shard. *)
 
 (** [run ?config main] executes [main] under the multi-domain
     heartbeat scheduler: [config.domains] worker domains (the calling
@@ -1107,83 +1042,79 @@ let session_count () : int = Atomic.get sessions
 let run ?(config = default_config) (main : unit -> 'a) : 'a * stats =
   if Domain.DLS.get ctx_key <> None then
     invalid_arg "Par.Runtime.run: already running";
-  Atomic.incr sessions;
-  Fun.protect
-    ~finally:(fun () -> Atomic.decr sessions)
-    (fun () ->
-      let n = max 1 config.domains in
-      (* chaos state is materialized per targeted worker only; an
-         absent or empty plan leaves every worker's [chaos = None] —
-         the exact chaos-free hot path and counters *)
-      let chaos_for id =
-        match config.chaos with
-        | None -> None
-        | Some p ->
-            Chaos.state_for p ~domain:id
-              ~heart_s:(Float.max 0. config.heart_us *. 1e-6)
-      in
-      let pool =
-        {
-          cfg = config;
-          heart_ns = int_of_float (Float.max 0. config.heart_us *. 1e3);
-          t0_ns = Mclock.now_ns ();
-          workers =
-            Array.init n (fun id ->
-                make_worker ?tracer:config.tracer ?chaos:(chaos_for id) ~id ());
-          stop = Atomic.make false;
-          ping_stop = Atomic.make false;
-          error = Atomic.make None;
-          urgency = Obs.Padding.atomic 0;
-          cancel = Obs.Padding.atomic None;
-        }
-      in
-      let result = ref None in
-      (* main is an ordinary task on worker 0's deque; its completion
-         implies every fork has joined, so no task can outlive it *)
-      Ws_deque.push_bottom pool.workers.(0).deque
-        {
-          run =
-            (fun () ->
-              result := Some (main ());
-              Atomic.set pool.stop true);
-          marks = ref [];
-          region =
-            (match config.tracer with
-            | Some tr -> Obs.Trace.intern tr "main"
-            | None -> 0);
-        };
-      let ping =
-        match config.source with
-        | `Polling -> None
-        | `Ping_domain -> Some (Domain.spawn (fun () -> ping_loop pool))
-      in
-      let stop_ping () =
-        Atomic.set pool.ping_stop true;
-        Option.iter Domain.join ping
-      in
-      let others =
-        try
-          Array.init (n - 1) (fun i ->
-              Domain.spawn (fun () -> run_worker pool (i + 1)))
-        with e ->
-          (* spawn failed: stop whatever did start, then re-raise *)
-          Atomic.set pool.stop true;
-          stop_ping ();
-          raise e
-      in
-      run_worker pool 0;
-      Array.iter Domain.join others;
+  let n = max 1 config.domains in
+  (* chaos state is materialized per targeted worker only; an
+     absent or empty plan leaves every worker's [chaos = None] —
+     the exact chaos-free hot path and counters *)
+  let chaos_for id =
+    match config.chaos with
+    | None -> None
+    | Some p ->
+        Chaos.state_for p ~domain:id
+          ~heart_s:(Float.max 0. config.heart_us *. 1e-6)
+  in
+  let pool =
+    {
+      cfg = config;
+      heart_ns = int_of_float (Float.max 0. config.heart_us *. 1e3);
+      t0_ns = Mclock.now_ns ();
+      workers =
+        Array.init n (fun id ->
+            make_worker ?tracer:config.tracer ?chaos:(chaos_for id) ~id ());
+      stop = Atomic.make false;
+      ping_stop = Atomic.make false;
+      error = Atomic.make None;
+      urgency = Obs.Padding.atomic 0;
+      cancel = Obs.Padding.atomic None;
+    }
+  in
+  let result = ref None in
+  (* main is an ordinary task on worker 0's deque; its completion
+     implies every fork has joined, so no task can outlive it *)
+  Ws_deque.push_bottom pool.workers.(0).deque
+    {
+      run =
+        (fun () ->
+          result := Some (main ());
+          Atomic.set pool.stop true);
+      marks = ref [];
+      region =
+        (match config.tracer with
+        | Some tr -> Obs.Trace.intern tr "main"
+        | None -> 0);
+    };
+  let ping =
+    match config.source with
+    | `Polling -> None
+    | `Ping_domain -> Some (Domain.spawn (fun () -> ping_loop pool))
+  in
+  let stop_ping () =
+    Atomic.set pool.ping_stop true;
+    Option.iter Domain.join ping
+  in
+  let others =
+    try
+      Array.init (n - 1) (fun i ->
+          Domain.spawn (fun () -> run_worker pool (i + 1)))
+    with e ->
+      (* spawn failed: stop whatever did start, then re-raise *)
+      Atomic.set pool.stop true;
       stop_ping ();
-      (* the monotonic clock of [live_stats] and the idle counters, so
-         an idle fraction divides like by like *)
-      let elapsed_s = float_of_int (Mclock.now_ns () - pool.t0_ns) *. 1e-9 in
-      (match Atomic.get pool.error with Some e -> raise e | None -> ());
-      let per_worker = Array.map worker_stats pool.workers in
-      let st =
-        { domains = n; elapsed_s; total = sum_stats per_worker; per_worker }
-      in
-      match !result with
-      | Some r -> (r, st)
-      | None ->
-          invalid_arg
-            "Par.Runtime.run: computation did not complete (deadlock?)")
+      raise e
+  in
+  run_worker pool 0;
+  Array.iter Domain.join others;
+  stop_ping ();
+  (* the monotonic clock of [live_stats] and the idle counters, so
+     an idle fraction divides like by like *)
+  let elapsed_s = float_of_int (Mclock.now_ns () - pool.t0_ns) *. 1e-9 in
+  (match Atomic.get pool.error with Some e -> raise e | None -> ());
+  let per_worker = Array.map worker_stats pool.workers in
+  let st =
+    { domains = n; elapsed_s; total = sum_stats per_worker; per_worker }
+  in
+  match !result with
+  | Some r -> (r, st)
+  | None ->
+      invalid_arg
+        "Par.Runtime.run: computation did not complete (deadlock?)"

@@ -7,8 +7,8 @@
     onto processes ([pid]), threads ([tid]) and timestamps (µs, as the
     viewers expect).  Only the event phases the viewers actually render
     are supported: complete spans ([ph:"X"]), thread-scoped instants
-    ([ph:"i"]), counters ([ph:"C"]) and the metadata records that name
-    processes and threads ([ph:"M"]). *)
+    ([ph:"i"]) and the metadata records that name processes and
+    threads ([ph:"M"]). *)
 
 type arg = Int of int | Float of float | Str of string
 
@@ -31,11 +31,6 @@ let complete ?(cat = "") ?(args = []) ~(name : string) ~(pid : int)
 let instant ?(cat = "") ?(args = []) ~(name : string) ~(pid : int)
     ~(tid : int) ~(ts : float) () : event =
   { ph = "i"; name; cat; pid; tid; ts; dur = None; scope = Some "t"; args }
-
-let counter ?(cat = "") ~(name : string) ~(pid : int) ~(ts : float)
-    (series : (string * float) list) : event =
-  { ph = "C"; name; cat; pid; tid = 0; ts; dur = None; scope = None;
-    args = List.map (fun (k, v) -> (k, Float v)) series }
 
 let thread_name ~(pid : int) ~(tid : int) (name : string) : event =
   { ph = "M"; name = "thread_name"; cat = ""; pid; tid; ts = 0.; dur = None;
@@ -109,7 +104,3 @@ let to_string (events : event list) : string =
     events;
   Buffer.add_string buf "],\"displayTimeUnit\":\"ns\"}";
   Buffer.contents buf
-
-(** [write oc events] writes the trace document to [oc]. *)
-let write (oc : out_channel) (events : event list) : unit =
-  output_string oc (to_string events)

@@ -75,16 +75,15 @@ let test_on_beat_mechanics () =
 (* ------------------------------------------------------------------ *)
 (* Whole-session properties. *)
 
-let config ?chaos ?on_event ~domains () =
+let config ?chaos ?tracer ~domains () =
   {
-    Par.Runtime.default_config with
-    domains;
+    Par.Runtime.domains;
     heart_us = 0.;
     (* a beat at every poll: deterministic single-domain counters, and
        beat-indexed faults land immediately *)
     source = `Polling;
     chaos;
-    on_event;
+    tracer;
   }
 
 (* a deterministic kernel: fill-and-fold through par_for, checked
@@ -123,7 +122,7 @@ let test_timing_faults_keep_results () =
      domain would race against idle workers that never poll.  At least
      one domain runs the bulk of the kernel (thousands of strip polls),
      so at least its three faults fire; results must be untouched and
-     every activation must surface as a Fault event *)
+     every activation must surface as a Chaos event on a ring *)
   let faults_for d =
     [
       { Par.Chaos.domain = d; at_beat = 0; kind = Par.Chaos.Stall 2 };
@@ -136,20 +135,21 @@ let test_timing_faults_keep_results () =
     ]
   in
   let plan = { Par.Chaos.seed = 7; faults = faults_for 0 @ faults_for 1 } in
-  let seen = Atomic.make 0 in
-  let on_event ~worker:_ = function
-    | Par.Runtime.Fault _ -> Atomic.incr seen
-    | _ -> ()
-  in
+  (* a beat at every poll: room for 8 events per iteration (beat,
+     promotion, steal, task start and finish, join suspend and resume,
+     fault) on each worker's ring *)
+  let tr = Obs.Trace.create ~capacity:(8 * kernel_n) () in
   let v, st =
     Par.Runtime.run
-      ~config:(config ~chaos:plan ~on_event ~domains:2 ())
+      ~config:(config ~chaos:plan ~tracer:tr ~domains:2 ())
       kernel
   in
   check_int "checksum survives timing faults" kernel_expected v;
+  check_int "the rings dropped nothing" 0 (Obs.Trace.total_dropped tr);
   let injected = st.Par.Runtime.total.faults_injected in
   check "the working domain's faults fired" true (injected >= 3);
-  check_int "every fault visible as an event" injected (Atomic.get seen)
+  check_int "every fault visible as an event" injected
+    (Suite_obs.ring_count tr (function Chaos _ -> true | _ -> false))
 
 let test_raise_is_typed_and_survivable () =
   (* Raise on both domains at beat 0: whichever worker wins the race

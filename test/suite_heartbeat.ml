@@ -17,47 +17,39 @@ let hot : Hb.config =
 
 let run f = Hb.run ~config:hot f
 
-let test_on_event_hook_matches_stats () =
-  (* the observability hook sees exactly the events the runtime's own
-     counters record *)
-  let beats = ref 0
-  and loops = ref 0
-  and branches = ref 0
-  and suspends = ref 0
-  and resumes = ref 0
-  and starts = ref 0
-  and finishes = ref 0 in
-  let on_event ~worker:_ : Hb.event -> unit = function
-    | Hb.Beat -> incr beats
-    | Hb.Promoted `Loop -> incr loops
-    | Hb.Promoted `Branch -> incr branches
-    | Hb.Join_suspend -> incr suspends
-    | Hb.Join_resume -> incr resumes
-    | Hb.Task_start -> incr starts
-    | Hb.Task_finish -> incr finishes
-    | _ -> ()
-  in
+let test_ring_events_match_stats () =
+  (* the worker's trace ring records exactly the events the runtime's
+     own counters count *)
+  let tr = Obs.Trace.create () in
   let n = 200_000 in
   let total = ref 0 in
   let (), { total = st; _ } =
     Hb.run
-      ~config:{ hot with on_event = Some on_event }
+      ~config:{ hot with tracer = Some tr }
       (fun () -> Hb.par_for ~lo:0 ~hi:n (fun i -> total := !total + (i mod 3)))
   in
+  check_int "the ring dropped nothing" 0 (Obs.Trace.total_dropped tr);
+  let count = Suite_obs.ring_count tr in
+  let starts = count (function Task_start _ -> true | _ -> false)
+  and finishes = count (function Task_finish _ -> true | _ -> false)
+  and resumes = count (( = ) Obs.Event.Join_resume)
+  and suspends = count (( = ) Obs.Event.Join_suspend) in
   check "work done" true (!total > 0);
-  check_int "beats" st.beats !beats;
-  check_int "loop promotions" st.loop_promotions !loops;
-  check_int "branch promotions" st.branch_promotions !branches;
-  check_int "suspends" st.joins !suspends;
-  check_int "resumes" st.resumes !resumes;
-  check_int "every task run started" st.tasks_run !starts;
+  check_int "beats" st.beats (count (( = ) Obs.Event.Beat));
+  check_int "loop promotions" st.loop_promotions
+    (count (( = ) (Obs.Event.Promote { kind = `Loop })));
+  check_int "branch promotions" st.branch_promotions
+    (count (( = ) (Obs.Event.Promote { kind = `Branch })));
+  check_int "suspends" st.joins suspends;
+  check_int "resumes" st.resumes resumes;
+  check_int "every task run started" st.tasks_run starts;
   (* at one domain a task is main, a promoted child or a resumed
      parent *)
   check_int "tasks = main + promoted + resumed"
     (1 + st.promotions + st.resumes)
     st.tasks_run;
-  check_int "every started task finished" !starts !finishes;
-  check "suspends eventually resumed" true (!resumes <= !suspends)
+  check_int "every started task finished" starts finishes;
+  check "suspends eventually resumed" true (resumes <= suspends)
 
 let test_par_for_covers_every_index () =
   let n = 100_000 in
@@ -258,8 +250,8 @@ let suite =
   ( "heartbeat-runtime",
     [
       Alcotest.test_case "par_for coverage" `Quick test_par_for_covers_every_index;
-      Alcotest.test_case "on_event hook matches stats" `Quick
-        test_on_event_hook_matches_stats;
+      Alcotest.test_case "ring events match stats" `Quick
+        test_ring_events_match_stats;
       Alcotest.test_case "empty/single ranges" `Quick
         test_par_for_empty_and_single;
       Alcotest.test_case "fork2 both branches" `Quick test_fork2_runs_both;

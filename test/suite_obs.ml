@@ -3,8 +3,8 @@
    reconciliation against the evaluator's own cost semantics — plus
    the event-stream invariants of the REAL runtime: every worker's
    Task_start/Task_finish events strictly alternate, a steal never
-   names the thief as its own victim, and a raising user callback
-   cannot kill a worker domain. *)
+   names the thief as its own victim, and every ring count equals the
+   counter the runtime keeps for it. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -73,7 +73,6 @@ let test_event_roundtrip () =
       Task_start { region = 7 };
       Task_finish { region = 7 };
       Nap { ns = 123_456 };
-      Callback_error;
       Admit { tenant = 2 };
       Reject { shed = true };
       Reject { shed = false };
@@ -176,6 +175,13 @@ let test_trace_drop_accounting () =
       check_int "retained events" 16 (List.length evs)
   | tracks -> Alcotest.failf "expected 1 track, got %d" (List.length tracks)
 
+(* [ring_count tr p]: the events on all of [tr]'s tracks that satisfy
+   [p]. *)
+let ring_count (tr : Obs.Trace.t) (p : Obs.Event.t -> bool) : int =
+  List.concat_map snd (Obs.Trace.events tr)
+  |> List.filter (fun (_, e) -> p e)
+  |> List.length
+
 (* ------------------------------------------------------------------ *)
 (* Real-runtime event-stream invariants.  The kernel below forks both
    ways the runtime promotes: a par_for (loop promotion) and a fork2
@@ -206,39 +212,38 @@ let serial_kernel () : int =
   let rec fib k = if k < 2 then k else fib (k - 1) + fib (k - 2) in
   Array.fold_left ( + ) 0 a + fib 16
 
-let test_on_event_invariants () =
+let test_ring_event_invariants () =
   let domains = 4 in
-  (* each slot is appended to only by its own worker domain *)
-  let evs = Array.init domains (fun _ -> ref []) in
+  let tr = Obs.Trace.create () in
   let config =
     {
       Par.Runtime.default_config with
       domains;
       heart_us = 30.;
       source = `Polling;
-      on_event =
-        Some (fun ~worker ev -> evs.(worker) := ev :: !(evs.(worker)));
+      tracer = Some tr;
     }
   in
   let sum, (st : Par.Runtime.stats) = Par.Runtime.run ~config kernel in
   check_int "checksum" (serial_kernel ()) sum;
   check "beats observed" true (st.total.beats > 0);
-  Array.iteri
-    (fun w events ->
-      let events = List.rev !events in
+  check_int "the rings dropped nothing" 0 (Obs.Trace.total_dropped tr);
+  (* worker [w] owns the [w]-th track *)
+  List.iteri
+    (fun w (_, events) ->
       let depth = ref 0 in
       List.iter
-        (fun (ev : Par.Runtime.event) ->
+        (fun ((_, ev) : int * Obs.Event.t) ->
           match ev with
-          | Task_start ->
+          | Task_start _ ->
               incr depth;
               (* run_task never nests on one worker: suspension ends
                  the bracket, resumption opens a fresh one *)
               check "starts do not nest" true (!depth = 1)
-          | Task_finish ->
+          | Task_finish _ ->
               decr depth;
               check "finish matches a start" true (!depth >= 0)
-          | Steal { victim } | Steal_fail { victim } ->
+          | Steal { victim; _ } ->
               check "victim is not the thief" true (victim <> w);
               check "victim in range" true (victim >= 0 && victim < domains)
           | Nap { ns } -> check "nap duration positive" true (ns > 0)
@@ -247,7 +252,7 @@ let test_on_event_invariants () =
       check_int
         (Printf.sprintf "worker %d start/finish balance" w)
         0 !depth)
-    evs
+    (Obs.Trace.events tr)
 
 let test_ring_invariants_and_export () =
   let domains = 4 in
@@ -295,8 +300,6 @@ let test_ring_invariants_and_export () =
   check_int "metrics domains" domains m.domains;
   check "metrics beats" true (m.beats > 0);
   check "metrics traced" true (m.traced = Obs.Trace.total_written tr);
-  check "metrics json valid" true
-    (Suite_stats.json_is_valid (Obs.Metrics.to_json m));
   (* and the Chrome export is loadable: valid JSON naming every worker
      track and the heartbeat events *)
   let json = Obs.Export.to_chrome_string tr in
@@ -350,29 +353,45 @@ let test_with_region () =
     (Obs.Trace.events tr);
   check "a promoted task carries the region label" true !labelled
 
-let test_callback_error_containment () =
-  (* a user callback that raises on every beat must not kill the
-     worker domain or corrupt the run: the error is counted and the
-     checksum still agrees *)
-  let config =
-    {
-      Par.Runtime.default_config with
-      domains = 2;
-      heart_us = 30.;
-      source = `Polling;
-      on_event =
-        Some
-          (fun ~worker:_ ev ->
-            match (ev : Par.Runtime.event) with
-            | Beat -> failwith "observer bug"
-            | _ -> ());
-    }
-  in
-  let sum, (st : Par.Runtime.stats) = Par.Runtime.run ~config kernel in
-  check_int "checksum despite raising callback" (serial_kernel ()) sum;
-  check "errors were counted" true (st.total.callback_errors > 0);
-  check "errors surface in metrics" true
-    ((Par.Runtime.metrics st).callback_errors > 0)
+let test_ring_counts_equal_counters () =
+  List.iter
+    (fun domains ->
+      let tr = Obs.Trace.create () in
+      let config =
+        {
+          Par.Runtime.default_config with
+          domains;
+          heart_us = 30.;
+          source = `Polling;
+          tracer = Some tr;
+        }
+      in
+      let sum, (st : Par.Runtime.stats) = Par.Runtime.run ~config kernel in
+      check_int "checksum" (serial_kernel ()) sum;
+      check_int "the rings dropped nothing" 0 (Obs.Trace.total_dropped tr);
+      let count = ring_count tr in
+      let equal what counter p =
+        check_int (Printf.sprintf "%s at %d domains" what domains) counter
+          (count p)
+      in
+      let s = st.total in
+      equal "beats" s.beats (( = ) Obs.Event.Beat);
+      equal "loop promotions" s.loop_promotions
+        (( = ) (Obs.Event.Promote { kind = `Loop }));
+      equal "branch promotions" s.branch_promotions
+        (( = ) (Obs.Event.Promote { kind = `Branch }));
+      equal "joins" s.joins (( = ) Obs.Event.Join_suspend);
+      equal "resumes" s.resumes (( = ) Obs.Event.Join_resume);
+      equal "task starts" s.tasks_run (function
+        | Task_start _ -> true
+        | _ -> false);
+      equal "task finishes" s.tasks_run (function
+        | Task_finish _ -> true
+        | _ -> false);
+      equal "steals" s.steals (function
+        | Steal { ok; _ } -> ok
+        | _ -> false))
+    [ 2; 4 ]
 
 let test_tiny_rings_under_load () =
   (* tiny rings under a real multi-domain run: drops must be accounted,
@@ -524,14 +543,14 @@ let suite =
       Alcotest.test_case "label interning" `Quick test_labels;
       Alcotest.test_case "trace drop accounting" `Quick
         test_trace_drop_accounting;
-      Alcotest.test_case "runtime event invariants (callback)" `Quick
-        test_on_event_invariants;
+      Alcotest.test_case "runtime event invariants (rings)" `Quick
+        test_ring_event_invariants;
       Alcotest.test_case "runtime ring invariants and export" `Quick
         test_ring_invariants_and_export;
       Alcotest.test_case "with_region labels promoted tasks" `Quick
         test_with_region;
-      Alcotest.test_case "raising callback is contained" `Quick
-        test_callback_error_containment;
+      Alcotest.test_case "ring counts equal counters" `Quick
+        test_ring_counts_equal_counters;
       Alcotest.test_case "tiny rings under load" `Quick
         test_tiny_rings_under_load;
       Alcotest.test_case "profile reconciles with eval cost" `Quick

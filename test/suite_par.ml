@@ -568,12 +568,8 @@ let test_exception_propagation () =
     [ 1; 3 ]
 
 let test_stats_accounting () =
-  let events = Atomic.make 0 in
-  let config =
-    { (cfg ~domains:2 ~heart_us:15. ()) with
-      on_event = Some (fun ~worker:_ _ -> ignore (Atomic.fetch_and_add events 1))
-    }
-  in
+  let tr = Obs.Trace.create () in
+  let config = { (cfg ~domains:2 ~heart_us:15. ()) with tracer = Some tr } in
   let live = ref 0. in
   let (), st =
     Par.Runtime.run ~config (fun () ->
@@ -581,7 +577,8 @@ let test_stats_accounting () =
             Sys.opaque_identity i |> ignore);
         live := (Par.Runtime.live_stats ()).elapsed_s)
   in
-  check "some events fired" true (Atomic.get events > 0);
+  check "some events traced" true (Obs.Trace.total_written tr > 0);
+  check_int "the rings dropped nothing" 0 (Obs.Trace.total_dropped tr);
   check "promotions split into loop+branch" true
     (st.total.promotions
     = st.total.loop_promotions + st.total.branch_promotions);
@@ -777,17 +774,9 @@ let test_slowdown_beat_bound () =
     done
   in
   let attempt () =
-    let beats = ref [] in
+    let tr = Obs.Trace.create () in
     let config =
-      {
-        (cfg ~domains:1 ~heart_us ()) with
-        source = `Polling;
-        on_event =
-          Some
-            (fun ~worker:_ -> function
-              | Par.Runtime.Beat -> beats := Mclock.now_ns () :: !beats
-              | _ -> ());
-      }
+      { (cfg ~domains:1 ~heart_us ()) with source = `Polling; tracer = Some tr }
     in
     let executed = ref 0 and switch_ns = ref 0 and last_ns = ref 0 in
     let (), _ =
@@ -802,9 +791,15 @@ let test_slowdown_beat_bound () =
               end))
     in
     check_int "every iteration ran" n !executed;
-    match
-      List.sort compare (List.filter (fun t -> t >= !switch_ns) !beats)
-    with
+    check_int "the ring dropped nothing" 0 (Obs.Trace.total_dropped tr);
+    (* a beat's {!Mclock} stamp: the trace's origin plus its offset *)
+    let beats =
+      List.concat_map snd (Obs.Trace.events tr)
+      |> List.filter_map (fun (at_ns, e) ->
+             if e = Obs.Event.Beat then Some (tr.Obs.Trace.t0_ns + at_ns)
+             else None)
+    in
+    match List.sort compare (List.filter (fun t -> t >= !switch_ns) beats) with
     | [] -> Alcotest.fail "no beat after the slowdown"
     | first :: _ ->
         let slow_ns = (!last_ns - !switch_ns) / slow in
@@ -883,6 +878,66 @@ let test_time_sized_strips_exactly_once () =
         (st.total.polls < rows * cols / 4))
     [ 1; 2; 4 ]
 
+(* Pay-for-use: an untraced session builds no events.  At ♥ = 0 every
+   poll beats and promotes, so a 20,000-index par_for runs 8,193 tasks;
+   their task records, closures and marks cost 35 minor words per task
+   run, on top of what an empty session costs to set up.  A
+   Task_start/Task_finish pair built with no ring to take it would add
+   4.  Of three runs the leanest counts: the words are exact, but any
+   other thread on this domain allocates into the same count. *)
+let test_untraced_allocation_budget () =
+  let config = { (cfg ~domains:1 ~heart_us:0. ()) with source = `Polling } in
+  let session hi =
+    let w0 = Gc.minor_words () in
+    let (), st =
+      Par.Runtime.run ~config (fun () ->
+          Par.Runtime.par_for ~lo:0 ~hi (fun _ -> ()))
+    in
+    (Gc.minor_words () -. w0, st.total.tasks_run)
+  in
+  let setup, _ = session 0 in
+  let runs = List.init 3 (fun _ -> session 20_000) in
+  let words = List.fold_left (fun m (w, _) -> Float.min m w) infinity runs
+  and tasks = snd (List.hd runs) in
+  let budget = 35 * tasks in
+  if words -. setup > float_of_int budget then
+    Alcotest.failf "%.0f minor words for %d tasks (budget %d)" (words -. setup)
+      tasks budget
+
+(* A promoted child starts at its parent's strip, not at 1.  ♥ is so
+   long that no beat comes by itself: strips double up to [max_strip]
+   and their count is exact.  One beat is forced by raising the urgency
+   until the promotion lands.  A child that restarted at strip 1 would
+   spend log2 [max_strip] = 13 extra polls growing back, so the loop
+   with that one promotion may take only a few more polls than the
+   same loop with none. *)
+let test_promoted_child_keeps_strip () =
+  let config = { (cfg ~domains:1 ~heart_us:1e12 ()) with source = `Polling } in
+  let n = 64 * Par.Runtime.max_strip in
+  let polls ~promote =
+    let forcing = ref false in
+    let (), st =
+      Par.Runtime.run ~config (fun () ->
+          Par.Runtime.par_for ~lo:0 ~hi:n (fun i ->
+              if promote && i = n / 4 then begin
+                Par.Runtime.set_urgency Par.Runtime.max_urgency;
+                forcing := true
+              end
+              else if
+                !forcing && (Par.Runtime.live_stats ()).total.promotions > 0
+              then begin
+                Par.Runtime.set_urgency 0;
+                forcing := false
+              end))
+    in
+    check_int "promotions" (if promote then 1 else 0) st.total.promotions;
+    st.total.polls
+  in
+  let extra = polls ~promote:true - polls ~promote:false in
+  check
+    (Printf.sprintf "one promotion costs %d extra polls" extra)
+    true (extra <= 4)
+
 let suite =
   ( "par",
     [
@@ -927,4 +982,8 @@ let suite =
         test_slowdown_beat_bound;
       Alcotest.test_case "time-sized strips exactly once" `Quick
         test_time_sized_strips_exactly_once;
+      Alcotest.test_case "untraced allocation budget" `Quick
+        test_untraced_allocation_budget;
+      Alcotest.test_case "promoted child keeps its parent's strip" `Quick
+        test_promoted_child_keeps_strip;
     ] )

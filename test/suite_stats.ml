@@ -210,7 +210,6 @@ let test_chrome_trace_emitter () =
         ~args:[ ("work", C.Int 7); ("f", C.Float 1.25) ]
         ~name:"run" ~pid:0 ~tid:3 ~ts:1.5 ~dur:2.5 ();
       C.instant ~name:"beat \"x\"\n" ~pid:0 ~tid:3 ~ts:4.0 ();
-      C.counter ~name:"util" ~pid:0 ~ts:5.0 [ ("u", 0.5) ];
     ]
   in
   let s = C.to_string events in
