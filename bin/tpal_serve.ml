@@ -13,9 +13,10 @@
      tpal_serve --connect 127.0.0.1:7411 --requests 100000 --conns 4
 
    SIGINT/SIGTERM are graceful everywhere: the in-process load stops
-   submitting and drains; the server stops accepting, notifies
-   clients, drains or typed-rejects queued requests, flushes metrics
-   and trace output, and exits 0.
+   submitting and drains; the server prints its live heap ("server
+   heap: N live words", after a full major collection), stops
+   accepting, notifies clients, drains or typed-rejects queued
+   requests, flushes metrics and trace output, and exits 0.
 
    Exits non-zero when the exactly-once audit fails (lost, duplicated
    or mismatched requests) or an explicit request errors. *)
@@ -234,6 +235,11 @@ let run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
           while not (Atomic.get stop_requested) do
             Thread.delay 0.05
           done;
+          (* measured before [stop], while the server still holds its
+             connections and shards: state kept for tickets already
+             answered shows up here, and is gone once it drains *)
+          Gc.full_major ();
+          Fmt.pr "server heap: %d live words@." (Gc.stat ()).live_words;
           Fmt.pr "draining...@.";
           let st = Net.Server.stop srv in
           Fmt.pr

@@ -3,11 +3,18 @@
     store, writes serialized by a mutex.  Used by the load generator
     ({!Netload}), the CLI client mode, and the loopback tests.
 
-    The client is also the audit's witness: it counts {e duplicate}
-    responses (two responses for one ticket — an exactly-once breach
-    observed at the protocol level) and stamps each response's arrival
-    time, so round-trip latency is measured where a real caller would
-    feel it. *)
+    The client is also the audit's witness: it counts the responses
+    it did not expect (a second response for one ticket — an
+    exactly-once breach observed at the protocol level — or one for a
+    ticket it never issued) and stamps each response's arrival time,
+    so round-trip latency is measured where a real caller would feel
+    it.
+
+    A response is stored only until {!try_response} or {!await}
+    returns it, and after that the client remembers only that the
+    ticket was answered; both live in one {!Serve.Answered}, so the
+    client's memory tracks the responses in flight or unread, not the
+    responses received. *)
 
 type response = {
   status : Wire.status;
@@ -22,7 +29,9 @@ type t = {
   w_m : Mutex.t;
   m : Mutex.t;
   cv : Condition.t;
-  results : (int, response) Hashtbl.t;
+  results : response Serve.Answered.t;
+      (** which tickets have a response, and each response until it is
+          read *)
   mutable next : int;
   mutable duplicates : int;
   mutable shards : int option;  (** from [Hello_ok] *)
@@ -38,11 +47,14 @@ let reader_loop (t : t) : unit =
   let on_frame = function
     | Wire.Response { ticket; status; value; sojourn_us; info } ->
         Mutex.lock t.m;
-        if Hashtbl.mem t.results ticket then t.duplicates <- t.duplicates + 1
-        else
-          Hashtbl.replace t.results ticket
-            { status; value; sojourn_us; info; at = Mclock.now_s () };
-        Condition.broadcast t.cv;
+        (* a ticket never issued is dropped before it reaches the set,
+           so a peer cannot grow it or release a window early *)
+        if
+          ticket >= 0 && ticket < t.next
+          && Serve.Answered.resolve t.results ticket
+               (Some { status; value; sojourn_us; info; at = Mclock.now_s () })
+        then Condition.broadcast t.cv
+        else t.duplicates <- t.duplicates + 1;
         Mutex.unlock t.m
     | Wire.Hello_ok { shards } ->
         Mutex.lock t.m;
@@ -128,7 +140,7 @@ let connect ?(client = "tpal-client") (addr : Server.addr) : t =
       w_m = Mutex.create ();
       m = Mutex.create ();
       cv = Condition.create ();
-      results = Hashtbl.create 1024;
+      results = Serve.Answered.create ();
       next = 0;
       duplicates = 0;
       shards = None;
@@ -169,36 +181,64 @@ let submit (t : t) ~(tenant : string) ?(deadline_us = 0) ?(size = 1)
 let cancel (t : t) (ticket : int) : unit = send t (Wire.Cancel { ticket })
 let bye (t : t) : unit = try send t Wire.Bye with _ -> ()
 
+(* A read of [ticket], under [m].  A ticket this client never issued
+   releases [m] and raises [Invalid_argument]. *)
+let read_locked ~(fn : string) (t : t) (ticket : int) =
+  if ticket < 0 || ticket >= t.next then begin
+    Mutex.unlock t.m;
+    invalid_arg (Printf.sprintf "Net.Client.%s: ticket %d never issued" fn ticket)
+  end;
+  Serve.Answered.take t.results ticket
+
+(** [try_response t ticket]: the ticket's response if it has arrived
+    and was not read yet.  Returning it is the one read: the client
+    forgets it, and later reads get [None].  Raises [Invalid_argument]
+    for a ticket never issued. *)
 let try_response (t : t) (ticket : int) : response option =
   Mutex.lock t.m;
-  let r = Hashtbl.find_opt t.results ticket in
+  let r =
+    match read_locked ~fn:"try_response" t ticket with
+    | `Value r -> Some r
+    | `Delivered | `Pending -> None
+  in
   Mutex.unlock t.m;
   r
 
-(** Responses received so far. *)
+(** Tickets that have received a response (the first one each), read
+    or not. *)
 let received (t : t) : int =
   Mutex.lock t.m;
-  let n = Hashtbl.length t.results in
+  let n = Serve.Answered.count t.results in
   Mutex.unlock t.m;
   n
 
+(** Responses the client did not expect, dropped on arrival: a second
+    response for a ticket (read or not), or one for a ticket the
+    client never issued.  Zero in a correct exchange. *)
 let duplicates (t : t) : int =
   Mutex.lock t.m;
   let d = t.duplicates in
   Mutex.unlock t.m;
   d
 
-(** [await t ticket]: block until the ticket's response arrives;
-    [None] if the connection dies first (a lost request). *)
+(** [await ?timeout_s t ticket]: block until the ticket's response
+    arrives and return it; as with {!try_response}, that is its one
+    read.  [None] if the connection dies first (a lost request), the
+    timeout passes, or the response was already read — the last at
+    once, without waiting.  Raises [Invalid_argument] for a ticket
+    never issued. *)
 let await ?timeout_s (t : t) (ticket : int) : response option =
   let deadline = Option.map (fun s -> Mclock.now_s () +. s) timeout_s in
   Mutex.lock t.m;
   let rec wait () =
-    match Hashtbl.find_opt t.results ticket with
-    | Some r ->
+    match read_locked ~fn:"await" t ticket with
+    | `Value r ->
         Mutex.unlock t.m;
         Some r
-    | None ->
+    | `Delivered ->
+        Mutex.unlock t.m;
+        None
+    | `Pending ->
         if t.eof then begin
           Mutex.unlock t.m;
           None
@@ -221,12 +261,12 @@ let await ?timeout_s (t : t) (ticket : int) : response option =
       Mutex.unlock t.m;
       None
 
-(** [wait_received t ~fewer_than] blocks until fewer than
-    [fewer_than] submitted tickets are unresponded — the windowed
-    closed-loop gate. *)
+(** [wait_inflight_below t ~submitted ~window] blocks until fewer
+    than [window] of the first [submitted] tickets lack a response —
+    the windowed closed-loop gate. *)
 let wait_inflight_below (t : t) ~(submitted : int) ~(window : int) : unit =
   Mutex.lock t.m;
-  while submitted - Hashtbl.length t.results >= window && not t.eof do
+  while submitted - Serve.Answered.count t.results >= window && not t.eof do
     Condition.wait t.cv t.m
   done;
   Mutex.unlock t.m
@@ -237,7 +277,7 @@ let drain (t : t) ~(submitted : int) ~(timeout_s : float) : unit =
   let deadline = Mclock.now_s () +. timeout_s in
   Mutex.lock t.m;
   while
-    Hashtbl.length t.results < submitted
+    Serve.Answered.count t.results < submitted
     && (not t.eof)
     && Mclock.now_s () < deadline
   do

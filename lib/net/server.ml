@@ -64,8 +64,8 @@ type conn = {
   mutable out_stop : bool;  (** writer: flush what's queued, then exit *)
   mutable closed : bool;  (** fd has been shut down *)
   tickets : (int, Shard.ticket) Hashtbl.t;
-      (** client ticket → shard ticket, for [Cancel]; guarded by
-          [out_m] *)
+      (** client ticket → shard ticket, for [Cancel], while the
+          ticket is in flight; guarded by [out_m] *)
   mutable outstanding : int;  (** admitted, response not yet queued;
                                   guarded by [out_m] *)
   mutable reader : Thread.t option;
@@ -184,6 +184,7 @@ let status_of_error : Serve.Pool.error -> Wire.status * string = function
   | Serve.Pool.Pool_closed -> (Wire.Closed, "")
   | Serve.Pool.Cancelled r -> (Wire.Cancelled r, "")
   | Serve.Pool.Timed_out -> (Wire.Failed, "await timed out")
+  | Serve.Pool.Delivered -> (Wire.Failed, "already delivered")
   | Serve.Pool.Retry_exhausted { attempts } ->
       (Wire.Failed, Printf.sprintf "retry budget exhausted (%d attempts)" attempts)
   | Serve.Pool.Failed e -> (Wire.Failed, Printexc.to_string e)
@@ -243,10 +244,14 @@ let handle_submit (t : t) (c : conn) ~(ticket : int) ~(tenant : string)
         c.outstanding <- c.outstanding + 1;
         Mutex.unlock c.out_m;
         Atomic.incr t.outstanding;
+        (* the hook may run before [Shard.submit] returns; [resolved]
+           keeps a finished ticket out of [c.tickets] *)
+        let resolved = ref false in
         let resolve res =
           Atomic.incr t.responses;
           Mutex.lock c.out_m;
           c.outstanding <- c.outstanding - 1;
+          resolved := true;
           Hashtbl.remove c.tickets ticket;
           Mutex.unlock c.out_m;
           Atomic.decr t.outstanding;
@@ -258,7 +263,7 @@ let handle_submit (t : t) (c : conn) ~(ticket : int) ~(tenant : string)
         with
         | Ok st ->
             Mutex.lock c.out_m;
-            Hashtbl.replace c.tickets ticket st;
+            if not !resolved then Hashtbl.replace c.tickets ticket st;
             Mutex.unlock c.out_m
         | Error e -> resolve (Error e))
 

@@ -15,6 +15,14 @@
     so the socket front-end ({!Server}) needs no await-thread per
     in-flight request.
 
+    Per ticket, the shard holds state only while the ticket is in
+    flight or unread: a ticket submitted with a hook is delivered
+    through it and never stored, one without a hook is stored until
+    the first {!await}/{!try_result} that returns it, and the shard
+    reads each of its pool tickets once, from the pool's hook, so the
+    pools forget them too.  The stored results and which tickets were
+    answered live in one {!Serve.Answered}.
+
     Lock order is strictly [shard.m -> pool.m]; pool callbacks run
     with no pool lock held and take [shard.m], and everything the
     shard stages for user callbacks runs after [shard.m] drops
@@ -90,8 +98,9 @@ type t = {
   pools : Serve.Pool.t array;
   m : Mutex.t;
   cv : Condition.t;
-  results :
-    (ticket, (Serve.Pool.completion, Serve.Pool.error) result) Hashtbl.t;
+  results : (Serve.Pool.completion, Serve.Pool.error) result Serve.Answered.t;
+      (** which tickets resolved, and the result of each one without a
+          hook until its first read *)
   cbs :
     ( ticket,
       (Serve.Pool.completion, Serve.Pool.error) result -> unit )
@@ -110,15 +119,17 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Resolution plumbing (the pool's run_cbs discipline, one level up). *)
 
+(* A hook is its ticket's delivery, so only a hookless result is
+   stored, for its first read. *)
 let resolve_locked (t : t) (id : ticket)
     (res : (Serve.Pool.completion, Serve.Pool.error) result) : unit =
   Hashtbl.remove t.targets id;
-  Hashtbl.replace t.results id res;
   (match Hashtbl.find_opt t.cbs id with
   | Some cb ->
       Hashtbl.remove t.cbs id;
+      ignore (Serve.Answered.resolve t.results id None : bool);
       t.pending_cbs <- (fun () -> cb res) :: t.pending_cbs
-  | None -> ());
+  | None -> ignore (Serve.Answered.resolve t.results id (Some res) : bool));
   Condition.broadcast t.cv
 
 let run_cbs (t : t) : unit =
@@ -142,10 +153,17 @@ let exec_member (e : (module Workloads.Exec.S)) : Serve.Pool.work -> int =
   | Serve.Pool.Thunk f -> f e
   | Serve.Pool.Tpal _ -> assert false (* excluded by [batchable] *)
 
+(* A pool hook already carried its ticket's result; reading it once is
+   what lets the pool forget it.  The hook reads [pt] after taking
+   [t.m], and the submitter sets it before releasing [t.m], so it is
+   valid by then. *)
+let forget_pool_ticket (t : t) (shard : int) (pt : Serve.Pool.ticket) : unit =
+  ignore (Serve.Pool.try_result t.pools.(shard) pt : _ option)
+
 (* Fan a resolved batch back out to its members.  Runs on a
    pool-internal thread with no locks held. *)
-let rec resolve_batch (t : t) (shard : int) (members : member array)
-    (slots : int array)
+let rec resolve_batch (t : t) (shard : int) (pt : Serve.Pool.ticket ref)
+    (members : member array) (slots : int array)
     (res : (Serve.Pool.completion, Serve.Pool.error) result) : unit =
   Mutex.lock t.m;
   let now = Mclock.now_s () in
@@ -168,7 +186,8 @@ let rec resolve_batch (t : t) (shard : int) (members : member array)
     members;
   flush_locked t shard;
   Mutex.unlock t.m;
-  run_cbs t
+  run_cbs t;
+  forget_pool_ticket t shard !pt
 
 (* Submit [members] as one session entry.  Called with [t.m] held. *)
 and submit_batch_locked (t : t) (shard : int) (members : member list) : unit =
@@ -200,13 +219,15 @@ and submit_batch_locked (t : t) (shard : int) (members : member list) : unit =
       (* batches are attributed to a synthetic tenant: DRR fairness
          already ran per-member at routing time; inside a shard the
          batch competes as one unit *)
+      let pt = ref (-1) in
       let submit_res =
         Serve.Pool.submit t.pools.(shard) ~tenant:"_batch" ~deadline_s ~size
-          ~on_resolve:(resolve_batch t shard arr slots)
+          ~on_resolve:(resolve_batch t shard pt arr slots)
           work
       in
       (match submit_res with
-      | Ok (_ : Serve.Pool.ticket) ->
+      | Ok p ->
+          pt := p;
           Array.iter
             (fun m -> Hashtbl.replace t.targets m.ticket (Batched { shard }))
             arr
@@ -242,7 +263,7 @@ let create ?(config = default_config) () : t =
     pools;
     m = Mutex.create ();
     cv = Condition.create ();
-    results = Hashtbl.create 256;
+    results = Serve.Answered.create ();
     cbs = Hashtbl.create 256;
     pending_cbs = [];
     targets = Hashtbl.create 256;
@@ -269,7 +290,8 @@ let depths (t : t) : int array = Array.map Serve.Pool.depth t.pools
     either batch (small, batchable work when batching is on: sent at
     once to an idle pool, else parked) or submit directly.
     Returns a shard-level ticket; [on_resolve] fires exactly once,
-    with no shard lock held, when it resolves. *)
+    with no shard lock held, when it resolves.  An [Error] return
+    issues no ticket, and [on_resolve] never fires for it. *)
 let submit (t : t) ~(tenant : string) ?deadline_s ?(size = 1)
     ?(on_resolve :
        ((Serve.Pool.completion, Serve.Pool.error) result -> unit) option)
@@ -317,6 +339,7 @@ let submit (t : t) ~(tenant : string) ?deadline_s ?(size = 1)
         Ok id
       end
       else begin
+        let pt = ref (-1) in
         match
           Serve.Pool.submit t.pools.(shard) ~tenant ~deadline_s:dl_rel ~size
             ~on_resolve:(fun res ->
@@ -324,14 +347,20 @@ let submit (t : t) ~(tenant : string) ?deadline_s ?(size = 1)
               resolve_locked t id res;
               flush_locked t shard;
               Mutex.unlock t.m;
-              run_cbs t)
+              run_cbs t;
+              forget_pool_ticket t shard !pt)
             w
         with
-        | Ok pt ->
-            Hashtbl.replace t.targets id (Submitted { shard; pt });
+        | Ok p ->
+            pt := p;
+            Hashtbl.replace t.targets id (Submitted { shard; pt = p });
             Ok id
         | Error e ->
+            (* a refused submit issues no ticket, as in the pool: [id]
+               goes to the next submit, so it never holds the
+               watermark *)
             Hashtbl.remove t.cbs id;
+            t.next <- id;
             Error e
       end
     end
@@ -340,14 +369,34 @@ let submit (t : t) ~(tenant : string) ?deadline_s ?(size = 1)
   run_cbs t;
   r
 
+(* A read of [ticket], under [m]; as {!Serve.Pool}'s: [Some] result
+   once, [Some (Error Delivered)] after it (or after its hook ran),
+   [None] while pending.  A ticket never issued releases [m] and
+   raises [Invalid_argument]. *)
+let read_locked ~(fn : string) (t : t) (ticket : ticket) :
+    (Serve.Pool.completion, Serve.Pool.error) result option =
+  if ticket < 0 || ticket >= t.next then begin
+    Mutex.unlock t.m;
+    invalid_arg (Printf.sprintf "Net.Shard.%s: ticket %d never issued" fn ticket)
+  end;
+  match Serve.Answered.take t.results ticket with
+  | `Value r -> Some r
+  | `Delivered -> Some (Error Serve.Pool.Delivered)
+  | `Pending -> None
+
 (** [await ?timeout_s t ticket]: block until the ticket resolves
-    (polling when a timeout is given, like {!Serve.Pool.await}). *)
+    (polling when a timeout is given, like {!Serve.Pool.await}) and
+    return its result, which the shard then forgets.  A ticket
+    submitted with [on_resolve] was delivered through its hook, so
+    once it resolves [await] returns [Error Delivered] at once, as it
+    does for any ticket already read.  [Timed_out] leaves the ticket
+    in place.  Raises [Invalid_argument] for a ticket never issued. *)
 let await ?timeout_s (t : t) (ticket : ticket) :
     (Serve.Pool.completion, Serve.Pool.error) result =
   let deadline = Option.map (fun s -> Mclock.now_s () +. s) timeout_s in
   Mutex.lock t.m;
   let rec wait () =
-    match Hashtbl.find_opt t.results ticket with
+    match read_locked ~fn:"await" t ticket with
     | Some r ->
         Mutex.unlock t.m;
         r
@@ -370,22 +419,25 @@ let await ?timeout_s (t : t) (ticket : ticket) :
   in
   wait ()
 
+(** [try_result t ticket]: {!await} without the wait — [None] while
+    the ticket is pending, else what {!await} would return. *)
 let try_result (t : t) (ticket : ticket) :
     (Serve.Pool.completion, Serve.Pool.error) result option =
   Mutex.lock t.m;
-  let r = Hashtbl.find_opt t.results ticket in
+  let r = read_locked ~fn:"try_result" t ticket in
   Mutex.unlock t.m;
   r
 
 (** [cancel t ticket]: parked members resolve immediately; directly
     submitted requests delegate to their pool's cooperative cancel.
     Members already flushed inside a batch are not individually
-    cancellable ([false]) — the batch is one session entry. *)
+    cancellable ([false]) — the batch is one session entry — and
+    neither is a ticket already resolved, delivered or not. *)
 let cancel ?(reason : Par.Runtime.cancel_reason = `Explicit) (t : t)
     (ticket : ticket) : bool =
   Mutex.lock t.m;
   let action =
-    if Hashtbl.mem t.results ticket then `Miss
+    if Serve.Answered.mem t.results ticket then `Miss
     else
       match Hashtbl.find_opt t.targets ticket with
       | Some (Parked shard) -> (

@@ -68,6 +68,11 @@ type error =
           tenant's retry budget ran dry — the typed end of the backoff
           ladder *)
   | Failed of exn  (** the request body (or the session) raised *)
+  | Delivered
+      (** the ticket resolved and its result was already delivered —
+          returned by an earlier {!await} or {!try_result}, or, in
+          {!Net.Shard}, handed to its [on_resolve] hook.  A result is
+          delivered once. *)
 
 let pp_error ppf : error -> unit = function
   | Rejected `Queue_full -> Fmt.pf ppf "rejected: queue full"
@@ -78,6 +83,7 @@ let pp_error ppf : error -> unit = function
   | Retry_exhausted { attempts } ->
       Fmt.pf ppf "retry budget exhausted after %d attempts" attempts
   | Failed e -> Fmt.pf ppf "failed: %s" (Printexc.to_string e)
+  | Delivered -> Fmt.pf ppf "already delivered"
 
 type completion = {
   outcome : outcome;
@@ -152,7 +158,9 @@ type t = {
           wake an awaiter when the dispatch loop is the thread that
           must run *)
   sched : work Sched.t;
-  results : (ticket, (completion, error) result) Hashtbl.t;
+  results : (completion, error) result Answered.t;
+      (** which tickets resolved, and each result until the first
+          {!await} or {!try_result} that returns it *)
   cbs : (ticket, (completion, error) result -> unit) Hashtbl.t;
       (** per-submit resolution hooks ([submit ~on_resolve]); fired
           exactly once, after the result lands in [results] *)
@@ -304,7 +312,7 @@ let record_latency (t : t) ~(tenant : string) (sojourn_s : float) : unit =
    construction — the hook is removed as it is staged. *)
 let resolve_locked (t : t) (id : ticket) (res : (completion, error) result) :
     unit =
-  Hashtbl.replace t.results id res;
+  ignore (Answered.resolve t.results id (Some res) : bool);
   match Hashtbl.find_opt t.cbs id with
   | Some cb ->
       Hashtbl.remove t.cbs id;
@@ -585,7 +593,7 @@ let create ?(config = default_config) () : t =
       m = Mutex.create ();
       cv = Condition.create ();
       sched = Sched.create ~config:config.sched ();
-      results = Hashtbl.create 64;
+      results = Answered.create ();
       cbs = Hashtbl.create 64;
       pending_cbs = [];
       next_id = 0;
@@ -724,7 +732,10 @@ let create ?(config = default_config) () : t =
     completion hook the network front-end ({!Net}) rides instead of
     parking an [await] thread per in-flight request.  It fires only
     for admitted submissions (an immediate [Error] return means no
-    ticket exists to resolve). *)
+    ticket exists to resolve).  With or without a hook, the result is
+    also kept for one read ({!await}, {!try_result}); a caller that
+    never reads a ticket keeps its result alive, so {!Net.Shard} reads
+    each of its pool tickets once from the hook. *)
 let submit (t : t) ~(tenant : string) ?deadline_s ?(size = 1)
     ?(on_resolve : ((completion, error) result -> unit) option) (w : work) :
     (ticket, error) result =
@@ -773,15 +784,33 @@ let submit (t : t) ~(tenant : string) ?deadline_s ?(size = 1)
   Mutex.unlock t.m;
   r
 
-(** [await ?timeout_s t ticket] blocks until the ticket resolves.
-    With a timeout it polls (stdlib [Condition] has no timed wait);
-    [Timed_out] leaves the request in place — it may still resolve
-    later.  Resolved tickets stay readable (idempotent await). *)
+(* A read of [ticket], under [m]: [Some] result the first time (the
+   pool forgets it), [Some (Error Delivered)] after that, [None] while
+   it is pending.  A ticket this pool never issued releases [m] and
+   raises [Invalid_argument]. *)
+let read_locked ~(fn : string) (t : t) (ticket : ticket) :
+    (completion, error) result option =
+  if ticket < 0 || ticket >= t.next_id then begin
+    Mutex.unlock t.m;
+    invalid_arg (Printf.sprintf "Serve.Pool.%s: ticket %d never issued" fn ticket)
+  end;
+  match Answered.take t.results ticket with
+  | `Value r -> Some r
+  | `Delivered -> Some (Error Delivered)
+  | `Pending -> None
+
+(** [await ?timeout_s t ticket] blocks until the ticket resolves and
+    returns its result, which the pool then forgets: a later [await]
+    or {!try_result} of the same ticket returns [Error Delivered] at
+    once.  With a timeout it polls (stdlib [Condition] has no timed
+    wait); [Timed_out] leaves the request in place — it may still
+    resolve, and the next read returns it.  Raises [Invalid_argument]
+    for a ticket this pool never issued. *)
 let await ?timeout_s (t : t) (ticket : ticket) : (completion, error) result =
   let deadline = Option.map (fun s -> Mclock.now_s () +. s) timeout_s in
   Mutex.lock t.m;
   let rec wait () =
-    match Hashtbl.find_opt t.results ticket with
+    match read_locked ~fn:"await" t ticket with
     | Some r ->
         Mutex.unlock t.m;
         r
@@ -832,10 +861,12 @@ let idle (t : t) : bool =
   Mutex.unlock t.m;
   r
 
-(** [try_result t ticket] is a non-blocking probe. *)
+(** [try_result t ticket] is {!await} without the wait: [None] while
+    the ticket is pending, else what {!await} would return — the
+    result at the first read, [Error Delivered] after it. *)
 let try_result (t : t) (ticket : ticket) : (completion, error) result option =
   Mutex.lock t.m;
-  let r = Hashtbl.find_opt t.results ticket in
+  let r = read_locked ~fn:"try_result" t ticket in
   Mutex.unlock t.m;
   r
 
@@ -852,7 +883,7 @@ let running (t : t) : ticket option =
     cancel token is set and the task tree unwinds cooperatively at its
     next beat — completion can still win that race, in which case the
     awaiter sees the completed result.  Returns [false] when the
-    ticket is unknown or already resolved. *)
+    ticket is unknown or already resolved, read or not. *)
 let cancel ?(reason : Par.Runtime.cancel_reason = `Explicit) (t : t)
     (ticket : ticket) : bool =
   Mutex.lock t.m;
@@ -872,7 +903,7 @@ let cancel ?(reason : Par.Runtime.cancel_reason = `Explicit) (t : t)
     Condition.broadcast t.cv
   in
   let hit =
-    if Hashtbl.mem t.results ticket then false
+    if Answered.mem t.results ticket then false
     else
       match t.running with
       | Some (id, _) when id = ticket -> (

@@ -53,25 +53,34 @@ let default_config = { cap = 512; quantum = 1; panic_slack = 0. }
 (* ------------------------------------------------------------------ *)
 (* A binary min-heap keyed by (deadline, id): the per-tenant EDF
    queue.  FIFO on deadline ties — ids are assigned in admission
-   order. *)
+   order.  A slot outside [0, n) is [None], so a served, drained or
+   cancelled request — and its payload — is not kept reachable by the
+   heap's spare capacity. *)
 
 module Heap = struct
-  type 'a t = { mutable a : 'a req array; mutable n : int }
+  type 'a t = { mutable a : 'a req option array; mutable n : int }
 
   let create () = { a = [||]; n = 0 }
   let is_empty h = h.n = 0
 
+  let get (h : 'a t) (i : int) : 'a req =
+    match h.a.(i) with Some r -> r | None -> assert false
+
   let before (x : 'a req) (y : 'a req) : bool =
     x.deadline < y.deadline || (x.deadline = y.deadline && x.id < y.id)
 
+  let swap (h : 'a t) (i : int) (j : int) : unit =
+    let tmp = h.a.(i) in
+    h.a.(i) <- h.a.(j);
+    h.a.(j) <- tmp
+
   let push (h : 'a t) (r : 'a req) : unit =
     if h.n = Array.length h.a then begin
-      let cap = max 8 (2 * Array.length h.a) in
-      let a = Array.make cap r in
+      let a = Array.make (max 8 (2 * Array.length h.a)) None in
       Array.blit h.a 0 a 0 h.n;
       h.a <- a
     end;
-    h.a.(h.n) <- r;
+    h.a.(h.n) <- Some r;
     h.n <- h.n + 1;
     (* sift up *)
     let i = ref (h.n - 1) in
@@ -79,46 +88,45 @@ module Heap = struct
       !i > 0
       &&
       let p = (!i - 1) / 2 in
-      before h.a.(!i) h.a.(p)
+      before (get h !i) (get h p)
     do
       let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
+      swap h p !i;
       i := p
     done
 
-  let min (h : 'a t) : 'a req option = if h.n = 0 then None else Some h.a.(0)
+  let min (h : 'a t) : 'a req option = if h.n = 0 then None else h.a.(0)
 
   let pop_min (h : 'a t) : 'a req option =
     if h.n = 0 then None
     else begin
       let top = h.a.(0) in
       h.n <- h.n - 1;
-      if h.n > 0 then begin
-        h.a.(0) <- h.a.(h.n);
-        (* sift down *)
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let s = ref !i in
-          if l < h.n && before h.a.(l) h.a.(!s) then s := l;
-          if r < h.n && before h.a.(r) h.a.(!s) then s := r;
-          if !s = !i then continue := false
-          else begin
-            let tmp = h.a.(!s) in
-            h.a.(!s) <- h.a.(!i);
-            h.a.(!i) <- tmp;
-            i := !s
-          end
-        done
-      end;
-      Some top
+      h.a.(0) <- h.a.(h.n);
+      h.a.(h.n) <- None;
+      (* sift down *)
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let s = ref !i in
+        if l < h.n && before (get h l) (get h !s) then s := l;
+        if r < h.n && before (get h r) (get h !s) then s := r;
+        if !s = !i then continue := false
+        else begin
+          swap h !s !i;
+          i := !s
+        end
+      done;
+      top
     end
 
-  let to_list (h : 'a t) : 'a req list =
-    List.init h.n (fun i -> h.a.(i))
+  let to_list (h : 'a t) : 'a req list = List.init h.n (get h)
+
+  (** Empty the heap, releasing every request it held. *)
+  let clear (h : 'a t) : unit =
+    Array.fill h.a 0 h.n None;
+    h.n <- 0
 end
 
 (* ------------------------------------------------------------------ *)
@@ -290,7 +298,7 @@ let drain (s : 'a t) : 'a req list =
   in
   Hashtbl.iter
     (fun _ t ->
-      t.heap.Heap.n <- 0;
+      Heap.clear t.heap;
       t.deficit <- 0;
       t.in_ring <- false)
     s.tenants;
@@ -322,7 +330,7 @@ let cancel (s : 'a t) ~(id : int) : 'a req option =
           (* rebuild the EDF heap without the victim; an emptied tenant
              keeps its ring entry and is lazily retired by the next
              sweep, exactly like the panic path *)
-          t.heap.Heap.n <- 0;
+          Heap.clear t.heap;
           List.iter (Heap.push t.heap) keep;
           if Heap.is_empty t.heap then t.deficit <- 0
         end

@@ -628,6 +628,287 @@ let test_server_drain_rejects_new () =
   Thread.join stopper;
   Net.Client.close c
 
+(* ------------------------------------------------------------------ *)
+(* Per-ticket memory: every layer forgets a ticket once it has been
+   delivered, so the live heap tracks requests in flight. *)
+
+let test_shard_reads_once () =
+  let t = Net.Shard.create ~config:(shard_config ()) () in
+  Fun.protect ~finally:(fun () -> ignore (Net.Shard.close t)) @@ fun () ->
+  let delivered = Some (Error Serve.Pool.Delivered) in
+  let tk = submit_ok t "a" small_work in
+  await_ok t tk;
+  check "repeat await is Delivered" true
+    (Checks.at_once "repeat await" (fun () -> Some (Net.Shard.await ~timeout_s:5. t tk))
+    = delivered);
+  check "try_result after the read" true (Net.Shard.try_result t tk = delivered);
+  Checks.at_once "await of a ticket never issued" (fun () ->
+      match Net.Shard.await ~timeout_s:2. t (tk + 1000) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "await of a ticket never issued did not raise");
+  (* a hook ticket is delivered through its hook and never stored *)
+  let hooked = Atomic.make false in
+  let h = submit_ok t "a" ~on_resolve:(fun _ -> Atomic.set hooked true) small_work in
+  check "the hook fired" true (wait_until (fun () -> Atomic.get hooked));
+  check "a hook ticket is not stored" true (Net.Shard.try_result t h = delivered);
+  check "cancel of a delivered hook ticket misses" false (Net.Shard.cancel t h)
+
+(* Drive [n] small requests through [t], [window] in flight, each
+   resolved through a hook that accounts for it the way Net.Server's
+   does.  A submit the shard refuses is answered on the spot, as the
+   server answers it, and the driver then waits for a completion
+   before it submits again.  Returns how many were refused; every
+   admitted request must complete. *)
+let drive_hooked (t : Net.Shard.t) ~(window : int) ~(n : int) : int =
+  let m = Mutex.create () and cv = Condition.create () in
+  let inflight = ref 0 and finished = ref 0 and bad = ref 0 and refused = ref 0 in
+  let on_resolve res =
+    Mutex.lock m;
+    (match res with
+    | Ok { Serve.Pool.outcome = Serve.Pool.Checksum 1; _ } -> ()
+    | _ -> incr bad);
+    decr inflight;
+    incr finished;
+    Condition.signal cv;
+    Mutex.unlock m
+  in
+  let wait_while p =
+    while p () do
+      Condition.wait cv m
+    done
+  in
+  let work = Serve.Pool.Thunk (fun _ -> 1) in
+  Mutex.lock m;
+  for _ = 1 to n do
+    wait_while (fun () -> !inflight >= window);
+    incr inflight;
+    let seen = !finished in
+    Mutex.unlock m;
+    let r = Net.Shard.submit t ~tenant:"t" ~on_resolve work in
+    Mutex.lock m;
+    match r with
+    | Ok (_ : Net.Shard.ticket) -> ()
+    | Error (Serve.Pool.Rejected `Queue_full) ->
+        decr inflight;
+        incr refused;
+        wait_while (fun () -> !finished = seen && !inflight > 0)
+    | Error e ->
+        Mutex.unlock m;
+        Alcotest.failf "submit failed: %a" Serve.Pool.pp_error e
+  done;
+  wait_while (fun () -> !inflight > 0);
+  Mutex.unlock m;
+  check_int "every admitted request completed" 0 !bad;
+  !refused
+
+let with_shard (cfg : Net.Shard.config) (body : Net.Shard.t -> unit) : unit =
+  let t = Net.Shard.create ~config:cfg () in
+  Fun.protect ~finally:(fun () -> ignore (Net.Shard.close t)) (fun () -> body t)
+
+(* 1,000,000 small requests through a 2-shard fabric with batching on,
+   256 in flight. *)
+let test_shard_memory_flat () =
+  with_shard (shard_config ~batch_max:8 ()) @@ fun t ->
+  ignore (drive_hooked t ~window:256 ~n:100_000 : int);
+  let before = Checks.live_words () in
+  check_int "refused" 0 (drive_hooked t ~window:256 ~n:900_000);
+  Checks.check_flat ~before ~n:900_000 ()
+
+(* The same without batching: each request is one pool ticket, which
+   the shard must read once from the pool's hook.  Then against a
+   one-deep pool queue, which refuses a share of the submits outright:
+   a refused submit must not use up a shard ticket, which would hold
+   the answered set's watermark and keep every later answer. *)
+let test_shard_direct_memory_flat () =
+  (with_shard (shard_config ()) @@ fun t ->
+   ignore (drive_hooked t ~window:256 ~n:10_000 : int);
+   let before = Checks.live_words () in
+   check_int "refused" 0 (drive_hooked t ~window:256 ~n:100_000);
+   Checks.check_flat ~before ~n:100_000 ());
+  let cfg = shard_config () in
+  with_shard { cfg with pool = pool_config ~cap:1 () } @@ fun t ->
+  ignore (drive_hooked t ~window:8 ~n:10_000 : int);
+  let before = Checks.live_words () in
+  let refused = drive_hooked t ~window:8 ~n:100_000 in
+  Checks.check_flat ~before ~n:100_000 ();
+  if refused < 10_000 then
+    Alcotest.failf "only %d of 100,000 submits were refused" refused
+
+(* A client connection sending [Synth 16] requests, [window] in flight,
+   and reading each response once, in ticket order, as soon as it and
+   every earlier one have arrived. *)
+type pipe = { c : Net.Client.t; mutable sent : int; mutable read : int }
+
+let read_arrived (p : pipe) (f : Net.Client.response -> unit) : unit =
+  let rec go () =
+    if p.read < p.sent then
+      match Net.Client.try_response p.c p.read with
+      | Some r ->
+          f r;
+          p.read <- p.read + 1;
+          go ()
+      | None -> ()
+  in
+  go ()
+
+let pump (p : pipe) ~(window : int) ~(n : int) (f : Net.Client.response -> unit) :
+    unit =
+  for _ = 1 to n do
+    Net.Client.wait_inflight_below p.c ~submitted:p.sent ~window;
+    read_arrived p f;
+    ignore (Net.Client.submit p.c ~tenant:"t" ~size:1 (Net.Wire.Synth { n = 16 }) : int);
+    p.sent <- p.sent + 1
+  done;
+  Net.Client.drain p.c ~submitted:p.sent ~timeout_s:60.;
+  read_arrived p f;
+  check_int "every response read" p.sent p.read
+
+let with_server (cfg : Net.Server.config) (body : pipe -> unit) : unit =
+  let srv =
+    Net.Server.create ~config:cfg (Net.Server.Tcp { host = "127.0.0.1"; port = 0 }) ()
+  in
+  let c = Net.Client.connect (Net.Server.bound_addr srv) in
+  Fun.protect ~finally:(fun () ->
+      Net.Client.close c;
+      ignore (Net.Server.stop srv))
+  @@ fun () ->
+  body { c; sent = 0; read = 0 };
+  check_int "no unexpected responses" 0 (Net.Client.duplicates c)
+
+let expect_done (r : Net.Client.response) : unit =
+  match r.status with
+  | Net.Wire.Done _ when r.value = Serve.Load.expected_checksum 16 -> ()
+  | _ -> Alcotest.fail "a request did not complete with its checksum"
+
+(* 200,000 requests over a loopback server and client, 128 in flight. *)
+let test_server_memory_flat () =
+  with_server (server_config ~batch_max:8 ()) @@ fun p ->
+  pump p ~window:128 ~n:20_000 expect_done;
+  let before = Checks.live_words () in
+  pump p ~window:128 ~n:180_000 expect_done;
+  Checks.check_flat ~before ~n:180_000 ()
+
+(* Under backpressure a flushed batch is rejected inside
+   [Shard.submit], so the response hook of the request that flushed it
+   runs before [submit] returns; the server must not record that
+   finished ticket for [Cancel] afterwards.  With a one-deep pool
+   queue and 512 requests in flight, a third to two thirds of them
+   are rejected. *)
+let test_server_rejections_leave_nothing () =
+  let cfg = server_config ~shards:1 ~batch_max:8 () in
+  with_server { cfg with shard = { cfg.shard with pool = pool_config ~cap:1 () } }
+  @@ fun p ->
+  let rejected = ref 0 in
+  let count (r : Net.Client.response) =
+    if r.status = Net.Wire.Rejected_full then incr rejected else expect_done r
+  in
+  pump p ~window:512 ~n:10_000 count;
+  let before = Checks.live_words () in
+  pump p ~window:512 ~n:50_000 count;
+  Checks.check_flat ~bound:5_000 ~before ~n:50_000 ();
+  if !rejected < 10_000 then
+    Alcotest.failf "only %d of 60,000 requests were rejected" !rejected
+
+(* A scripted peer in place of a server: it answers [Hello], then
+   writes the [Response] frames [play] hands it, for as long as the
+   test has not called [finish]. *)
+let scripted_peer () =
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 1;
+  let port =
+    match Unix.getsockname lfd with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+  in
+  (* scripted ticket lists, oldest first; [None] ends the script *)
+  let m = Mutex.create () and cv = Condition.create () and script = Queue.create () in
+  let next_line () =
+    Mutex.lock m;
+    while Queue.is_empty script do
+      Condition.wait cv m
+    done;
+    let line = Queue.pop script in
+    Mutex.unlock m;
+    line
+  in
+  let peer () =
+    let fd, _ = Unix.accept lfd in
+    Unix.close lfd;
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    let dec = Net.Wire.Decoder.create () in
+    let buf = Bytes.create 4096 in
+    let rec frame () =
+      match Net.Wire.Decoder.next dec with
+      | `Frame f -> f
+      | `Skip _ -> frame ()
+      | `Dead _ -> failwith "scripted peer: framing lost"
+      | `Await ->
+          let n = Unix.read fd buf 0 (Bytes.length buf) in
+          if n = 0 then failwith "scripted peer: client hung up";
+          Net.Wire.Decoder.feed dec buf 0 n;
+          frame ()
+    in
+    let send f =
+      let s = Net.Wire.encode f in
+      ignore (Unix.write_substring fd s 0 (String.length s) : int)
+    in
+    (match frame () with
+    | Net.Wire.Hello _ -> send (Net.Wire.Hello_ok { shards = 1 })
+    | _ -> failwith "scripted peer: expected Hello");
+    let rec play () =
+      match next_line () with
+      | None -> ()
+      | Some tickets ->
+          List.iter
+            (fun ticket ->
+              send
+                (Net.Wire.Response
+                   { ticket; status = Net.Wire.Done { met = true }; value = 7;
+                     sojourn_us = 0; info = "" }))
+            tickets;
+          play ()
+    in
+    play ()
+  in
+  let th = Thread.create peer () in
+  let push line =
+    Mutex.lock m;
+    Queue.push line script;
+    Condition.signal cv;
+    Mutex.unlock m
+  in
+  let play tickets = push (Some tickets) in
+  let finish () =
+    push None;
+    Thread.join th
+  in
+  (Net.Server.Tcp { host = "127.0.0.1"; port }, play, finish)
+
+let test_client_unexpected_responses () =
+  let addr, play, finish = scripted_peer () in
+  let c = Net.Client.connect addr in
+  Fun.protect ~finally:(fun () ->
+      finish ();
+      Net.Client.close c)
+  @@ fun () ->
+  let tk = Net.Client.submit c ~tenant:"t" (Net.Wire.Synth { n = 1 }) in
+  (* a ticket the client never issued, then the real one *)
+  play [ tk + 1; tk ];
+  (match Net.Client.await ~timeout_s:10. c tk with
+  | Some { value = 7; _ } -> ()
+  | _ -> Alcotest.fail "the response for the issued ticket was not read");
+  (* the same ticket again, after it was read *)
+  play [ tk ];
+  ignore (wait_until ~timeout_s:5. (fun () -> Net.Client.duplicates c >= 2) : bool);
+  check_int "received" 1 (Net.Client.received c);
+  check_int "duplicates" 2 (Net.Client.duplicates c);
+  check "a read response is not returned again" true
+    (Checks.at_once "repeat await" (fun () -> Net.Client.await ~timeout_s:5. c tk) = None);
+  Checks.at_once "await of a ticket never issued" (fun () ->
+      match Net.Client.await ~timeout_s:2. c (tk + 1) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "await of a ticket never issued did not raise")
+
 let suite =
   ( "net",
     [
@@ -679,4 +960,16 @@ let suite =
         test_server_hello_shards;
       Alcotest.test_case "server: drain flushes typed responses" `Slow
         test_server_drain_rejects_new;
+      Alcotest.test_case "shard: a result is read once, a hook's never stored"
+        `Quick test_shard_reads_once;
+      Alcotest.test_case "shard: live heap flat over 1 M hooked requests" `Quick
+        test_shard_memory_flat;
+      Alcotest.test_case "shard: live heap flat over direct and refused submits"
+        `Quick test_shard_direct_memory_flat;
+      Alcotest.test_case "server: live heap flat over 200k loopback requests"
+        `Quick test_server_memory_flat;
+      Alcotest.test_case "server: rejected batches leave no cancel entries"
+        `Quick test_server_rejections_leave_nothing;
+      Alcotest.test_case "client: unexpected responses are dropped and counted"
+        `Quick test_client_unexpected_responses;
     ] )

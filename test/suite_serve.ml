@@ -804,6 +804,170 @@ let test_warm_restart () =
      post-restart requests *)
   check_int "dispatches include the victim" 4 st.served
 
+(* ------------------------------------------------------------------ *)
+(* Per-ticket memory: a result is read once, and nothing the serving
+   layer keeps grows with the number of requests served. *)
+
+(* Answer orders with a bounded out-of-order window: ticket i is
+   answered at its rank by the key i + jitter, jitter < w, so a ticket
+   answered ahead of the watermark lies within w of it.  Each answer is
+   kept for one read or, as a hook delivers it, not kept.  Between
+   answers, an already-answered ticket may be answered again (which
+   must keep nothing), and a ticket in or just outside the issued range
+   is taken. *)
+let prop_answered =
+  QCheck.Test.make ~name:"answered: agrees with a Hashtbl, size within the window"
+    ~count:300
+    QCheck.(triple (int_range 1 300) (int_range 1 20) int)
+    (fun (n, w, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let order =
+        List.init n (fun i -> (i + Random.State.int rng w, i))
+        |> List.sort compare |> List.map snd
+      in
+      let a = Serve.Answered.create () in
+      (* answered tickets: [Some v] while v is unread, else [None] *)
+      let spec : (int, int option) Hashtbl.t = Hashtbl.create 16 in
+      let resolve k =
+        let fresh = not (Hashtbl.mem spec k) in
+        let answer = if Random.State.bool rng then Some (Random.State.bits rng) else None in
+        if fresh then Hashtbl.replace spec k answer;
+        Serve.Answered.resolve a k answer = fresh
+        && Serve.Answered.mem a k
+        && Serve.Answered.count a = Hashtbl.length spec
+        && Serve.Answered.size a < w
+      in
+      let take k =
+        let expect =
+          match Hashtbl.find_opt spec k with
+          | Some (Some v) ->
+              Hashtbl.replace spec k None;
+              `Value v
+          | Some None -> `Delivered
+          | None -> `Pending
+        in
+        Serve.Answered.take a k = expect
+        && Serve.Answered.mem a k = Hashtbl.mem spec k
+      in
+      let answered = Array.make n 0 and na = ref 0 in
+      let all = List.init (n + 4) (fun k -> k - 2) in
+      List.for_all
+        (fun k ->
+          answered.(!na) <- k;
+          incr na;
+          resolve k
+          && (Random.State.int rng 3 > 0
+             || resolve answered.(Random.State.int rng !na))
+          && take (Random.State.int rng (n + 4) - 2))
+        order
+      && Serve.Answered.size a = 0
+      && List.for_all take (all @ all))
+
+(* Admit a request whose payload is a 100,000-element array; return a
+   weak pointer to the array.  Out of line, so no stack slot of the
+   caller holds the array. *)
+let[@inline never] admit_heavy (s : int array Serve.Sched.t) ~(id : int) :
+    int array Weak.t =
+  let a = Array.make 100_000 id in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some a);
+  (match
+     Serve.Sched.admit s
+       { Serve.Sched.id; tenant = "t"; deadline = 1.; size = 1; enqueued = 0.;
+         payload = a }
+   with
+  | Ok () -> ()
+  | Error `Queue_full -> Alcotest.fail "unexpected Queue_full");
+  w
+
+let test_sched_releases_payloads () =
+  let s : int array Serve.Sched.t = Serve.Sched.create () in
+  let gone what w =
+    Gc.full_major ();
+    check what false (Weak.check w 0)
+  in
+  let w = admit_heavy s ~id:0 in
+  (match Serve.Sched.next s ~now:0. with
+  | Some _ -> ()
+  | None -> Alcotest.fail "next on a non-empty scheduler returned None");
+  gone "a served request is unreachable" w;
+  let w = admit_heavy s ~id:1 in
+  ignore (admit_heavy s ~id:2 : int array Weak.t);
+  ignore (Serve.Sched.drain s : int array Serve.Sched.req list);
+  gone "a drained request is unreachable" w;
+  let w = admit_heavy s ~id:3 in
+  ignore (admit_heavy s ~id:4 : int array Weak.t);
+  ignore (Serve.Sched.cancel s ~id:3 : int array Serve.Sched.req option);
+  gone "a cancelled request is unreachable" w
+
+let test_pool_reads_once () =
+  let pool = Serve.Pool.create ~config:(pool_config ()) () in
+  Fun.protect ~finally:(fun () -> ignore (Serve.Pool.close pool)) @@ fun () ->
+  let submit ?on_resolve v =
+    match Serve.Pool.submit pool ~tenant:"a" ?on_resolve (quick_thunk v) with
+    | Ok t -> t
+    | Error _ -> Alcotest.fail "submit rejected"
+  in
+  let read what r v =
+    match r with
+    | Ok { Serve.Pool.outcome = Serve.Pool.Checksum c; _ } when c = v -> ()
+    | _ -> Alcotest.failf "%s: expected checksum %d" what v
+  in
+  let delivered what r =
+    check what true (r = Error Serve.Pool.Delivered)
+  in
+  let t = submit 3 in
+  read "first await" (Serve.Pool.await ~timeout_s:30. pool t) 3;
+  delivered "repeat await"
+    (Checks.at_once "repeat await" (fun () -> Serve.Pool.await ~timeout_s:5. pool t));
+  check "try_result after the read" true
+    (Serve.Pool.try_result pool t = Some (Error Serve.Pool.Delivered));
+  check "cancel of a read ticket misses" false (Serve.Pool.cancel pool t);
+  Checks.at_once "await of a ticket never issued" (fun () ->
+      match Serve.Pool.await ~timeout_s:2. pool (t + 1000) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "await of a ticket never issued did not raise");
+  (match Serve.Pool.try_result pool (-1) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "try_result of a negative ticket did not raise");
+  (* a hook ticket: the hook fires, the result is still there for one
+     read, and cancel misses once it has resolved *)
+  let hooked = Atomic.make false in
+  let h = submit ~on_resolve:(fun _ -> Atomic.set hooked true) 4 in
+  spin_until "the hook to fire" (fun () -> Atomic.get hooked);
+  check "cancel of a delivered hook ticket misses" false
+    (Serve.Pool.cancel pool h);
+  read "read of a hook ticket" (Serve.Pool.await ~timeout_s:30. pool h) 4;
+  delivered "second read of a hook ticket"
+    (Checks.at_once "second read" (fun () -> Serve.Pool.await pool h))
+
+(* Each ticket awaited once, 64 in flight: the live heap after 200,000
+   requests is the live heap after 20,000, within 50,000 words. *)
+let test_pool_memory_flat () =
+  let pool = Serve.Pool.create ~config:(pool_config ()) () in
+  Fun.protect ~finally:(fun () -> ignore (Serve.Pool.close pool)) @@ fun () ->
+  let inflight = Queue.create () in
+  let await_oldest () =
+    match Serve.Pool.await ~timeout_s:30. pool (Queue.pop inflight) with
+    | Ok { outcome = Serve.Pool.Checksum 1; _ } -> ()
+    | _ -> Alcotest.fail "request did not complete"
+  in
+  let run n =
+    for _ = 1 to n do
+      if Queue.length inflight >= 64 then await_oldest ();
+      match Serve.Pool.submit pool ~tenant:"a" (quick_thunk 1) with
+      | Ok t -> Queue.push t inflight
+      | Error _ -> Alcotest.fail "submit rejected"
+    done;
+    while not (Queue.is_empty inflight) do
+      await_oldest ()
+    done
+  in
+  run 20_000;
+  let before = Checks.live_words () in
+  run 180_000;
+  Checks.check_flat ~before ~n:180_000 ()
+
 let suite =
   ( "serve",
     [
@@ -847,4 +1011,11 @@ let suite =
         test_retry_budget_exhaustion;
       Alcotest.test_case "pool: warm restart after Machine_fault" `Quick
         test_warm_restart;
+      QCheck_alcotest.to_alcotest prop_answered;
+      Alcotest.test_case "sched: served and drained requests are released" `Quick
+        test_sched_releases_payloads;
+      Alcotest.test_case "pool: a result is read once" `Quick
+        test_pool_reads_once;
+      Alcotest.test_case "pool: live heap flat over 200k awaited requests" `Quick
+        test_pool_memory_flat;
     ] )
