@@ -218,21 +218,19 @@ let row_json (r : par_row) =
     r.steals r.steal_attempts r.joins r.beats r.polls r.max_deque r.idle_ms
     r.minor_gcs
 
-let run_json ~(label : string) ~(scale : int) ~(beat_source : string)
-    (rows : par_row list) : string =
+let run_json ~(label : string) ~(scale : int) (rows : par_row list) : string =
   Printf.sprintf
     "    {\n\
     \      \"label\": \"%s\",\n\
     \      \"host_cores\": %d,\n\
     \      \"scale\": %d,\n\
-    \      \"beat_source\": \"%s\",\n\
     \      \"results\": [\n\
      %s\n\
     \      ]\n\
     \    }"
     (Stats.Chrome_trace.escape label)
     (Domain.recommended_domain_count ())
-    scale (Stats.Chrome_trace.escape beat_source)
+    scale
     (String.concat ",\n" (List.map row_json rows))
 
 (* The balanced [...] following the "key": string in [content], as
@@ -297,12 +295,12 @@ let prior_runs (path : string) : string option =
           exit 2)
 
 let write_par_json ~(path : string) ~(label : string) ~(scale : int)
-    ~(beat_source : string) ~(append : bool) (rows : par_row list) : unit =
+    ~(append : bool) (rows : par_row list) : unit =
   let prior = if append then prior_runs path else None in
   let entries =
     match prior with
-    | None -> run_json ~label ~scale ~beat_source rows
-    | Some old -> old ^ ",\n" ^ run_json ~label ~scale ~beat_source rows
+    | None -> run_json ~label ~scale rows
+    | Some old -> old ^ ",\n" ^ run_json ~label ~scale rows
   in
   let oc = open_out path in
   Printf.fprintf oc
@@ -319,11 +317,7 @@ let write_par_json ~(path : string) ~(label : string) ~(scale : int)
 
 let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
     ~(benches : string list option) ~(append : bool) ~(label : string)
-    ~(source : [ `Ping_domain | `Polling ])
     ~(assert_geomean : float option) ~(trace : string option) : unit =
-  let source_name =
-    match source with `Ping_domain -> "ping" | `Polling -> "polling"
-  in
   let benches =
     match benches with
     | None -> Workloads.Real_bench.all
@@ -339,12 +333,10 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
           names
   in
   Printf.printf
-    "=== par bench: %d kernels, domains {%s}, scale %d, beat source %s, host \
-     cores %d ===\n\
-     %!"
+    "=== par bench: %d kernels, domains {%s}, scale %d, host cores %d ===\n%!"
     (List.length benches)
     (String.concat ", " (List.map string_of_int domains))
-    scale source_name
+    scale
     (Domain.recommended_domain_count ());
   Printf.printf "%-16s %8s %10s %10s %8s %10s %8s %8s %8s %8s %9s\n%!"
     "bench" "domains" "kernel_s" "session_s" "speedup" "promos" "steals"
@@ -385,7 +377,7 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
         };
       List.iter
         (fun d ->
-          let cfg = { Par.Runtime.default_config with domains = d; source } in
+          let cfg = { Par.Runtime.default_config with domains = d } in
           (* kernel time is clocked INSIDE the session so the row
              measures the scheduler, not Domain.spawn (the serial
              baseline has no session to set up) *)
@@ -441,7 +433,6 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
             {
               Par.Runtime.default_config with
               domains = d;
-              source;
               tracer = Some tr;
             }
           in
@@ -474,7 +465,7 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
   (match json with
   | None -> ()
   | Some path ->
-      write_par_json ~path ~label ~scale ~beat_source:source_name ~append rows);
+      write_par_json ~path ~label ~scale ~append rows);
   match assert_geomean with
   | None -> ()
   | Some floor ->
@@ -606,7 +597,6 @@ let run_serve_bench ~(requests : int) ~(tenants : int) ~(rate : float)
           Par.Runtime.default_config with
           domains;
           heart_us = 30.;
-          source = `Polling;
           chaos;
         };
       sched = { Serve.Sched.default_config with cap };
@@ -742,7 +732,6 @@ let run_net_bench ~(requests : int) ~(tenants : int) ~(seed : int)
                 Par.Runtime.default_config with
                 domains;
                 heart_us = 30.;
-                source = `Polling;
                 chaos = chaos ();
               };
             sched = { Serve.Sched.default_config with cap };
@@ -829,8 +818,7 @@ let usage () =
   print_endline
     "usage: bench [--par-bench] [--domains 1,2,4] [--scale N] [--json PATH]\n\
     \             [--benches a,b,c] [--append] [--label NAME]\n\
-    \             [--beat-source polling|ping] [--assert-geomean F]\n\
-    \             [--trace FILE]\n\
+    \             [--assert-geomean F] [--trace FILE]\n\
      without --par-bench: regenerate the simulated figures (unless\n\
      REPRO_QUICK=1) and run the Bechamel microbenchmark suite.\n\
      With --par-bench: run the real kernels on the multi-domain runtime\n\
@@ -839,24 +827,19 @@ let usage () =
      Zipf tenants, mixed kernel sizes) through the multi-tenant execution\n\
      server, audit exactly-once execution, and write the latency/goodput\n\
      trajectory (--json PATH; e.g. BENCH_serve.json).  Extra flags:\n\
-    \  --requests N --tenants N --rate RPS --seed N --cap N --slo-ms F\n\
+    \  --requests N --tenants N --rate RPS --seed N --cap N (>= 1) --slo-ms F\n\
     \  --chaos-seed N --retries N\n\
     \  (--domains takes its first element for the pool's session)\n\
      With --serve-bench --net: the same audit-gated load over a loopback\n\
      socket through Net.Server — one leg per router policy (fifo 1-shard\n\
      baseline, tenant-hash, jsq, size-aware), each a labelled trajectory\n\
      row with req/s and client-side p50/p95/p99.  Extra flags:\n\
-    \  --shards N --conns N --window N (per-conn in-flight bound)\n\
+    \  --shards N --conns N --window N (per-conn in-flight bound; each >= 1)\n\
     \  --batch-max N --batch-us F (micro-batching) --small-max N\n\
     \  --append            add this run to the file's trajectory instead\n\
     \                      of overwriting (exit 2, file untouched, when\n\
     \                      it has no readable trajectory)\n\
     \  --label NAME        label for this trajectory entry\n\
-    \  --beat-source S     polling (default) or ping: drive beats from\n\
-    \                      the workers' own polls on a monotonic clock,\n\
-    \                      or from the dedicated ping domain (which\n\
-    \                      costs a whole timer tick per beat when host\n\
-    \                      cores are scarce)\n\
     \  --assert-geomean F  exit 1 unless the geomean 1-domain speedup\n\
     \                      over the measured kernels is >= F (the\n\
     \                      single-domain overhead floor in CI)\n\
@@ -876,7 +859,6 @@ let () =
   let benches = ref None in
   let append = ref false in
   let label = ref None in
-  let source = ref `Polling in
   let assert_geomean = ref None in
   let trace = ref None in
   let requests = ref 10_000 in
@@ -894,9 +876,9 @@ let () =
   let batch_max = ref 8 in
   let batch_us = ref 200. in
   let small_max = ref 4 in
-  let int_flag what v r rest parse =
+  let int_flag ?(min = 0) what v r rest parse =
     (match int_of_string_opt v with
-    | Some n when n >= 0 -> r := n
+    | Some n when n >= min -> r := n
     | _ ->
         Printf.eprintf "bad %s %S\n%!" what v;
         exit 2);
@@ -913,9 +895,9 @@ let () =
     | "--net" :: rest ->
         net := true;
         parse rest
-    | "--shards" :: v :: rest -> int_flag "--shards" v shards rest parse
-    | "--conns" :: v :: rest -> int_flag "--conns" v conns rest parse
-    | "--window" :: v :: rest -> int_flag "--window" v window rest parse
+    | "--shards" :: v :: rest -> int_flag ~min:1 "--shards" v shards rest parse
+    | "--conns" :: v :: rest -> int_flag ~min:1 "--conns" v conns rest parse
+    | "--window" :: v :: rest -> int_flag ~min:1 "--window" v window rest parse
     | "--batch-max" :: v :: rest -> int_flag "--batch-max" v batch_max rest parse
     | "--small-max" :: v :: rest -> int_flag "--small-max" v small_max rest parse
     | "--batch-us" :: v :: rest ->
@@ -928,7 +910,7 @@ let () =
     | "--requests" :: v :: rest -> int_flag "--requests" v requests rest parse
     | "--tenants" :: v :: rest -> int_flag "--tenants" v tenants rest parse
     | "--seed" :: v :: rest -> int_flag "--seed" v seed rest parse
-    | "--cap" :: v :: rest -> int_flag "--cap" v cap rest parse
+    | "--cap" :: v :: rest -> int_flag ~min:1 "--cap" v cap rest parse
     | "--retries" :: v :: rest -> int_flag "--retries" v retries rest parse
     | "--chaos-seed" :: v :: rest ->
         (match int_of_string_opt v with
@@ -977,14 +959,6 @@ let () =
     | "--label" :: v :: rest ->
         label := Some v;
         parse rest
-    | "--beat-source" :: v :: rest ->
-        (match v with
-        | "polling" -> source := `Polling
-        | "ping" -> source := `Ping_domain
-        | _ ->
-            Printf.eprintf "bad --beat-source %S (want polling|ping)\n%!" v;
-            exit 2);
-        parse rest
     | "--assert-geomean" :: v :: rest ->
         (match float_of_string_opt v with
         | Some f when f > 0. -> assert_geomean := Some f
@@ -1024,7 +998,7 @@ let () =
       | None -> Printf.sprintf "run-%.0f" (Unix.time ())
     in
     run_par_bench ~domains:!domains ~scale:!scale ~json:!json
-      ~benches:!benches ~append:!append ~label ~source:!source
+      ~benches:!benches ~append:!append ~label
       ~assert_geomean:!assert_geomean ~trace:!trace
   end
   else begin

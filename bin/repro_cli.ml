@@ -79,17 +79,6 @@ let heart_arg =
     & info [ "heart-us" ] ~docv:"US"
         ~doc:"Heartbeat period in microseconds for $(b,--workload).")
 
-let source_arg =
-  Arg.(
-    value
-    & opt (enum [ ("ping", `Ping_domain); ("polling", `Polling) ]) `Polling
-    & info [ "beat-source" ] ~docv:"SRC"
-        ~doc:
-          "Beat source for $(b,--workload): $(b,polling) (default; workers \
-           check a monotonic clock at each poll point) or $(b,ping) (a \
-           dedicated ping domain, which steals a timer tick per beat when \
-           host cores are scarce).")
-
 let write_trace (id : string) (file : string) : int =
   match Repro.Figures.trace_spec id with
   | None ->
@@ -121,8 +110,7 @@ let write_trace (id : string) (file : string) : int =
       0)
 
 let run_workload (name : string) (domains : int) (scale : int)
-    (heart_us : float) (source : [ `Ping_domain | `Polling ])
-    (trace_file : string option) (stats : bool) : int =
+    (heart_us : float) (trace_file : string option) (stats : bool) : int =
   match Workloads.Real_bench.find name with
   | None ->
       Printf.eprintf "unknown workload %S (have: %s)\n" name
@@ -149,7 +137,7 @@ let run_workload (name : string) (domains : int) (scale : int)
           | Some _ -> Some (Obs.Trace.create ())
         in
         let config =
-          { Par.Runtime.default_config with domains; heart_us; source; tracer }
+          { Par.Runtime.default_config with domains; heart_us; tracer }
         in
         (* kernel time is clocked inside the session so the speedup
            measures the scheduler, not domain spawn/join setup *)
@@ -217,10 +205,10 @@ let run_workload (name : string) (domains : int) (scale : int)
         end
       end
 
-let go id trace_file workload domains scale heart_us source stats =
+let go id trace_file workload domains scale heart_us stats =
   match (workload, id) with
   | Some name, None ->
-      run_workload name domains scale heart_us source trace_file stats
+      run_workload name domains scale heart_us trace_file stats
   | Some _, Some _ ->
       Printf.eprintf "give either an experiment id or --workload, not both\n";
       2
@@ -250,4 +238,4 @@ let () =
        (Cmd.v info
           Term.(
             const go $ id_arg $ trace_arg $ workload_arg $ domains_arg
-            $ scale_arg $ heart_arg $ source_arg $ stats_arg)))
+            $ scale_arg $ heart_arg $ stats_arg)))

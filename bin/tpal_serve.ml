@@ -38,7 +38,7 @@ let pool_config ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms ~lease_s
        interleaves with the worker-domain tracks in the same trace *)
     tracer;
     runtime =
-      { Par.Runtime.domains; heart_us; source = `Polling; tracer; chaos };
+      { Par.Runtime.default_config with domains; heart_us; tracer; chaos };
     sched =
       {
         Serve.Sched.cap;
@@ -357,6 +357,18 @@ let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
 
 open Cmdliner
 
+(* counts that must be at least one: a zero cap, quantum or shard count
+   makes the pool or the fabric refuse its configuration, and a zero
+   window would have the client wait for fewer than zero requests in
+   flight *)
+let pos_int : int Arg.conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let requests =
   Arg.(value & opt int 10_000 & info [ "requests" ] ~docv:"N" ~doc:"Synthetic-load request count.")
 
@@ -383,10 +395,10 @@ let heart_us =
   Arg.(value & opt float 30. & info [ "heart-us" ] ~docv:"US" ~doc:"Heartbeat period.")
 
 let cap =
-  Arg.(value & opt int 512 & info [ "cap" ] ~docv:"N" ~doc:"Admission cap (queued requests across tenants).")
+  Arg.(value & opt pos_int 512 & info [ "cap" ] ~docv:"N" ~doc:"Admission cap (queued requests across tenants).")
 
 let quantum =
-  Arg.(value & opt int 1 & info [ "quantum" ] ~docv:"N" ~doc:"DRR deficit grant per round, in size units.")
+  Arg.(value & opt pos_int 1 & info [ "quantum" ] ~docv:"N" ~doc:"DRR deficit grant per round, in size units.")
 
 let panic_ms =
   Arg.(value & opt float 1. & info [ "panic-ms" ] ~docv:"MS" ~doc:"EDF panic slack: requests this close to deadline bypass round-robin order.")
@@ -461,7 +473,7 @@ let connect =
               $(docv); the exactly-once audit is the exit code.")
 
 let shards =
-  Arg.(value & opt int 2
+  Arg.(value & opt pos_int 2
     & info [ "shards" ] ~docv:"N"
         ~doc:"Server mode: number of pools, each with its own --domains \
               worker domains over a disjoint domain set.")
@@ -495,11 +507,11 @@ let small_max =
               routing and micro-batch eligibility).")
 
 let conns =
-  Arg.(value & opt int 2
+  Arg.(value & opt pos_int 2
     & info [ "conns" ] ~docv:"N" ~doc:"Client mode: concurrent connections.")
 
 let window =
-  Arg.(value & opt int 64
+  Arg.(value & opt pos_int 64
     & info [ "window" ] ~docv:"N"
         ~doc:"Client mode: max in-flight requests per connection (windowed \
               closed loop).")

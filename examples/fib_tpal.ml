@@ -61,8 +61,7 @@ let () =
       ~config:
         { Par.Runtime.default_config with
           domains = 1;
-          heart_us = 50.;
-          source = `Polling }
+          heart_us = 50. }
       (fun () -> fib Par.Runtime.fork2 30)
   in
   Fmt.pr

@@ -1,8 +1,8 @@
 (* mergesort: the paper's mixed recursive-and-loop benchmark — the
    sort and merge expose parallelism by divide-and-conquer (promotable
    stack marks), the copy loop by a parallel for (promotable ranges).
-   Sorted on the heartbeat runtime at one domain, beats from the ping
-   domain; exits 1 when a result differs from serial.
+   Sorted on the heartbeat runtime at one domain, which polls its own
+   clock for beats; exits 1 when a result differs from serial.
 
    Run with:  dune exec examples/mergesort_app.exe *)
 

@@ -44,7 +44,6 @@ let () =
         { Par.Runtime.default_config with
           domains = 1;
           heart_us = 100.;
-          source = `Polling;
           tracer = Some tr }
       (fun () ->
         Workloads.Csr.spmv ~row_grain:1024 (module Par.Runtime.Exec) m x y)

@@ -2,12 +2,9 @@
     {!Tpal_drive} interpreter core forking through
     {!Par.Runtime.fork2} inside one {!Par.Runtime.run} session — the
     fuzz battery's only executor where a generated program's forks can
-    really run concurrently on separate domains.
-
-    Uses the [`Polling] beat source (no ping domain): fuzz batteries
-    run thousands of short sessions, and with polling a 1-domain
-    session spawns no domains at all while an N-domain session spawns
-    exactly N−1. *)
+    really run concurrently on separate domains.  Fuzz batteries run
+    thousands of short sessions; a 1-domain session spawns no domain at
+    all, and an N-domain session spawns exactly N−1. *)
 
 open Tpal
 
@@ -19,7 +16,6 @@ let config ?(chaos : Par.Chaos.plan option) ~(domains : int)
     Par.Runtime.default_config with
     domains;
     heart_us;
-    source = `Polling;
     chaos;
   }
 

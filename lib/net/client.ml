@@ -114,16 +114,22 @@ let send (t : t) (f : Wire.frame) : unit =
       done)
 
 (** [connect ?client addr] dials, sends [Hello], and waits for
-    [Hello_ok] (raising [Failure] if the server hangs up first). *)
+    [Hello_ok] (raising [Failure] if the server hangs up first).  A
+    refused or failed dial raises its [Unix_error] and keeps no
+    socket. *)
 let connect ?(client = "tpal-client") (addr : Server.addr) : t =
+  let dial domain sockaddr =
+    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+    match Unix.connect fd sockaddr with
+    | () -> fd
+    | exception e ->
+        Unix.close fd;
+        raise e
+  in
   let fd =
     match addr with
-    | Server.Unix_path p ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX p);
-        fd
+    | Server.Unix_path p -> dial Unix.PF_UNIX (Unix.ADDR_UNIX p)
     | Server.Tcp { host; port } ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
         let inet =
           match Unix.inet_addr_of_string host with
           | a -> a
@@ -131,8 +137,7 @@ let connect ?(client = "tpal-client") (addr : Server.addr) : t =
               try (Unix.gethostbyname host).Unix.h_addr_list.(0)
               with _ -> Unix.inet_addr_loopback)
         in
-        Unix.connect fd (Unix.ADDR_INET (inet, port));
-        fd
+        dial Unix.PF_INET (Unix.ADDR_INET (inet, port))
   in
   let t =
     {

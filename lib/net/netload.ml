@@ -17,8 +17,9 @@
     against {!Serve.Load.expected_checksum} computed locally — a
     mismatch means a torn parallel write, a mis-routed response, or a
     corrupt frame.  The audit counts {b lost} (submitted, no response
-    after the drain), {b duplicated} (two responses for one ticket),
-    and {b mismatched} (wrong checksum) — all must be zero. *)
+    after the drain, or planned on a connection that failed),
+    {b duplicated} (two responses for one ticket), and {b mismatched}
+    (wrong checksum) — all must be zero. *)
 
 type spec = {
   requests : int;  (** total across all connections *)
@@ -64,6 +65,11 @@ type report = {
   failed : int;
   closed : int;
   lost : int;
+      (** submitted with no response after the drain, plus every
+          request planned on a connection that failed *)
+  conn_errors : string list;
+      (** one line per connection that failed (refused, reset, its
+          server gone), naming the connection and the exception *)
   duplicated : int;
   mismatched : int;
   throughput_rps : float;  (** completed / elapsed wall clock *)
@@ -82,9 +88,9 @@ let class_of (samples : float list) : class_lat =
     p99_ms = 1e3 *. Serve.Load.percentile a 0.99;
   }
 
-(* One connection's share of the run: submit [count] requests with a
-   [window]-bounded closed loop, then return the per-request records
-   for the audit. *)
+(* One connection's share of the run: submit [count] requests over [c]
+   with a [window]-bounded closed loop, then return the per-request
+   records for the audit. *)
 type rec_out = {
   ticket : int;
   size_idx : int;
@@ -92,8 +98,8 @@ type rec_out = {
   sent : float;
 }
 
-let drive_conn (spec : spec) (addr : Server.addr) ~(conn_idx : int)
-    ~(count : int) : Client.t * rec_out array =
+let drive_conn (spec : spec) (c : Client.t) ~(conn_idx : int) ~(count : int) :
+    rec_out array =
   let rng = Sim.Prng.create ~seed:(spec.seed + (conn_idx * 0x9E37)) in
   let sizes = Array.of_list (List.map fst spec.sizes) in
   let size_weights = Array.of_list (List.map snd spec.sizes) in
@@ -101,7 +107,6 @@ let drive_conn (spec : spec) (addr : Server.addr) ~(conn_idx : int)
     Array.init (max 1 spec.tenants) (fun k -> 1. /. float_of_int (k + 1))
   in
   let base = sizes.(0) in
-  let c = Client.connect ~client:(Printf.sprintf "load-%d" conn_idx) addr in
   let recs = Array.make count { ticket = -1; size_idx = 0; drr_size = 1; sent = 0. } in
   for i = 0 to count - 1 do
     Client.wait_inflight_below c ~submitted:i ~window:spec.window;
@@ -119,13 +124,16 @@ let drive_conn (spec : spec) (addr : Server.addr) ~(conn_idx : int)
     in
     recs.(i) <- { ticket; size_idx = si; drr_size; sent }
   done;
-  (c, recs)
+  recs
 
 (** [run addr spec] drives [spec] against a live server at [addr] and
     audits the outcome end to end. *)
 let run (addr : Server.addr) (spec : spec) : report =
   if spec.requests < 0 then invalid_arg "Netload.run: negative request count";
   if spec.conns < 1 then invalid_arg "Netload.run: need at least one connection";
+  (* a window below one would wait for fewer than zero requests in
+     flight, forever *)
+  if spec.window < 1 then invalid_arg "Netload.run: need a window of at least one";
   let sizes = Array.of_list (List.map fst spec.sizes) in
   let expected = Array.map Serve.Load.expected_checksum sizes in
   let per_conn = Array.make spec.conns (spec.requests / spec.conns) in
@@ -134,17 +142,28 @@ let run (addr : Server.addr) (spec : spec) : report =
     per_conn.(i) <- per_conn.(i) + 1
   done;
   let t0 = Mclock.now_s () in
-  let results = Array.make spec.conns None in
+  (* a connection that fails ends its own thread, not the run: its
+     planned requests are counted lost below, so a run that lost one of
+     several connections cannot pass the audit on the others *)
+  let results = Array.make spec.conns (Error Exit) in
   let threads =
     Array.init spec.conns (fun ci ->
         Thread.create
           (fun () ->
-            let c, recs =
-              drive_conn spec addr ~conn_idx:ci ~count:per_conn.(ci)
-            in
-            Client.drain c ~submitted:per_conn.(ci)
-              ~timeout_s:spec.drain_timeout_s;
-            results.(ci) <- Some (c, recs))
+            results.(ci) <-
+              (match
+                 Client.connect ~client:(Printf.sprintf "load-%d" ci) addr
+               with
+              | exception e -> Error e
+              | c -> (
+                  match drive_conn spec c ~conn_idx:ci ~count:per_conn.(ci) with
+                  | recs ->
+                      Client.drain c ~submitted:per_conn.(ci)
+                        ~timeout_s:spec.drain_timeout_s;
+                      Ok (c, recs)
+                  | exception e ->
+                      Client.close c;
+                      Error e)))
           ())
   in
   Array.iter Thread.join threads;
@@ -155,12 +174,17 @@ let run (addr : Server.addr) (spec : spec) : report =
   let rejected = ref 0 and cancelled = ref 0 and failed = ref 0 in
   let closed = ref 0 and lost = ref 0 and mismatched = ref 0 in
   let duplicated = ref 0 in
+  let conn_errors = ref [] in
   let all_l = ref [] and small_l = ref [] and large_l = ref [] in
-  Array.iter
-    (fun slot ->
+  Array.iteri
+    (fun ci slot ->
       match slot with
-      | None -> ()
-      | Some (c, recs) ->
+      | Error e ->
+          lost := !lost + per_conn.(ci);
+          conn_errors :=
+            Printf.sprintf "connection %d failed: %s" ci (Printexc.to_string e)
+            :: !conn_errors
+      | Ok (c, recs) ->
           duplicated := !duplicated + Client.duplicates c;
           Array.iter
             (fun (r : rec_out) ->
@@ -203,6 +227,7 @@ let run (addr : Server.addr) (spec : spec) : report =
     failed = !failed;
     closed = !closed;
     lost = !lost;
+    conn_errors = List.rev !conn_errors;
     duplicated = !duplicated;
     mismatched = !mismatched;
     throughput_rps =
@@ -225,9 +250,11 @@ let pp_report (ppf : Format.formatter) (r : report) : unit =
      throughput %.0f req/s over %.2f s@,\
      rtt all   n=%d p50 %.2f ms p95 %.2f ms p99 %.2f ms@,\
      rtt small n=%d p50 %.2f ms p95 %.2f ms p99 %.2f ms@,\
-     rtt large n=%d p50 %.2f ms p95 %.2f ms p99 %.2f ms@]"
+     rtt large n=%d p50 %.2f ms p95 %.2f ms p99 %.2f ms%a@]"
     r.submitted r.spec.conns r.completed r.met r.missed r.rejected r.cancelled
     r.failed r.closed r.lost r.duplicated r.mismatched r.throughput_rps
     r.elapsed_s r.all.count r.all.p50_ms r.all.p95_ms r.all.p99_ms
     r.small.count r.small.p50_ms r.small.p95_ms r.small.p99_ms r.large.count
     r.large.p50_ms r.large.p95_ms r.large.p99_ms
+    (fun ppf -> List.iter (Format.fprintf ppf "@,%s"))
+    r.conn_errors

@@ -19,7 +19,7 @@
       [(factor - 1)] beat periods of latency per beat (a thermally
       throttled or noisy-neighbour core).
     - [Drop n]: the next [n] observed beats are swallowed — no [Beat]
-      event, no promotion — modelling lost/jittered beat flags.
+      event, no promotion — modelling lost or jittered beats.
     - [Raise]: {!Injected} is raised from the poll inside whatever
       task body is running, exercising the structured error-unwinding
       and the serving layer's retry path.

@@ -6,16 +6,18 @@
     and join still takes the real code path.
 
     One {e worker domain} per configured core, each owning a
-    thread-safe Chase–Lev deque ({!Ws_deque}); a dedicated {e ping
-    domain} raises every worker's heartbeat flag each ♥ µs (the
-    Linux ping thread of §3.4).  User code exposes latent parallelism
-    through {!par_for} and {!fork2}, which run serially by default; at
-    each promotion-ready poll a worker that observes its beat flag
-    {e promotes} the outermost latent construct of its running
-    computation into a real task, pushed on its own deque.  Idle
-    workers {e steal from the top} of a victim's deque — the oldest,
-    outermost task, the work-first/steal-oldest discipline of the
-    heartbeat line of work.
+    thread-safe Chase–Lev deque ({!Ws_deque}).  The paper's Linux
+    ping thread (§3.4) exists because a worker must be {e sent} a
+    signal to be interrupted; here a worker only {e observes} beats at
+    its polls, so each worker reads its own monotonic clock there and
+    a beat is due once ♥ µs have passed since its previous one.  User
+    code exposes latent parallelism through {!par_for} and {!fork2},
+    which run serially by default; at each promotion-ready poll a
+    worker whose beat is due {e promotes} the outermost latent
+    construct of its running computation into a real task, pushed on
+    its own deque.  Idle workers {e steal from the top} of a victim's
+    deque — the oldest, outermost task, the work-first/steal-oldest
+    discipline of the heartbeat line of work.
 
     Joins are effect-suspended: a parent whose children were promoted
     performs {!Wait} and parks its continuation in the join record;
@@ -108,14 +110,11 @@ type task = {
 type worker = {
   id : int;
   deque : task Ws_deque.t;
-  beat : bool Atomic.t;
-      (** raised by the ping domain every ♥ µs; cache-line-padded so
-          the ping write invalidates only this worker's line *)
   mutable rng : int;  (** xorshift state for victim selection *)
   mutable current_marks : entry list ref;
   mutable last_beat_ns : int;
-      (** [`Polling] source only: monotonic ({!Mclock}) stamp of the
-          previous beat, armed when this worker's loop starts *)
+      (** monotonic ({!Mclock}) stamp of the previous beat, armed when
+          this worker's loop starts *)
   ring : Obs.Ring.t option;
       (** this worker's trace ring (present iff the session has a
           tracer); owner-written only, like every field below *)
@@ -174,9 +173,11 @@ let () =
 type config = {
   domains : int;  (** worker domains; 1 = serial with promotion *)
   heart_us : float;  (** ♥ in microseconds *)
-  source : [ `Ping_domain | `Polling ];
-      (** beat source: the dedicated ping domain (§3.4), or each
-          worker polling the clock directly *)
+  source : [ `Polling ];
+      (** the beat source, which has one value: each worker reads its
+          own monotonic clock at its polls.  The field stays only
+          because the benchmark's sources (under [perfbench/]) still
+          write it; once they stop, delete it. *)
   tracer : Obs.Trace.t option;
       (** when set, every worker gets a per-domain {!Obs.Ring} track
           in this trace and feeds it the full event stream — export
@@ -191,7 +192,7 @@ let default_config =
   {
     domains = 1;
     heart_us = 100.;
-    source = `Ping_domain;
+    source = `Polling;
     tracer = None;
     chaos = None;
   }
@@ -199,12 +200,11 @@ let default_config =
 type pool = {
   cfg : config;
   heart_ns : int;  (** [cfg.heart_us] in integer nanoseconds, for the
-                       [`Polling] fast path *)
+                       beat check *)
   t0_ns : int;
       (** monotonic session start, for {!live_stats} and [elapsed_s] *)
   workers : worker array;
   stop : bool Atomic.t;  (** main completed, or a task raised *)
-  ping_stop : bool Atomic.t;
   error : exn option Atomic.t;  (** first exception, wins the race *)
   urgency : int Atomic.t;
       (** deadline-aware promotion hint: the effective beat period is
@@ -271,8 +271,8 @@ let max_urgency = 62
 
 (** [set_urgency u] installs the session's promotion-urgency hint
     (clamped to [0, 62]): the effective beat period becomes the
-    configured ♥ divided by 2^u, for both beat sources.  Must be
-    called from inside a {!run} session. *)
+    configured ♥ divided by 2^u.  Must be called from inside a {!run}
+    session. *)
 let set_urgency (u : int) : unit =
   let ctx = cur_ctx () in
   Atomic.set ctx.pool.urgency (max 0 (min max_urgency u))
@@ -474,17 +474,11 @@ let rec promote (ctx : ctx) : unit =
 (* [poll]: the promotion-ready program point — observe a pending beat
    and promote.  Fetches the context fresh: the computation may have
    migrated since the previous poll. *)
-and poll () : unit =
-  let ctx = cur_ctx () in
-  poll_at ctx
-    (match ctx.pool.cfg.source with
-    | `Polling -> Mclock.now_ns ()
-    | `Ping_domain -> 0)
+and poll () : unit = poll_at (cur_ctx ()) (Mclock.now_ns ())
 
 (* [poll_at ctx now]: the same, for call sites that already hold a
    context known to be fresh (no user code ran since it was fetched)
-   and a {!Mclock} stamp [now] taken just before; only the [`Polling]
-   beat check reads it. *)
+   and a {!Mclock} stamp [now] taken just before. *)
 and poll_at (ctx : ctx) (now : int) : unit =
   let w = ctx.worker in
   w.st_polls <- w.st_polls + 1;
@@ -501,25 +495,11 @@ and poll_at (ctx : ctx) (now : int) : unit =
           w.st_cancels <- w.st_cancels + 1;
           if traced ctx then emit ctx (Obs.Event.Cancel { reason });
           raise (Cancelled reason)));
-  let due =
-    match ctx.pool.cfg.source with
-    | `Ping_domain ->
-        if Atomic.get w.beat then begin
-          Atomic.set w.beat false;
-          true
-        end
-        else false
-    | `Polling ->
-        (* [now] is monotonic: an NTP step of the wall clock must not
-           make beats fire continuously (forward) or never (backward) *)
-        let heart_ns = ctx.pool.heart_ns asr Atomic.get ctx.pool.urgency in
-        if now - w.last_beat_ns >= heart_ns then begin
-          w.last_beat_ns <- now;
-          true
-        end
-        else false
-  in
-  if due then
+  (* [now] is monotonic: an NTP step of the wall clock must not make
+     beats fire continuously (forward) or never (backward) *)
+  let heart_ns = ctx.pool.heart_ns asr Atomic.get ctx.pool.urgency in
+  if now - w.last_beat_ns >= heart_ns then begin
+    w.last_beat_ns <- now;
     match w.chaos with
     | None ->
         w.st_beats <- w.st_beats + 1;
@@ -542,12 +522,13 @@ and poll_at (ctx : ctx) (now : int) : unit =
           emit ctx Obs.Event.Beat;
           promote ctx
         end
+  end
 
 (* The promotable loop runner: iterations of [lo, hi) with the range
    advertised on the mark list, strip-mined so the beat check
    amortises over a strip of [l.strip] iterations, resized after each
    strip by {!next_strip} from its measured time.  One clock read per
-   strip serves both the sizing and the [`Polling] beat check.  Each
+   strip serves both the sizing and the beat check.  Each
    strip is {e claimed} ([l.lo <- stop]) before it runs: a beat
    landing inside [f] — at a nested promotion point, possibly after
    the computation suspended and migrated to another domain — splits
@@ -862,8 +843,8 @@ let worker_loop (ctx : ctx) : unit =
 let run_worker (pool : pool) (id : int) : unit =
   let w = pool.workers.(id) in
   let ctx = { pool; worker = w } in
-  (* arm the [`Polling] beat when THIS worker's loop starts, on its
-     own monotonic clock — not at pool construction on the spawning
+  (* arm the beat when THIS worker's loop starts, on its own monotonic
+     clock — not at pool construction on the spawning
      domain, which front-loads a spurious first beat by however long
      the domain spawns took *)
   w.last_beat_ns <- Mclock.now_ns ();
@@ -871,17 +852,6 @@ let run_worker (pool : pool) (id : int) : unit =
   Fun.protect
     ~finally:(fun () -> Domain.DLS.set ctx_key None)
     (fun () -> worker_loop ctx)
-
-let ping_loop (pool : pool) : unit =
-  let period = Float.max 1e-6 (pool.cfg.heart_us *. 1e-6) in
-  while not (Atomic.get pool.ping_stop) do
-    (* the urgency hint halves the ping period per step; re-read each
-       beat so a serving layer can change it mid-session (capped at
-       2^20 to keep the sleep argument sane) *)
-    let u = min 20 (Atomic.get pool.urgency) in
-    Unix.sleepf (Float.max 1e-6 (period /. float_of_int (1 lsl u)));
-    Array.iter (fun w -> Atomic.set w.beat true) pool.workers
-  done
 
 (* ------------------------------------------------------------------ *)
 
@@ -894,7 +864,6 @@ let make_worker ?(tracer : Obs.Trace.t option) ?(chaos : Chaos.state option)
   {
     id;
     deque = Ws_deque.create ();
-    beat = Obs.Padding.atomic false;
     rng = 0x9E3779B1 + (id * 0x85EBCA77);
     current_marks = ref [];
     last_beat_ns = Mclock.now_ns ();
@@ -1031,9 +1000,9 @@ let metrics ?(tracer : Obs.Trace.t option) (st : stats) : Obs.Metrics.t =
    runs one warm session per shard. *)
 
 (** [run ?config main] executes [main] under the multi-domain
-    heartbeat scheduler: [config.domains] worker domains (the calling
-    domain is worker 0) plus, with the [`Ping_domain] source, one ping
-    domain.  Returns [main]'s result and the session statistics.
+    heartbeat scheduler: [config.domains] worker domains, the calling
+    domain being worker 0.  Returns [main]'s result and the session
+    statistics.
     An exception inside a task — user code, an injected {!Chaos}
     fault, or a {!Cancelled} unwind — propagates structurally to its
     fork point (children are always joined first, so no task strays);
@@ -1062,7 +1031,6 @@ let run ?(config = default_config) (main : unit -> 'a) : 'a * stats =
         Array.init n (fun id ->
             make_worker ?tracer:config.tracer ?chaos:(chaos_for id) ~id ());
       stop = Atomic.make false;
-      ping_stop = Atomic.make false;
       error = Atomic.make None;
       urgency = Obs.Padding.atomic 0;
       cancel = Obs.Padding.atomic None;
@@ -1083,15 +1051,6 @@ let run ?(config = default_config) (main : unit -> 'a) : 'a * stats =
         | Some tr -> Obs.Trace.intern tr "main"
         | None -> 0);
     };
-  let ping =
-    match config.source with
-    | `Polling -> None
-    | `Ping_domain -> Some (Domain.spawn (fun () -> ping_loop pool))
-  in
-  let stop_ping () =
-    Atomic.set pool.ping_stop true;
-    Option.iter Domain.join ping
-  in
   let others =
     try
       Array.init (n - 1) (fun i ->
@@ -1099,12 +1058,10 @@ let run ?(config = default_config) (main : unit -> 'a) : 'a * stats =
     with e ->
       (* spawn failed: stop whatever did start, then re-raise *)
       Atomic.set pool.stop true;
-      stop_ping ();
       raise e
   in
   run_worker pool 0;
   Array.iter Domain.join others;
-  stop_ping ();
   (* the monotonic clock of [live_stats] and the idle counters, so
      an idle fraction divides like by like *)
   let elapsed_s = float_of_int (Mclock.now_ns () - pool.t0_ns) *. 1e-9 in

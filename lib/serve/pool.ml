@@ -22,15 +22,16 @@
     behind a router).  Concurrency lives at the boundary: any number
     of client threads submit and await concurrently.
 
-    Failure containment mirrors the PR 3 lease/watchdog machinery: a
-    watchdog thread leases each in-flight request [lease_s] seconds;
-    a request that overruns marks the pool {e degraded}
-    ([stalls_detected] increments, new submissions are shed with a
-    typed rejection while the wedged request holds the session) and
-    the flag clears when the request finally completes.  Closing the
-    pool resolves every still-queued request with the typed
-    {!error.Pool_closed} — never by racing domain shutdown against a
-    half-executed queue. *)
+    Failure containment is a lease watchdog: a watchdog thread leases
+    each in-flight request [lease_s] seconds.  A request that overruns
+    marks the pool {e degraded} ([stalls_detected] increments, new
+    submissions are shed with a typed rejection while the wedged
+    request holds the session) and has its cancel token set, so a
+    request that polls unwinds at its next poll with
+    [Cancelled `Lease]; the flag clears when the request finally
+    returns.  Closing the pool resolves every still-queued request
+    with the typed {!error.Pool_closed} — never by racing domain
+    shutdown against a half-executed queue. *)
 
 type work =
   | Kernel of { bench : Workloads.Real_bench.t; scale : int }
@@ -60,9 +61,9 @@ type error =
   | Timed_out  (** [await ~timeout_s] expired; the request itself may
                    still complete later *)
   | Cancelled of Par.Runtime.cancel_reason
-      (** the request's task tree was cooperatively unwound: an
-          explicit {!cancel}, a blown deadline, or the lease watchdog
-          recovering the session *)
+      (** the request's task tree was cooperatively unwound: by
+          {!cancel}, with its caller's reason, or by the lease watchdog
+          recovering the session ([`Lease]) *)
   | Retry_exhausted of { attempts : int }
       (** the request failed retryably [attempts] times and its
           tenant's retry budget ran dry — the typed end of the backoff
@@ -94,36 +95,21 @@ type completion = {
 type ticket = int
 
 type config = {
-  runtime : Par.Runtime.config;  (** the warm session: domain count,
-                                     beat source, ♥ *)
+  runtime : Par.Runtime.config;  (** the warm session: domain count, ♥ *)
   sched : Sched.config;  (** admission cap, DRR quantum, panic slack *)
   default_slo_s : float;  (** deadline for submits that give none *)
-  lease_s : float;  (** wedged-request lease; ≤ 0 disables the
-                        watchdog *)
-  shed_when_degraded : bool;
-      (** reject new work while a wedged request holds the session *)
-  cancel_on_lease : bool;
-      (** the watchdog also sets the wedged request's cancel token, so
-          a cooperative (polling) request unwinds at its next beat and
-          the session recovers instead of merely degrading.  A wedged
-          request that never polls is still only flagged — OCaml
-          domains cannot be preempted from outside. *)
-  deadline_cancel_slack_s : float option;
-      (** [Some s]: the watchdog cancels (reason [`Deadline]) any
-          in-flight request more than [s] seconds past its deadline;
-          [None] (default) never deadline-cancels — completion wins *)
+  lease_s : float;
+      (** wedged-request lease; ≤ 0 disables the watchdog.  A request
+          past it sheds new work until it returns, and has its cancel
+          token set: one that polls unwinds at its next poll, one that
+          never polls stays wedged — OCaml domains cannot be preempted
+          from outside. *)
   retries : int;
-      (** per-tenant retry budget for retryable failures; 0 disables
-          the retry machinery entirely *)
-  retryable : exn -> bool;
-      (** which request failures may consume retry budget; defaults to
-          injected chaos faults ({!Par.Chaos.Injected}) only — real
-          bugs should surface, not loop *)
+      (** per-tenant retry budget for failures from injected chaos
+          faults ({!Par.Chaos.Injected}) only — real bugs surface, not
+          loop; 0 disables the retry machinery entirely *)
   retry_backoff_s : float;  (** base delay before the first retry *)
   retry_backoff_max_s : float;  (** backoff clamp (see {!Sched.backoff_s}) *)
-  max_restarts : int;
-      (** warm session restarts after a session-fatal error before the
-          pool gives up and fails over to the typed-drain path *)
   tracer : Obs.Trace.t option;
       (** when set, the pool records every admission / DRR–EDF
           dispatch / completion / degradation decision on a "server"
@@ -134,18 +120,13 @@ type config = {
 
 let default_config =
   {
-    runtime = { Par.Runtime.default_config with source = `Polling };
+    runtime = Par.Runtime.default_config;
     sched = Sched.default_config;
     default_slo_s = 1.0;
     lease_s = 10.;
-    shed_when_degraded = true;
-    cancel_on_lease = true;
-    deadline_cancel_slack_s = None;
     retries = 0;
-    retryable = (function Par.Chaos.Injected _ -> true | _ -> false);
     retry_backoff_s = 0.001;
     retry_backoff_max_s = 0.05;
-    max_restarts = 1;
     tracer = None;
   }
 
@@ -178,7 +159,6 @@ type t = {
   mutable retried : int;  (** failed attempts re-admitted for retry *)
   mutable restarts : int;  (** warm session restarts performed *)
   mutable running : (ticket * float) option;  (** in-flight id, start *)
-  mutable running_deadline : float;  (** in-flight absolute deadline *)
   mutable cancel_tok : Par.Runtime.cancel_token option;
       (** the in-flight request's token — the handle the watchdog and
           {!cancel} use to unwind it from outside the session *)
@@ -435,7 +415,6 @@ let serve_main (t : t) : unit =
         let tok = Par.Runtime.cancel_token () in
         t.cancel_tok <- Some tok;
         t.running <- Some (r.id, Mclock.now_s ());
-        t.running_deadline <- r.deadline;
         (* the deadline-aware promotion hint: near-SLO requests get a
            shorter effective beat period for their whole execution *)
         let hint = Sched.promotion_hint ~now:(Mclock.now_s ()) r in
@@ -494,7 +473,7 @@ let serve_main (t : t) : unit =
               complete `Failed;
               fatal := Some e;
               Some (Error (Failed e))
-          | Error e when t.cfg.retries > 0 && t.cfg.retryable e ->
+          | Error (Par.Chaos.Injected _) when t.cfg.retries > 0 ->
               let left =
                 Option.value
                   (Hashtbl.find_opt t.budgets r.tenant)
@@ -555,24 +534,13 @@ let watchdog_loop (t : t) : unit =
         pemit t (Obs.Event.Degraded { on = true });
         (* lease-based recovery: beyond marking the pool degraded, ask
            the wedged request to unwind.  A cooperative (polling)
-           request aborts within a beat and the session serves on; one
-           that never polls stays wedged — flagged, shedding — until it
-           returns *)
-        if t.cfg.cancel_on_lease then (
-          match t.cancel_tok with
-          | Some tok when not (Par.Runtime.cancel_requested tok) ->
-              Par.Runtime.cancel tok `Lease;
-              pemit t (Obs.Event.Cancel { reason = `Lease })
-          | _ -> ())
-    | _ -> ());
-    (* deadline cancellation (config-gated): a request hopelessly past
-       its SLO is unwound rather than left burning the session *)
-    (match (t.cfg.deadline_cancel_slack_s, t.running) with
-    | Some slack, Some _ when now > t.running_deadline +. slack -> (
-        match t.cancel_tok with
+           request aborts at its next poll and the session serves on;
+           one that never polls stays wedged — flagged, shedding —
+           until it returns *)
+        (match t.cancel_tok with
         | Some tok when not (Par.Runtime.cancel_requested tok) ->
-            Par.Runtime.cancel tok `Deadline;
-            pemit t (Obs.Event.Cancel { reason = `Deadline })
+            Par.Runtime.cancel tok `Lease;
+            pemit t (Obs.Event.Cancel { reason = `Lease })
         | _ -> ())
     | _ -> ());
     Mutex.unlock t.m
@@ -605,7 +573,6 @@ let create ?(config = default_config) () : t =
       retried = 0;
       restarts = 0;
       running = None;
-      running_deadline = infinity;
       cancel_tok = None;
       retry_q = [];
       attempts = Hashtbl.create 16;
@@ -631,9 +598,9 @@ let create ?(config = default_config) () : t =
     Domain.spawn (fun () ->
         (* the session loop: one warm Par.Runtime session normally; on
            a session-fatal error (a Machine_fault, or anything escaping
-           the dispatch loop itself) the wreck is resolved and — within
-           [max_restarts], provided the dying attempt had actually
-           booted — a fresh session takes over the untouched queue *)
+           the dispatch loop itself) the wreck is resolved and — once
+           per pool, provided the dying attempt had actually booted — a
+           fresh session takes over the untouched queue *)
         let rec session () =
           Mutex.lock t.m;
           t.attempt_up <- false;
@@ -650,7 +617,7 @@ let create ?(config = default_config) () : t =
               Mutex.lock t.m;
               let can_restart =
                 t.attempt_up && (not t.close_requested)
-                && t.restarts < t.cfg.max_restarts
+                && t.restarts = 0
               in
               if can_restart then begin
                 (* warm restart: the in-flight request (if any — its
@@ -678,9 +645,9 @@ let create ?(config = default_config) () : t =
                 session ()
               end
               else begin
-                (* boot failure, restart budget exhausted, or a close
-                   racing the death: resolve everything so no awaiter
-                   hangs, and surface the exception *)
+                (* boot failure, the pool's one restart already used,
+                   or a close racing the death: resolve everything so
+                   no awaiter hangs, and surface the exception *)
                 t.failed <- Some e;
                 t.up <- true;
                 (match t.running with
@@ -747,7 +714,7 @@ let submit (t : t) ~(tenant : string) ?deadline_s ?(size = 1)
       match t.failed with
       | Some e -> Error (Failed e)
       | None ->
-          if t.degraded && t.cfg.shed_when_degraded then begin
+          if t.degraded then begin
             t.shed <- t.shed + 1;
             pemit t (Obs.Event.Reject { shed = true });
             Error (Rejected `Shedding)

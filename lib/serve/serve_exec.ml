@@ -18,7 +18,6 @@ let pool_config ?(chaos : Par.Chaos.plan option) ?(retries = 0)
         Par.Runtime.default_config with
         domains;
         heart_us;
-        source = `Polling;
         chaos;
       };
     (* fuzz programs are tiny; a generous lease keeps the watchdog

@@ -77,11 +77,11 @@ let test_on_beat_mechanics () =
 
 let config ?chaos ?tracer ~domains () =
   {
-    Par.Runtime.domains;
+    Par.Runtime.default_config with
+    domains;
     heart_us = 0.;
     (* a beat at every poll: deterministic single-domain counters, and
        beat-indexed faults land immediately *)
-    source = `Polling;
     chaos;
     tracer;
   }

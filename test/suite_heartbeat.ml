@@ -1,7 +1,7 @@
 (* Tests for the real effects-based heartbeat runtime at one domain
    (serial with promotion): serial equivalence under promotion on
-   every kernel, join correctness, nesting, promotion policy, the
-   ping-domain beat source, and the serve pool's lease watchdog. *)
+   every kernel, join correctness, nesting, promotion policy, and the
+   serve pool's lease watchdog. *)
 
 module Hb = Par.Runtime
 module E = Par.Runtime.Exec
@@ -10,10 +10,10 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 (* An aggressive config so promotions definitely fire in fast tests:
-   clock polling with a tiny heart. *)
+   a tiny heart. *)
 let hot : Hb.config =
   { Hb.default_config with
-    domains = 1; heart_us = 5.; source = `Polling }
+    domains = 1; heart_us = 5. }
 
 let run f = Hb.run ~config:hot f
 
@@ -173,27 +173,9 @@ let test_kernels_under_heartbeat () =
   let res, _ = run (fun () -> Workloads.Knapsack.search (module E) inst) in
   check_int "knapsack optimum" (Workloads.Knapsack.dp_optimum inst) res.best
 
-let test_ping_thread_source () =
-  (* the default source, a ping domain raising the worker's flag every
-     ♥, delivers beats to a one-domain session *)
-  let cfg = { Hb.default_config with domains = 1; heart_us = 200. } in
-  let acc = ref 0. in
-  let (), st =
-    Hb.run ~config:cfg (fun () ->
-        let t0 = Mclock.now_s () in
-        while
-          (Hb.live_stats ()).total.beats = 0 && Mclock.now_s () -. t0 < 5.
-        do
-          Hb.par_for ~lo:0 ~hi:100_000 (fun i ->
-              acc := !acc +. float_of_int (i land 7))
-        done)
-  in
-  check "computation survives the ping domain" true (!acc > 0.);
-  check "ping beats observed" true (st.total.beats > 0)
-
 let test_serial_when_heart_huge () =
   let cfg =
-    { Hb.default_config with domains = 1; heart_us = 1e9; source = `Polling }
+    { Hb.default_config with domains = 1; heart_us = 1e9 }
   in
   let (), st =
     Hb.run ~config:cfg (fun () -> Hb.par_for ~lo:0 ~hi:10_000 ignore)
@@ -265,7 +247,6 @@ let suite =
       Alcotest.test_case "result value" `Quick test_result_value_returned;
       Alcotest.test_case "all kernels under heartbeat" `Slow
         test_kernels_under_heartbeat;
-      Alcotest.test_case "ping-thread source" `Quick test_ping_thread_source;
       Alcotest.test_case "huge heart stays serial" `Quick
         test_serial_when_heart_huge;
       Alcotest.test_case "stall watchdog reaches Obs.Metrics" `Quick

@@ -326,7 +326,6 @@ let pool_config ?(cap = 4096) () : Serve.Pool.config =
         Par.Runtime.default_config with
         domains = 1;
         heart_us = 100.;
-        source = `Polling;
       };
     sched = { Serve.Sched.default_config with cap };
     lease_s = 0.;
@@ -570,6 +569,40 @@ let test_server_loopback_audit () =
   check "server saw the submits" true (st.submits >= 600);
   check "responses flowed" true (st.responses >= 600);
   check_int "no framing deaths" 0 st.dead_conns
+
+(* A load run whose connections fail must not pass its audit on the
+   ones left: against a port with no listener every planned request
+   counts as lost.  A window below one is refused up front, before any
+   connection waits for fewer than zero requests in flight.  The port
+   stays bound, never listening, so nothing else can take it. *)
+let test_netload_failed_conns_lost () =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close sock)
+    (fun () ->
+      Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      let port =
+        match Unix.getsockname sock with
+        | Unix.ADDR_INET (_, p) -> p
+        | Unix.ADDR_UNIX _ -> Alcotest.fail "no port"
+      in
+      let addr = Net.Server.Tcp { host = "127.0.0.1"; port } in
+      let spec = { Net.Netload.default_spec with requests = 10; conns = 2 } in
+      (match Net.Netload.run addr { spec with window = 0 } with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "window 0 accepted");
+      let r = Net.Netload.run addr spec in
+      check_int "every planned request lost" 10 r.lost;
+      check "the audit fails" false (Net.Netload.audit_ok r);
+      let lines =
+        String.split_on_char '\n' (Format.asprintf "%a" Net.Netload.pp_report r)
+      in
+      List.iter
+        (fun ci ->
+          let prefix = Printf.sprintf "connection %d failed: " ci in
+          check (prefix ^ "reported") true
+            (List.exists (String.starts_with ~prefix) lines))
+        [ 0; 1 ])
 
 let test_server_survives_departed_peers () =
   (* peers that hang up with replies still queued for them: the
@@ -972,4 +1005,6 @@ let suite =
         `Quick test_server_rejections_leave_nothing;
       Alcotest.test_case "client: unexpected responses are dropped and counted"
         `Quick test_client_unexpected_responses;
+      Alcotest.test_case "netload: a failed connection's requests are lost"
+        `Quick test_netload_failed_conns_lost;
     ] )

@@ -220,7 +220,6 @@ let test_ring_event_invariants () =
       Par.Runtime.default_config with
       domains;
       heart_us = 30.;
-      source = `Polling;
       tracer = Some tr;
     }
   in
@@ -262,7 +261,6 @@ let test_ring_invariants_and_export () =
       Par.Runtime.default_config with
       domains;
       heart_us = 30.;
-      source = `Polling;
       tracer = Some tr;
     }
   in
@@ -324,7 +322,6 @@ let test_with_region () =
       Par.Runtime.default_config with
       domains = 2;
       heart_us = 20.;
-      source = `Polling;
       tracer = Some tr;
     }
   in
@@ -362,7 +359,6 @@ let test_ring_counts_equal_counters () =
           Par.Runtime.default_config with
           domains;
           heart_us = 30.;
-          source = `Polling;
           tracer = Some tr;
         }
       in
@@ -402,7 +398,6 @@ let test_tiny_rings_under_load () =
       Par.Runtime.default_config with
       domains = 4;
       heart_us = 20.;
-      source = `Polling;
       tracer = Some tr;
     }
   in

@@ -283,7 +283,7 @@ let test_steal_victim_no_overflow () =
     [ 0; 1; 12345; max_int - 1; max_int ]
 
 (* ------------------------------------------------------------------ *)
-(* The monotonic clock behind the [`Polling] beat source. *)
+(* The monotonic clock behind the beat. *)
 
 let test_mclock_monotone () =
   let last = ref (Mclock.now_ns ()) in
@@ -300,8 +300,8 @@ let test_mclock_monotone () =
      sleepf never returns early by more than scheduler jitter) *)
   check "sleep advances the clock" true (dt >= 2_000_000)
 
-(* [`Polling] beat cadence: a tiny heart period fires beats during a
-   polling loop; an unreachable one never does.  (The pre-fix
+(* Beat cadence: a tiny heart period fires beats during a polling
+   loop; an unreachable one never does.  (The pre-fix
    gettimeofday source also passes the first half — the regression it
    guards is the init-time fix: [last_beat] armed when the worker
    loop starts, not at pool construction.) *)
@@ -314,9 +314,7 @@ let test_polling_cadence () =
       Par.Runtime.poll ()
     done
   in
-  let config heart_us =
-    { (cfg ~domains:1 ~heart_us ()) with source = `Polling }
-  in
+  let config heart_us = cfg ~domains:1 ~heart_us () in
   let (), st =
     Par.Runtime.run ~config:(config 100.) (fun () -> spin_polling 20)
   in
@@ -340,7 +338,7 @@ let test_strip_boundaries_exactly_once () =
     (fun domains ->
       let n = 10_000 in
       let hits = Array.make n 0 in
-      let config = { (cfg ~domains ~heart_us:0. ()) with source = `Polling } in
+      let config = cfg ~domains ~heart_us:0. () in
       let (), st =
         Par.Runtime.run ~config (fun () ->
             Par.Runtime.par_for ~lo:0 ~hi:n (fun i ->
@@ -360,7 +358,7 @@ let test_strip_boundaries_exactly_once () =
   (* nested loops under the same forcing *)
   let n = 60 in
   let grid = Array.make (n * n) 0 in
-  let config = { (cfg ~domains:3 ~heart_us:0. ()) with source = `Polling } in
+  let config = cfg ~domains:3 ~heart_us:0. () in
   let (), _ =
     Par.Runtime.run ~config (fun () ->
         Par.Runtime.par_for ~lo:0 ~hi:n (fun r ->
@@ -599,7 +597,7 @@ let test_stats_accounting () =
    the effective period down until every poll beats.  Also pins the
    clamp and the outside-session rejection. *)
 let test_urgency_promotes () =
-  let config = { (cfg ~domains:1 ~heart_us:1e12 ()) with source = `Polling } in
+  let config = cfg ~domains:1 ~heart_us:1e12 () in
   let work () =
     let a = Array.make 4096 0 in
     Par.Runtime.par_for ~lo:0 ~hi:4096 (fun i -> a.(i) <- i)
@@ -702,9 +700,7 @@ let test_next_strip_policy () =
    already overruns the target, so every iteration ends in a poll, and
    a beat that falls due mid-loop promotes the rest of it. *)
 let test_heavy_iterations_promote () =
-  let config =
-    { (cfg ~domains:1 ~heart_us:100. ()) with source = `Polling }
-  in
+  let config = cfg ~domains:1 ~heart_us:100. () in
   let n = 24 in
   let hits = Array.make n 0 in
   let (), st =
@@ -730,9 +726,7 @@ let test_heavy_iterations_promote () =
    so a million indices cost a few hundred polls.  The bound of 2,000
    fails a fixed strip of up to 500 iterations. *)
 let test_one_store_loop_polls_rarely () =
-  let config =
-    { (cfg ~domains:1 ~heart_us:100. ()) with source = `Polling }
-  in
+  let config = cfg ~domains:1 ~heart_us:100. () in
   let n = 1_000_000 in
   let a = Array.make n 0 in
   let (), st =
@@ -776,7 +770,7 @@ let test_slowdown_beat_bound () =
   let attempt () =
     let tr = Obs.Trace.create () in
     let config =
-      { (cfg ~domains:1 ~heart_us ()) with source = `Polling; tracer = Some tr }
+      { (cfg ~domains:1 ~heart_us ()) with tracer = Some tr }
     in
     let executed = ref 0 and switch_ns = ref 0 and last_ns = ref 0 in
     let (), _ =
@@ -823,9 +817,7 @@ let test_slowdown_beat_bound () =
    while its 1 µs strip target lets strips grow well past one
    iteration. *)
 let test_time_sized_strips_exactly_once () =
-  let config domains =
-    { (cfg ~domains ~heart_us:2. ()) with source = `Polling }
-  in
+  let config domains = cfg ~domains ~heart_us:2. () in
   List.iter
     (fun domains ->
       let n = 200_000 in
@@ -886,7 +878,7 @@ let test_time_sized_strips_exactly_once () =
    4.  Of three runs the leanest counts: the words are exact, but any
    other thread on this domain allocates into the same count. *)
 let test_untraced_allocation_budget () =
-  let config = { (cfg ~domains:1 ~heart_us:0. ()) with source = `Polling } in
+  let config = cfg ~domains:1 ~heart_us:0. () in
   let session hi =
     let w0 = Gc.minor_words () in
     let (), st =
@@ -912,7 +904,7 @@ let test_untraced_allocation_budget () =
    with that one promotion may take only a few more polls than the
    same loop with none. *)
 let test_promoted_child_keeps_strip () =
-  let config = { (cfg ~domains:1 ~heart_us:1e12 ()) with source = `Polling } in
+  let config = cfg ~domains:1 ~heart_us:1e12 () in
   let n = 64 * Par.Runtime.max_strip in
   let polls ~promote =
     let forcing = ref false in

@@ -214,7 +214,6 @@ let pool_config ?(cap = 512) ?(lease_s = 0.) ?(domains = 1) () :
         Par.Runtime.default_config with
         domains;
         heart_us = 100.;
-        source = `Polling;
       };
     sched = { Serve.Sched.default_config with cap };
     lease_s;
@@ -804,6 +803,61 @@ let test_warm_restart () =
      post-restart requests *)
   check_int "dispatches include the victim" 4 st.served
 
+(* A request that keeps polling past its lease is cancelled by the
+   watchdog at its next poll, and the pool serves on. *)
+let test_lease_cancels_polling_request () =
+  let pool = Serve.Pool.create ~config:(pool_config ~lease_s:0.05 ()) () in
+  let work =
+    Serve.Pool.Thunk
+      (fun (module E : Workloads.Exec.S) ->
+        (* ~100 s of polling work: only the lease can end it in time *)
+        E.par_for ~lo:0 ~hi:1_000_000 (fun _ -> Unix.sleepf 0.0001);
+        0)
+  in
+  (match Serve.Pool.submit pool ~tenant:"a" work with
+  | Ok t -> (
+      match Serve.Pool.await ~timeout_s:30. pool t with
+      | Error (Serve.Pool.Cancelled `Lease) -> ()
+      | Ok _ -> Alcotest.fail "leased-out request ran to completion"
+      | Error e -> Alcotest.failf "leased-out request: %a" Serve.Pool.pp_error e)
+  | Error _ -> Alcotest.fail "submit rejected");
+  (match Serve.Pool.submit pool ~tenant:"b" (quick_thunk 3) with
+  | Ok t -> (
+      match Serve.Pool.await ~timeout_s:30. pool t with
+      | Ok { outcome = Serve.Pool.Checksum 3; _ } -> ()
+      | _ -> Alcotest.fail "request after the lease cancel did not complete")
+  | Error _ -> Alcotest.fail "pool shed work after the lease cancel");
+  let st = Serve.Pool.close pool in
+  check "the stall counted" true (st.stalls_detected >= 1);
+  check_int "one cancel" 1 st.cancels
+
+(* A pool restarts its session once: a second Machine_fault fails it
+   over, resolving the victim [Failed] and refusing later submits. *)
+let test_second_fault_fails_over () =
+  let pool = Serve.Pool.create ~config:(pool_config ()) () in
+  let fault () =
+    match
+      Serve.Pool.submit pool ~tenant:"a"
+        (Serve.Pool.Thunk
+           (fun _ -> raise (Par.Runtime.Machine_fault Tpal.Machine_error.Halted)))
+    with
+    | Error _ -> Alcotest.fail "submit rejected"
+    | Ok t -> (
+        match Serve.Pool.await ~timeout_s:30. pool t with
+        | Error (Serve.Pool.Failed (Par.Runtime.Machine_fault _)) -> ()
+        | Ok _ -> Alcotest.fail "faulting request completed"
+        | Error e -> Alcotest.failf "faulting request: %a" Serve.Pool.pp_error e)
+  in
+  fault ();
+  fault ();
+  (match Serve.Pool.submit pool ~tenant:"b" (quick_thunk 1) with
+  | Error (Serve.Pool.Failed (Par.Runtime.Machine_fault _)) -> ()
+  | Ok _ -> Alcotest.fail "a failed-over pool admitted work"
+  | Error e -> Alcotest.failf "submit after fail-over: %a" Serve.Pool.pp_error e);
+  let st = Serve.Pool.close pool in
+  check_int "one warm restart" 1 st.restarts;
+  check_int "both victims failed" 2 st.failures
+
 (* ------------------------------------------------------------------ *)
 (* Per-ticket memory: a result is read once, and nothing the serving
    layer keeps grows with the number of requests served. *)
@@ -1018,4 +1072,8 @@ let suite =
         test_pool_reads_once;
       Alcotest.test_case "pool: live heap flat over 200k awaited requests" `Quick
         test_pool_memory_flat;
+      Alcotest.test_case "pool: a polling request past its lease is cancelled"
+        `Quick test_lease_cancels_polling_request;
+      Alcotest.test_case "pool: a second Machine_fault fails the pool over"
+        `Quick test_second_fault_fails_over;
     ] )
