@@ -195,129 +195,88 @@ let time_median ~(repeat : int) (f : unit -> 'a) : float * int * 'a =
   median_by (fun (t, _, _) -> t) (List.init (max 1 repeat) (fun _ -> timed f))
 
 (* ---- trajectory JSON ----------------------------------------------
-   BENCH_par.json is an accumulating trajectory: one run object per
-   `--par-bench` invocation (with `--append`), so before/after points
-   of a perf change live side by side in the committed file:
+   BENCH_par.json and BENCH_serve.json are accumulating trajectories,
+   one run object per `--append` invocation, so before/after points of
+   a perf change live side by side in the committed file:
 
      { "suite": "par_bench",
        "trajectory": [ { "label": ..., "host_cores": N, "scale": K,
-                         "results": [ <rows> ] }, ... ] }
+                         "results": [ <rows> ] }, ... ] } *)
 
-   Appending is textual (no JSON dependency): the previous runs are
-   extracted as the raw inner text of the "trajectory" array. *)
+module J = Stats.Json
 
-let row_json (r : par_row) =
-  Printf.sprintf
-    "      {\"bench\": \"%s\", \"domains\": %d, \"seconds\": %.6f, \
-     \"session_seconds\": %.6f, \"speedup\": %.3f, \"checksum\": %d, \
-     \"promotions\": %d, \"steals\": %d, \"steal_attempts\": %d, \"joins\": \
-     %d, \"beats\": %d, \"polls\": %d, \"max_deque\": %d, \"idle_ms\": \
-     %.3f, \"minor_gcs\": %d}"
-    (Stats.Chrome_trace.escape r.bench)
-    r.domains r.seconds r.session_seconds r.speedup r.checksum r.promotions
-    r.steals r.steal_attempts r.joins r.beats r.polls r.max_deque r.idle_ms
-    r.minor_gcs
+(* row members: an int, and a measurement rounded to [1 / scale] (a
+   time to the microsecond is [num 1e6]): the digits past it are noise *)
+let int k n : string * J.t = (k, J.Int n)
+let num scale k x : string * J.t = (k, J.Float (Float.round (x *. scale) /. scale))
 
-let run_json ~(label : string) ~(scale : int) (rows : par_row list) : string =
-  Printf.sprintf
-    "    {\n\
-    \      \"label\": \"%s\",\n\
-    \      \"host_cores\": %d,\n\
-    \      \"scale\": %d,\n\
-    \      \"results\": [\n\
-     %s\n\
-    \      ]\n\
-    \    }"
-    (Stats.Chrome_trace.escape label)
-    (Domain.recommended_domain_count ())
-    scale
-    (String.concat ",\n" (List.map row_json rows))
+(* [msg] is Sys_error's "PATH: reason" *)
+let cannot_write (msg : string) =
+  Printf.eprintf "cannot write %s\n%!" msg;
+  exit 2
 
-(* The balanced [...] following the "key": string in [content], as
-   raw inner text.  Brackets and quotes inside string literals (and
-   [\\]-escapes within them) are skipped, so any label round-trips. *)
-let extract_array (content : string) (key : string) : string option =
-  let n = String.length content in
-  (* the index just past the literal whose body starts at [i] *)
-  let rec after_string i =
-    if i >= n then n
+(* An unwritable output path is refused before the battery runs.  The
+   probe appends, so a file keeps its contents; one it creates goes. *)
+let check_writable (path : string) : unit =
+  let existed = Sys.file_exists path in
+  match open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path with
+  | oc -> close_out oc; if not existed then Sys.remove path
+  | exception Sys_error msg -> cannot_write msg
+
+let write_file (path : string) (text : string) : unit =
+  try Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  with Sys_error msg -> cannot_write msg
+
+(* The writer of [path]'s trajectory, which prints the whole document
+   with the runs it is given added.  When appending to a file that
+   exists, the file is parsed now: one that does not parse, or whose
+   "trajectory" is not a list, is refused (exit 2) and left untouched. *)
+let open_trajectory ~(suite : string) ~(append : bool) (path : string) :
+    J.t list -> unit =
+  check_writable path;
+  let refuse why =
+    Printf.eprintf "%s: %s; not appending to it\n%!" path why;
+    exit 2
+  in
+  let members =
+    if not (append && Sys.file_exists path) then
+      [ ("suite", J.Str suite); ("trajectory", J.List []) ]
     else
-      match content.[i] with
-      | '\\' -> after_string (i + 2)
-      | '"' -> i + 1
-      | _ -> after_string (i + 1)
+      match J.of_string (In_channel.with_open_bin path In_channel.input_all) with
+      | Ok (J.Obj members)
+        when List.exists (function "trajectory", J.List _ -> true | _ -> false) members ->
+          members
+      | Ok _ -> refuse "no \"trajectory\" list"
+      | Error e -> refuse ("not JSON (" ^ e ^ ")")
+      | exception Sys_error msg -> refuse msg
   in
-  let rec skip_ws i =
-    if i < n && String.contains " \t\r\n" content.[i] then skip_ws (i + 1)
-    else i
-  in
-  let needle = Printf.sprintf "\"%s\"" key in
-  let rec find i =
-    if i >= n then None
-    else if content.[i] <> '"' then find (i + 1)
-    else
-      let j = after_string (i + 1) in
-      let colon = skip_ws j in
-      if String.sub content i (j - i) = needle && colon < n
-         && content.[colon] = ':'
-      then Some (skip_ws (colon + 1))
-      else find j
-  in
-  let rec close i depth =
-    if i >= n then None
-    else
-      match content.[i] with
-      | '"' -> close (after_string (i + 1)) depth
-      | '[' -> close (i + 1) (depth + 1)
-      | ']' -> if depth = 1 then Some i else close (i + 1) (depth - 1)
-      | _ -> close (i + 1) depth
-  in
-  match find 0 with
-  | Some open_b when open_b < n && content.[open_b] = '[' ->
-      close open_b 0
-      |> Option.map (fun close_b ->
-             String.sub content (open_b + 1) (close_b - open_b - 1))
-  | _ -> None
+  fun runs ->
+    let add = function
+      | "trajectory", J.List old -> ("trajectory", J.List (old @ runs))
+      | m -> m
+    in
+    write_file path (J.to_string (J.Obj (List.map add members)) ^ "\n");
+    Printf.printf "wrote %s (+%d runs)\n%!" path (List.length runs)
 
-(* The runs already in [path]'s trajectory; [None] when the file does
-   not exist.  A file without a readable "trajectory" array is refused
-   (exit 2) rather than overwritten. *)
-let prior_runs (path : string) : string option =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error _ -> None
-  | content -> (
-      match extract_array content "trajectory" with
-      | Some inner when String.trim inner <> "" -> Some (String.trim inner)
-      | Some _ -> None
-      | None ->
-          Printf.eprintf "%s has no readable \"trajectory\" array; not \
-                          appending to it\n%!" path;
-          exit 2)
-
-let write_par_json ~(path : string) ~(label : string) ~(scale : int)
-    ~(append : bool) (rows : par_row list) : unit =
-  let prior = if append then prior_runs path else None in
-  let entries =
-    match prior with
-    | None -> run_json ~label ~scale rows
-    | Some old -> old ^ ",\n" ^ run_json ~label ~scale rows
+let run_json ~(label : string) ~(scale : int) (rows : par_row list) : J.t =
+  let row (r : par_row) =
+    J.Obj
+      [ ("bench", J.Str r.bench); int "domains" r.domains;
+        num 1e6 "seconds" r.seconds; num 1e6 "session_seconds" r.session_seconds;
+        num 1e3 "speedup" r.speedup; int "checksum" r.checksum;
+        int "promotions" r.promotions; int "steals" r.steals;
+        int "steal_attempts" r.steal_attempts; int "joins" r.joins;
+        int "beats" r.beats; int "polls" r.polls; int "max_deque" r.max_deque;
+        num 1e3 "idle_ms" r.idle_ms; int "minor_gcs" r.minor_gcs ]
   in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"suite\": \"par_bench\",\n\
-    \  \"trajectory\": [\n\
-    \    %s\n\
-    \  ]\n\
-     }\n"
-    (String.trim entries);
-  close_out oc;
-  Printf.printf "wrote %s (%d rows%s)\n%!" path (List.length rows)
-    (if prior <> None then ", appended to prior trajectory" else "")
+  J.Obj
+    [ ("label", J.Str label);
+      int "host_cores" (Domain.recommended_domain_count ());
+      int "scale" scale; ("results", J.List (List.map row rows)) ]
 
-let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
-    ~(benches : string list option) ~(append : bool) ~(label : string)
-    ~(assert_geomean : float option) ~(trace : string option) : unit =
+let run_par_bench ~(domains : int list) ~(scale : int)
+    ~(json : (J.t list -> unit) option) ~(benches : string list option)
+    ~(label : string) ~(assert_geomean : float option) ~(trace : string option) : unit =
   let benches =
     match benches with
     | None -> Workloads.Real_bench.all
@@ -450,9 +409,7 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
   (match trace with
   | None -> ()
   | Some file ->
-      let oc = open_out file in
-      output_string oc (Obs.Export.many_to_chrome_string (List.rev !traces));
-      close_out oc;
+      write_file file (Obs.Export.many_to_chrome_string (List.rev !traces));
       Printf.printf "wrote %s (%d processes, %d events, %d dropped)\n%!" file
         (List.length !traces)
         (List.fold_left
@@ -462,10 +419,7 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
            (fun acc (_, tr) -> acc + Obs.Trace.total_dropped tr)
            0 !traces));
   let rows = List.rev !rows in
-  (match json with
-  | None -> ()
-  | Some path ->
-      write_par_json ~path ~label ~scale ~append rows);
+  Option.iter (fun write -> write [ run_json ~label ~scale rows ]) json;
   match assert_geomean with
   | None -> ()
   | Some floor ->
@@ -495,83 +449,47 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
 (* ------------------------------------------------------------------ *)
 (* The serving pipeline: seeded open-loop load against the multi-tenant
    execution pool, recording the latency/goodput trajectory as JSON
-   (BENCH_serve.json; same accumulating shape as BENCH_par.json, so
-   [prior_runs] reuses the textual appender). *)
+   (BENCH_serve.json; same accumulating shape as BENCH_par.json, and
+   the loopback net rows land in the same file). *)
+
+let chaos_json : int option -> J.t = function None -> J.Null | Some n -> J.Int n
 
 let serve_run_json ~(label : string) ~(chaos_seed : int option)
-    ~(retries : int) (r : Serve.Load.report) : string =
+    ~(retries : int) (r : Serve.Load.report) : J.t =
   let spec = r.spec in
-  let latency_per_tenant =
-    String.concat ", "
-      (List.map
-         (fun (tenant, s) ->
-           Printf.sprintf "\"%s\": %s" (Stats.Chrome_trace.escape tenant)
-             (Obs.Hist.summary_json s))
-         r.latency_per_tenant)
-  in
-  Printf.sprintf
-    "    {\n\
-    \      \"label\": \"%s\",\n\
-    \      \"host_cores\": %d,\n\
-    \      \"requests\": %d,\n\
-    \      \"tenants\": %d,\n\
-    \      \"rate_rps\": %.0f,\n\
-    \      \"seed\": %d,\n\
-    \      \"slo_ms\": %.3f,\n\
-    \      \"chaos_seed\": %s,\n\
-    \      \"retry_budget\": %d,\n\
-    \      \"results\": [\n\
-    \        {\"offered\": %d, \"admitted\": %d, \"rejected_full\": %d, \
-     \"rejected_shed\": %d, \"completed\": %d, \"failed\": %d, \
-     \"cancelled\": %d, \"retried\": %d, \"restarts\": %d, \"lost\": %d, \
-     \"duplicated\": %d, \"mismatched\": %d, \"met\": %d, \"missed\": %d, \
-     \"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f, \"mean_ms\": \
-     %.4f, \"goodput_rps\": %.1f, \"throughput_rps\": %.1f, \
-     \"reject_rate\": %.4f, \"elapsed_s\": \
-     %.3f, \"pool_latency\": %s, \"latency_per_tenant\": {%s}}\n\
-    \      ]\n\
-    \    }"
-    (Stats.Chrome_trace.escape label)
-    (Domain.recommended_domain_count ())
-    spec.requests spec.tenants spec.rate_rps spec.seed (1e3 *. spec.slo_s)
-    (match chaos_seed with None -> "null" | Some n -> string_of_int n)
-    retries r.offered r.admitted r.rejected_full r.rejected_shed r.completed
-    r.failed r.cancelled r.retried r.restarts r.lost r.duplicated
-    r.mismatched r.met r.missed r.p50_ms r.p95_ms r.p99_ms r.mean_ms
-    r.goodput_rps r.throughput_rps r.reject_rate r.elapsed_s
-    (Obs.Hist.summary_json r.pool_latency)
-    latency_per_tenant
-
-(* both the in-process serve rows and the loopback net rows land in the
-   same accumulating trajectory file *)
-let write_serve_entry ~(path : string) ~(append : bool) (entry : string) : unit
-    =
-  let prior = if append then prior_runs path else None in
-  let entries =
-    match prior with None -> entry | Some old -> old ^ ",\n" ^ entry
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"suite\": \"serve_bench\",\n\
-    \  \"trajectory\": [\n\
-    \    %s\n\
-    \  ]\n\
-     }\n"
-    (String.trim entries);
-  close_out oc;
-  Printf.printf "wrote %s%s\n%!" path
-    (if prior <> None then " (appended to prior trajectory)" else "")
-
-let write_serve_json ~(path : string) ~(label : string) ~(append : bool)
-    ~(chaos_seed : int option) ~(retries : int) (r : Serve.Load.report) : unit
-    =
-  write_serve_entry ~path ~append (serve_run_json ~label ~chaos_seed ~retries r)
+  let tenant (t, s) = (t, Obs.Hist.json_of_summary s) in
+  J.Obj
+    [ ("label", J.Str label);
+      int "host_cores" (Domain.recommended_domain_count ());
+      int "requests" spec.requests; int "tenants" spec.tenants;
+      int "rate_rps" (Float.to_int (Float.round spec.rate_rps));
+      int "seed" spec.seed; num 1e3 "slo_ms" (1e3 *. spec.slo_s);
+      ("chaos_seed", chaos_json chaos_seed); int "retry_budget" retries;
+      ( "results",
+        J.List
+          [ J.Obj
+              [ int "offered" r.offered; int "admitted" r.admitted;
+                int "rejected_full" r.rejected_full;
+                int "rejected_shed" r.rejected_shed;
+                int "completed" r.completed; int "failed" r.failed;
+                int "cancelled" r.cancelled; int "retried" r.retried;
+                int "restarts" r.restarts; int "lost" r.lost;
+                int "duplicated" r.duplicated; int "mismatched" r.mismatched;
+                int "met" r.met; int "missed" r.missed;
+                num 1e4 "p50_ms" r.p50_ms; num 1e4 "p95_ms" r.p95_ms;
+                num 1e4 "p99_ms" r.p99_ms; num 1e4 "mean_ms" r.mean_ms;
+                num 1e1 "goodput_rps" r.goodput_rps;
+                num 1e1 "throughput_rps" r.throughput_rps;
+                num 1e4 "reject_rate" r.reject_rate;
+                num 1e3 "elapsed_s" r.elapsed_s;
+                ("pool_latency", Obs.Hist.json_of_summary r.pool_latency);
+                ( "latency_per_tenant",
+                  J.Obj (List.map tenant r.latency_per_tenant) ) ] ] ) ]
 
 let run_serve_bench ~(requests : int) ~(tenants : int) ~(rate : float)
     ~(seed : int) ~(domains : int) ~(cap : int) ~(slo_ms : float)
-    ~(chaos_seed : int option) ~(retries : int) ~(json : string option)
-    ~(append : bool) ~(label : string) : unit =
+    ~(chaos_seed : int option) ~(retries : int) ~(json : (J.t list -> unit) option)
+    ~(label : string) : unit =
   Printf.printf
     "=== serve bench: %d requests, %d tenants, %.0f req/s offered, %d \
      domain(s), cap %d, SLO %.1f ms, seed %d%s, retries %d ===\n\
@@ -618,15 +536,16 @@ let run_serve_bench ~(requests : int) ~(tenants : int) ~(rate : float)
   let report = Serve.Load.run pool spec in
   ignore (Serve.Pool.close pool);
   Format.printf "%a@." Serve.Load.pp_report report;
-  (match json with
-  | None -> ()
-  | Some path -> write_serve_json ~path ~label ~append ~chaos_seed ~retries report);
+  Option.iter
+    (fun write -> write [ serve_run_json ~label ~chaos_seed ~retries report ])
+    json;
   (* the exactly-once gate: a lost, duplicated or corrupted request is
-     a correctness failure regardless of the latency numbers *)
-  if report.lost > 0 || report.duplicated > 0 || report.mismatched > 0 then begin
+     a correctness failure regardless of the latency numbers, and so is
+     a run that completed nothing *)
+  if not (Serve.Load.audit_ok report) then begin
     Printf.eprintf
-      "FAIL: audit (lost %d, duplicated %d, mismatched %d)\n%!" report.lost
-      report.duplicated report.mismatched;
+      "FAIL: audit (lost %d, duplicated %d, mismatched %d, completed %d)\n%!"
+      report.lost report.duplicated report.mismatched report.completed;
     exit 1
   end
 
@@ -639,46 +558,42 @@ let run_serve_bench ~(requests : int) ~(tenants : int) ~(rate : float)
 
 let net_run_json ~(label : string) ~(policy : string) ~(shards : int)
     ~(batch_max : int) ~(batch_us : float) ~(chaos_seed : int option)
-    ~(retries : int) (r : Net.Netload.report) : string =
+    ~(retries : int) (r : Net.Netload.report) : J.t =
   let spec = r.spec in
-  Printf.sprintf
-    "    {\n\
-    \      \"label\": \"%s\",\n\
-    \      \"host_cores\": %d,\n\
-    \      \"requests\": %d,\n\
-    \      \"tenants\": %d,\n\
-    \      \"seed\": %d,\n\
-    \      \"slo_ms\": %.3f,\n\
-    \      \"chaos_seed\": %s,\n\
-    \      \"retry_budget\": %d,\n\
-    \      \"net\": {\"policy\": \"%s\", \"shards\": %d, \"conns\": %d, \
-     \"window\": %d, \"batch_max\": %d, \"batch_us\": %.0f},\n\
-    \      \"results\": [\n\
-    \        {\"submitted\": %d, \"completed\": %d, \"met\": %d, \"missed\": \
-     %d, \"rejected\": %d, \"cancelled\": %d, \"failed\": %d, \"closed\": \
-     %d, \"lost\": %d, \"duplicated\": %d, \"mismatched\": %d, \
-     \"throughput_rps\": %.1f, \"p50_ms\": %.4f, \"p95_ms\": %.4f, \
-     \"p99_ms\": %.4f, \"small_p95_ms\": %.4f, \"small_p99_ms\": %.4f, \
-     \"large_p95_ms\": %.4f, \"elapsed_s\": %.3f}\n\
-    \      ]\n\
-    \    }"
-    (Stats.Chrome_trace.escape label)
-    (Domain.recommended_domain_count ())
-    spec.requests spec.tenants spec.seed (1e3 *. spec.slo_s)
-    (match chaos_seed with None -> "null" | Some n -> string_of_int n)
-    retries
-    (Stats.Chrome_trace.escape policy)
-    shards spec.conns spec.window batch_max batch_us r.submitted r.completed
-    r.met r.missed r.rejected r.cancelled r.failed r.closed r.lost r.duplicated r.mismatched r.throughput_rps
-    r.all.p50_ms r.all.p95_ms r.all.p99_ms r.small.p95_ms r.small.p99_ms
-    r.large.p95_ms r.elapsed_s
+  J.Obj
+    [ ("label", J.Str label);
+      int "host_cores" (Domain.recommended_domain_count ());
+      int "requests" spec.requests; int "tenants" spec.tenants;
+      int "seed" spec.seed; num 1e3 "slo_ms" (1e3 *. spec.slo_s);
+      ("chaos_seed", chaos_json chaos_seed); int "retry_budget" retries;
+      ( "net",
+        J.Obj
+          [ ("policy", J.Str policy); int "shards" shards;
+            int "conns" spec.conns; int "window" spec.window;
+            int "batch_max" batch_max;
+            int "batch_us" (Float.to_int (Float.round batch_us)) ] );
+      ( "results",
+        J.List
+          [ J.Obj
+              [ int "submitted" r.submitted; int "completed" r.completed;
+                int "met" r.met; int "missed" r.missed;
+                int "rejected" r.rejected; int "cancelled" r.cancelled;
+                int "failed" r.failed; int "closed" r.closed;
+                int "lost" r.lost; int "duplicated" r.duplicated;
+                int "mismatched" r.mismatched;
+                num 1e1 "throughput_rps" r.throughput_rps;
+                num 1e4 "p50_ms" r.all.p50_ms; num 1e4 "p95_ms" r.all.p95_ms;
+                num 1e4 "p99_ms" r.all.p99_ms;
+                num 1e4 "small_p95_ms" r.small.p95_ms;
+                num 1e4 "small_p99_ms" r.small.p99_ms;
+                num 1e4 "large_p95_ms" r.large.p95_ms;
+                num 1e3 "elapsed_s" r.elapsed_s ] ] ) ]
 
 let run_net_bench ~(requests : int) ~(tenants : int) ~(seed : int)
     ~(domains : int) ~(cap : int) ~(slo_ms : float)
     ~(chaos_seed : int option) ~(retries : int) ~(shards : int)
     ~(conns : int) ~(window : int) ~(batch_max : int) ~(batch_us : float)
-    ~(small_max : int) ~(json : string option) ~(append : bool)
-    ~(label : string) : unit =
+    ~(small_max : int) ~(json : (J.t list -> unit) option) ~(label : string) : unit =
   let legs =
     (* the FIFO baseline is one pool with no routing decision at all;
        the policy legs split the same domain budget across [shards] *)
@@ -766,24 +681,19 @@ let run_net_bench ~(requests : int) ~(tenants : int) ~(seed : int)
         (name, shards, r))
       legs
   in
-  (match json with
-  | None -> ()
-  | Some path ->
-      List.iteri
-        (fun i (name, shards, r) ->
-          write_serve_entry ~path
-            ~append:(append || i > 0)
-            (net_run_json
-               ~label:(Printf.sprintf "%s-net-%s" label name)
-               ~policy:name ~shards ~batch_max ~batch_us ~chaos_seed ~retries
-               r))
-        results);
-  (* the head-of-line contrast the size-aware policy exists for *)
+  let row (name, shards, r) =
+    net_run_json ~label:(Printf.sprintf "%s-net-%s" label name) ~policy:name
+      ~shards ~batch_max ~batch_us ~chaos_seed ~retries r
+  in
+  Option.iter (fun write -> write (List.map row results)) json;
+  (* the head-of-line contrast the size-aware policy exists for, when
+     both small classes have samples *)
   (match
      ( List.find_opt (fun (n, _, _) -> n = "fifo") results,
        List.find_opt (fun (n, _, _) -> n = "size") results )
    with
-  | Some (_, _, fifo), Some (_, _, size) ->
+  | Some (_, _, fifo), Some (_, _, size)
+    when fifo.small.count > 0 && size.small.count > 0 ->
       Printf.printf
         "small-request p95: fifo %.2f ms vs size-aware %.2f ms (%s)\n%!"
         fifo.small.p95_ms size.small.p95_ms
@@ -838,7 +748,7 @@ let usage () =
     \  --batch-max N --batch-us F (micro-batching) --small-max N\n\
     \  --append            add this run to the file's trajectory instead\n\
     \                      of overwriting (exit 2, file untouched, when\n\
-    \                      it has no readable trajectory)\n\
+    \                      it does not parse or has no trajectory list)\n\
     \  --label NAME        label for this trajectory entry\n\
     \  --assert-geomean F  exit 1 unless the geomean 1-domain speedup\n\
     \                      over the measured kernels is >= F (the\n\
@@ -973,34 +883,34 @@ let () =
         exit 2
   in
   parse args;
+  (* output paths are checked, and a file to append to is parsed,
+     before anything runs *)
+  Option.iter check_writable !trace;
+  let json =
+    Option.map
+      (open_trajectory
+         ~suite:(if !serve_bench then "serve_bench" else "par_bench")
+         ~append:!append)
+      !json
+  in
+  let label =
+    Option.value !label ~default:(Printf.sprintf "run-%.0f" (Unix.time ()))
+  in
   if !serve_bench then begin
-    let label =
-      match !label with
-      | Some l -> l
-      | None -> Printf.sprintf "run-%.0f" (Unix.time ())
-    in
     let domains = match !domains with d :: _ -> d | [] -> 1 in
     if !net then
       run_net_bench ~requests:!requests ~tenants:!tenants ~seed:!seed ~domains
         ~cap:!cap ~slo_ms:!slo_ms ~chaos_seed:!chaos_seed ~retries:!retries
         ~shards:!shards ~conns:!conns ~window:!window ~batch_max:!batch_max
-        ~batch_us:!batch_us ~small_max:!small_max ~json:!json ~append:!append
-        ~label
+        ~batch_us:!batch_us ~small_max:!small_max ~json ~label
     else
       run_serve_bench ~requests:!requests ~tenants:!tenants ~rate:!rate
         ~seed:!seed ~domains ~cap:!cap ~slo_ms:!slo_ms ~chaos_seed:!chaos_seed
-        ~retries:!retries ~json:!json ~append:!append ~label
+        ~retries:!retries ~json ~label
   end
-  else if !par_bench then begin
-    let label =
-      match !label with
-      | Some l -> l
-      | None -> Printf.sprintf "run-%.0f" (Unix.time ())
-    in
-    run_par_bench ~domains:!domains ~scale:!scale ~json:!json
-      ~benches:!benches ~append:!append ~label
+  else if !par_bench then
+    run_par_bench ~domains:!domains ~scale:!scale ~json ~benches:!benches ~label
       ~assert_geomean:!assert_geomean ~trace:!trace
-  end
   else begin
     if Sys.getenv_opt "REPRO_QUICK" = None then run_figures ();
     benchmark ()

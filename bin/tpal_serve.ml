@@ -19,7 +19,8 @@
    requests, flushes metrics and trace output, and exits 0.
 
    Exits non-zero when the exactly-once audit fails (lost, duplicated
-   or mismatched requests) or an explicit request errors. *)
+   or mismatched requests, or none completed) or an explicit request
+   errors. *)
 
 (* a signal flag both the load loop and the server wait-loop poll;
    handlers only flip the atomic — nothing async-unsafe *)
@@ -66,13 +67,12 @@ let run_load pool ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac =
     Serve.Load.run ~interrupted:(fun () -> Atomic.get stop_requested) pool spec
   in
   Fmt.pr "%a@." Serve.Load.pp_report report;
-  if report.lost > 0 || report.duplicated > 0 || report.mismatched > 0 then begin
-    Fmt.epr
-      "tpal_serve: audit FAILED (lost %d, duplicated %d, mismatched %d)@."
-      report.lost report.duplicated report.mismatched;
+  if Serve.Load.audit_ok report then 0
+  else begin
+    Fmt.epr "tpal_serve: audit FAILED (lost %d, duplicated %d, mismatched %d, completed %d)@."
+      report.lost report.duplicated report.mismatched report.completed;
     1
   end
-  else 0
 
 
 let run_kernel pool ~kernel ~scale =

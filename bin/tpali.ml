@@ -134,7 +134,7 @@ let check_cmd =
    to a simulator trace. *)
 let entries_to_chrome (entries : Tpal.Trace.entry list) : string =
   let module C = Stats.Chrome_trace in
-  Stats.Chrome_trace.to_string
+  C.to_string
     (C.process_name ~pid:0 "tpali"
     :: C.thread_name ~pid:0 ~tid:0 "abstract machine"
     :: List.map
@@ -142,12 +142,12 @@ let entries_to_chrome (entries : Tpal.Trace.entry list) : string =
            C.instant ~cat:"instruction"
              ~args:
                ([
-                  ("index", C.Int e.index);
-                  ("cycles", C.Int e.cycles);
-                  ("pc", C.Str (Fmt.str "%a" Tpal.Task.pp_pc e.pc));
+                  ("index", Stats.Json.Int e.index);
+                  ("cycles", Stats.Json.Int e.cycles);
+                  ("pc", Stats.Json.Str (Fmt.str "%a" Tpal.Task.pp_pc e.pc));
                 ]
                @ List.map
-                   (fun (r, v) -> ("reg:" ^ r, C.Str v))
+                   (fun (r, v) -> ("reg:" ^ r, Stats.Json.Str v))
                    e.watched)
              ~name:e.what ~pid:0 ~tid:0
              ~ts:(float_of_int e.cycles)

@@ -242,19 +242,21 @@ let run (addr : Server.addr) (spec : spec) : report =
 let audit_ok (r : report) : bool =
   r.lost = 0 && r.duplicated = 0 && r.mismatched = 0 && r.completed > 0
 
+let pp_class (ppf : Format.formatter) (c : class_lat) : unit =
+  if c.count = 0 then Format.pp_print_string ppf "no samples"
+  else Format.fprintf ppf "n=%d p50 %.2f ms p95 %.2f ms p99 %.2f ms" c.count c.p50_ms c.p95_ms c.p99_ms
+
 let pp_report (ppf : Format.formatter) (r : report) : unit =
   Format.fprintf ppf
     "@[<v>submitted %d over %d conns: completed %d (met %d, missed %d), \
      rejected %d, cancelled %d, failed %d, closed %d@,\
      audit: lost %d, duplicated %d, mismatched %d@,\
      throughput %.0f req/s over %.2f s@,\
-     rtt all   n=%d p50 %.2f ms p95 %.2f ms p99 %.2f ms@,\
-     rtt small n=%d p50 %.2f ms p95 %.2f ms p99 %.2f ms@,\
-     rtt large n=%d p50 %.2f ms p95 %.2f ms p99 %.2f ms%a@]"
+     rtt all   %a@,\
+     rtt small %a@,\
+     rtt large %a%a@]"
     r.submitted r.spec.conns r.completed r.met r.missed r.rejected r.cancelled
     r.failed r.closed r.lost r.duplicated r.mismatched r.throughput_rps
-    r.elapsed_s r.all.count r.all.p50_ms r.all.p95_ms r.all.p99_ms
-    r.small.count r.small.p50_ms r.small.p95_ms r.small.p99_ms r.large.count
-    r.large.p50_ms r.large.p95_ms r.large.p99_ms
+    r.elapsed_s pp_class r.all pp_class r.small pp_class r.large
     (fun ppf -> List.iter (Format.fprintf ppf "@,%s"))
     r.conn_errors

@@ -9,6 +9,7 @@
     category on the pool's track. *)
 
 module C = Stats.Chrome_trace
+module J = Stats.Json
 
 let us_of_ns (ns : int) : float = float_of_int ns /. 1e3
 
@@ -20,7 +21,7 @@ let outcome_str = function
 
 (** [to_chrome tr] — one thread per track under process [pid]. *)
 let to_chrome ?(pid = 0) ?(process = "tpal-par") (tr : Trace.t) :
-    C.event list =
+    J.t list =
   let tracks = Trace.events tr in
   let meta =
     C.process_name ~pid process
@@ -40,7 +41,7 @@ let to_chrome ?(pid = 0) ?(process = "tpal-par") (tr : Trace.t) :
             open_tasks := rest;
             push
               (C.complete ~cat:"task"
-                 ~args:[ ("region", C.Str (Trace.label tr region)) ]
+                 ~args:[ ("region", J.Str (Trace.label tr region)) ]
                  ~name:(Trace.label tr region) ~pid ~tid ~ts:(us_of_ns t0)
                  ~dur:(us_of_ns (max 0 (at_ns - t0)))
                  ())
@@ -66,64 +67,64 @@ let to_chrome ?(pid = 0) ?(process = "tpal-par") (tr : Trace.t) :
           | Promote { kind } ->
               instant ~cat:"promotion"
                 ~args:
-                  [ ("kind", C.Str (match kind with `Loop -> "loop" | `Branch -> "branch")) ]
+                  [ ("kind", J.Str (match kind with `Loop -> "loop" | `Branch -> "branch")) ]
                 "promote"
           | Steal { ok; victim } ->
               instant ~cat:"steal"
-                ~args:[ ("victim", C.Int victim) ]
+                ~args:[ ("victim", J.Int victim) ]
                 (if ok then "steal" else "steal-attempt")
           | Join_suspend -> instant ~cat:"join" "join-block"
           | Join_resume -> instant ~cat:"join" "join-resume"
           | Admit { tenant } ->
               instant ~cat:"serve"
-                ~args:[ ("tenant", C.Str (Trace.label tr tenant)) ]
+                ~args:[ ("tenant", J.Str (Trace.label tr tenant)) ]
                 "admit"
           | Reject { shed } ->
               instant ~cat:"serve" (if shed then "shed" else "reject")
           | Dispatch { tenant; urgency } ->
               instant ~cat:"serve"
                 ~args:
-                  [ ("tenant", C.Str (Trace.label tr tenant));
-                    ("urgency", C.Int urgency) ]
+                  [ ("tenant", J.Str (Trace.label tr tenant));
+                    ("urgency", J.Int urgency) ]
                 "dispatch"
           | Complete { tenant; outcome; sojourn_ns } ->
               instant ~cat:"serve"
                 ~args:
-                  [ ("tenant", C.Str (Trace.label tr tenant));
-                    ("outcome", C.Str (outcome_str outcome));
-                    ("sojourn_ms", C.Float (float_of_int sojourn_ns /. 1e6)) ]
+                  [ ("tenant", J.Str (Trace.label tr tenant));
+                    ("outcome", J.Str (outcome_str outcome));
+                    ("sojourn_ms", J.Float (float_of_int sojourn_ns /. 1e6)) ]
                 "complete"
           | Degraded { on } ->
               instant ~cat:"serve" (if on then "degraded" else "recovered")
           | Chaos { arg; _ } as e ->
-              instant ~cat:"chaos" ~args:[ ("arg", C.Int arg) ] (Event.name e)
+              instant ~cat:"chaos" ~args:[ ("arg", J.Int arg) ] (Event.name e)
           | Cancel _ as e -> instant ~cat:"cancel" (Event.name e)
           | Retry { tenant; attempt } ->
               instant ~cat:"serve"
                 ~args:
-                  [ ("tenant", C.Str (Trace.label tr tenant));
-                    ("attempt", C.Int attempt) ]
+                  [ ("tenant", J.Str (Trace.label tr tenant));
+                    ("attempt", J.Int attempt) ]
                 "retry"
           | Restart { attempt } ->
               instant ~cat:"serve"
-                ~args:[ ("attempt", C.Int attempt) ]
+                ~args:[ ("attempt", J.Int attempt) ]
                 "restart"
           | Conn { up } -> instant ~cat:"net" (if up then "conn-open" else "conn-close")
           | Frame { rx; kind; bytes } ->
               instant ~cat:"net"
-                ~args:[ ("tag", C.Int kind); ("bytes", C.Int bytes) ]
+                ~args:[ ("tag", J.Int kind); ("bytes", J.Int bytes) ]
                 (if rx then "frame-rx" else "frame-tx")
           | Route { shard; size } ->
               instant ~cat:"net"
-                ~args:[ ("shard", C.Int shard); ("size", C.Int size) ]
+                ~args:[ ("shard", J.Int shard); ("size", J.Int size) ]
                 "route"
           | Batch { n; wait_us } ->
               instant ~cat:"net"
-                ~args:[ ("n", C.Int n); ("wait_us", C.Int wait_us) ]
+                ~args:[ ("n", J.Int n); ("wait_us", J.Int wait_us) ]
                 "batch"
           | Drain { pending } ->
               instant ~cat:"net"
-                ~args:[ ("pending", C.Int pending) ]
+                ~args:[ ("pending", J.Int pending) ]
                 "drain")
         events;
       (* tasks still open when the trace ended (or whose finish was
@@ -139,7 +140,7 @@ let to_chrome ?(pid = 0) ?(process = "tpal-par") (tr : Trace.t) :
       if d > 0 then
         push
           (C.instant ~cat:"scheduler"
-             ~args:[ ("dropped", C.Int d) ]
+             ~args:[ ("dropped", J.Int d) ]
              ~name:"ring-dropped" ~pid ~tid ~ts:0. ()))
     (Trace.tracks tr);
   meta @ List.rev !out

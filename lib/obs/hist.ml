@@ -117,14 +117,10 @@ let pp_summary ppf (s : summary) =
     Fmt.pf ppf "n=%d mean=%.3fms p50=%.3fms p95=%.3fms p99=%.3fms max=%.3fms"
       s.count s.mean_ms s.p50_ms s.p95_ms s.p99_ms s.max_ms
 
-(* JSON numbers must not be NaN. *)
-let num (x : float) : string =
-  if Float.is_nan x || Float.abs x = infinity then "0" else Printf.sprintf "%.4f" x
-
-(** The summary as a JSON object (used by bench output). *)
-let summary_json (s : summary) : string =
-  Printf.sprintf
-    "{\"count\": %d, \"mean_ms\": %s, \"p50_ms\": %s, \"p95_ms\": %s, \
-     \"p99_ms\": %s, \"max_ms\": %s}"
-    s.count (num s.mean_ms) (num s.p50_ms) (num s.p95_ms) (num s.p99_ms)
-    (num s.max_ms)
+(** The summary as a JSON object (bench rows), in milliseconds to four
+    decimals; an empty summary's [nan] statistics print as [null]. *)
+let json_of_summary (s : summary) : Stats.Json.t =
+  let ms x = Stats.Json.Float (Float.round (x *. 1e4) /. 1e4) in
+  Obj
+    [ ("count", Int s.count); ("mean_ms", ms s.mean_ms); ("p50_ms", ms s.p50_ms);
+      ("p95_ms", ms s.p95_ms); ("p99_ms", ms s.p99_ms); ("max_ms", ms s.max_ms) ]

@@ -257,21 +257,30 @@ let run ?(await_timeout_s = 120.) ?(interrupted = fun () -> false)
     per_tenant = ps.sched.per_tenant;
   }
 
+(** The audit holds iff nothing was lost, duplicated or corrupted, and
+    at least one request completed (the rule of [Net.Netload.audit_ok]). *)
+let audit_ok (r : report) : bool =
+  r.lost = 0 && r.duplicated = 0 && r.mismatched = 0 && r.completed > 0
+
 let pp_report (ppf : Format.formatter) (r : report) : unit =
   Format.fprintf ppf
     "@[<v>offered %d, admitted %d, rejected %d (full %d, shed %d), reject \
      rate %.3f@,\
      completed %d (met %d, missed %d), failed %d, cancelled %d, retried %d, \
      restarts %d, lost %d, duplicated %d, mismatched %d@,\
-     latency p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, mean %.3f ms@,\
+     latency %s@,\
      throughput %.0f req/s (goodput %.0f req/s) over %.2f s@,\
      served per tenant: %a@]"
     r.offered r.admitted
     (r.rejected_full + r.rejected_shed)
     r.rejected_full r.rejected_shed r.reject_rate r.completed r.met r.missed
     r.failed r.cancelled r.retried r.restarts r.lost r.duplicated r.mismatched
-    r.p50_ms r.p95_ms r.p99_ms r.mean_ms r.throughput_rps r.goodput_rps
-    r.elapsed_s
+    (* the latencies are those of the completed requests *)
+    (if r.completed = 0 then "no samples"
+     else
+       Printf.sprintf "p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, mean %.3f ms"
+         r.p50_ms r.p95_ms r.p99_ms r.mean_ms)
+    r.throughput_rps r.goodput_rps r.elapsed_s
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
        (fun ppf (t, n) -> Format.fprintf ppf "%s=%d" t n))

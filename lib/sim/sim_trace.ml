@@ -379,8 +379,9 @@ let report ?(width = 64) (t : t) : string =
     trace-event JSON objects: one thread per core, complete spans for
     segments, thread-scoped instants for the point events. *)
 let to_chrome ?(cycles_per_us = Params.default.cycles_per_us) (t : t) :
-    Stats.Chrome_trace.event list =
+    Stats.Json.t list =
   let module C = Stats.Chrome_trace in
+  let module J = Stats.Json in
   let us cycles = float_of_int cycles /. float_of_int cycles_per_us in
   let n = max 1 (procs t) in
   let meta =
@@ -395,8 +396,8 @@ let to_chrome ?(cycles_per_us = Params.default.cycles_per_us) (t : t) :
              (fun (cls, start, stop, w, o, i) ->
                C.complete ~cat:"segment"
                  ~args:
-                   [ ("work", C.Int w); ("overhead", C.Int o);
-                     ("idle", C.Int i) ]
+                   [ ("work", J.Int w); ("overhead", J.Int o);
+                     ("idle", J.Int i) ]
                  ~name:(seg_name cls) ~pid:0 ~tid:c ~ts:(us start)
                  ~dur:(us (stop - start))
                  ())
@@ -408,40 +409,40 @@ let to_chrome ?(cycles_per_us = Params.default.cycles_per_us) (t : t) :
       let add ?(args = []) name cat =
         instants :=
           C.instant ~cat
-            ~args:(("task", C.Int e.task) :: args)
+            ~args:(("task", J.Int e.task) :: args)
             ~name ~pid:0 ~tid:e.core ~ts:(us e.at) ()
           :: !instants
       in
       match e.kind with
       | Seg_start _ | Seg_end _ -> ()
       | Steal_attempt { victim } ->
-          add ~args:[ ("victim", C.Int victim) ] "steal-attempt" "steal"
+          add ~args:[ ("victim", J.Int victim) ] "steal-attempt" "steal"
       | Steal_success { victim } ->
-          add ~args:[ ("victim", C.Int victim) ] "steal" "steal"
+          add ~args:[ ("victim", J.Int victim) ] "steal" "steal"
       | Promote_attempt -> add "promote-attempt" "promotion"
       | Promote_success { child } ->
-          add ~args:[ ("child", C.Int child) ] "promote" "promotion"
+          add ~args:[ ("child", J.Int child) ] "promote" "promotion"
       | Beat_delivered { arrived; handler_cost } ->
           add
             ~args:
-              [ ("arrived", C.Int arrived);
-                ("handler_cost", C.Int handler_cost) ]
+              [ ("arrived", J.Int arrived);
+                ("handler_cost", J.Int handler_cost) ]
             "beat" "heartbeat"
       | Beat_lost -> add "beat-lost" "heartbeat"
       | Join_block -> add "join-block" "join"
       | Join_resume { waiter } ->
-          add ~args:[ ("waiter", C.Int waiter) ] "join-resume" "join"
+          add ~args:[ ("waiter", J.Int waiter) ] "join-resume" "join"
       | Park -> add "park" "scheduler"
       | Unpark -> add "unpark" "scheduler"
       | Core_crash -> add "crash" "fault"
       | Core_stall { until } ->
-          add ~args:[ ("until", C.Int until) ] "stall" "fault"
+          add ~args:[ ("until", J.Int until) ] "stall" "fault"
       | Core_slow { factor } ->
-          add ~args:[ ("factor", C.Float factor) ] "slow" "fault"
+          add ~args:[ ("factor", J.Float factor) ] "slow" "fault"
       | Core_recover -> add "recover" "fault"
       | Lease_expired -> add "lease-expired" "recovery"
       | Task_requeue { from_ } ->
-          add ~args:[ ("from", C.Int from_) ] "requeue" "recovery"
+          add ~args:[ ("from", J.Int from_) ] "requeue" "recovery"
       | Duplicate_finish -> add "duplicate-finish" "recovery")
     t;
   meta @ spans @ List.rev !instants

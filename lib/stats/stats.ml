@@ -56,8 +56,10 @@ let clamp ~lo ~hi (x : float) : float = Float.min hi (Float.max lo x)
 
 (** Re-exports of the sibling modules, so that [Stats] is the single
     entry point of the library ([stats.ml] is the library interface
-    module; without these aliases [Table] and [Chrome_trace] would be
-    hidden). *)
+    module; without these aliases [Table], [Json] and [Chrome_trace]
+    would be hidden). *)
 module Table = Table
+
+module Json = Json
 
 module Chrome_trace = Chrome_trace

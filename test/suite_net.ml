@@ -602,7 +602,10 @@ let test_netload_failed_conns_lost () =
           let prefix = Printf.sprintf "connection %d failed: " ci in
           check (prefix ^ "reported") true
             (List.exists (String.starts_with ~prefix) lines))
-        [ 0; 1 ])
+        [ 0; 1 ];
+      check "empty latency classes print no samples, not nan" true
+        (List.mem "rtt small no samples" lines
+        && not (List.exists (fun l -> List.mem "nan" (String.split_on_char ' ' l)) lines)))
 
 let test_server_survives_departed_peers () =
   (* peers that hang up with replies still queued for them: the

@@ -444,8 +444,7 @@ let test_latency_histograms () =
   in
   let report = Serve.Load.run pool spec in
   ignore (Serve.Pool.close pool);
-  check_int "audit clean" 0
-    (report.lost + report.duplicated + report.mismatched);
+  check "audit ok" true (Serve.Load.audit_ok report);
   let lat = report.pool_latency in
   check_int "histogram saw every completion" report.completed lat.count;
   check "digest ordered" true
@@ -465,7 +464,14 @@ let test_latency_histograms () =
     (fun ((_, s) : string * Obs.Hist.summary) ->
       check "tenant digest ordered" true
         (s.p50_ms <= s.p99_ms && s.p99_ms <= s.max_ms))
-    report.latency_per_tenant
+    report.latency_per_tenant;
+  (* a run that completes nothing fails the audit and prints no nan *)
+  let pool = Serve.Pool.create ~config:(pool_config ()) () in
+  let empty = Serve.Load.run pool { spec with requests = 0 } in
+  ignore (Serve.Pool.close pool);
+  check "empty run fails the audit" false (Serve.Load.audit_ok empty);
+  let lines = String.split_on_char '\n' (Format.asprintf "%a" Serve.Load.pp_report empty) in
+  check "empty latency prints no samples" true (List.mem "latency no samples" lines)
 
 let test_concurrent_stress () =
   let n_threads = 4 and per_thread = 100 in

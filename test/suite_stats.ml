@@ -73,132 +73,24 @@ let test_empty_extrema () =
   checkf "min" 1. (Stats.min_l [ 3.; 1.; 2. ]);
   checkf "max" 3. (Stats.max_l [ 3.; 1.; 2. ])
 
-(* --- Chrome trace-event JSON --- *)
+(* --- JSON value type, printer and parser --- *)
 
-(* A minimal recursive-descent JSON validator — enough to certify that
-   the emitter's output is well-formed without a JSON dependency.
-   Exposed for the engine suite's trace-export test. *)
-let json_is_valid (s : string) : bool =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let fail = ref false in
-  let expect c =
-    if peek () = Some c then advance () else fail := true
-  in
-  let rec value () =
-    if !fail then ()
-    else begin
-      skip_ws ();
-      match peek () with
-      | Some '{' -> obj ()
-      | Some '[' -> arr ()
-      | Some '"' -> string_lit ()
-      | Some ('-' | '0' .. '9') -> number ()
-      | Some 't' -> literal "true"
-      | Some 'f' -> literal "false"
-      | Some 'n' -> literal "null"
-      | _ -> fail := true
-    end
-  and literal lit =
-    if !pos + String.length lit <= n && String.sub s !pos (String.length lit) = lit
-    then pos := !pos + String.length lit
-    else fail := true
-  and number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    if !pos = start then fail := true
-  and string_lit () =
-    expect '"';
-    let closed = ref false in
-    while (not !closed) && not !fail do
-      match peek () with
-      | None -> fail := true
-      | Some '"' ->
-          advance ();
-          closed := true
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
-          | Some 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-                | _ -> fail := true
-              done
-          | _ -> fail := true)
-      | Some c when Char.code c < 0x20 -> fail := true
-      | Some _ -> advance ()
-    done
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then advance ()
-    else begin
-      let again = ref true in
-      while !again && not !fail do
-        skip_ws ();
-        string_lit ();
-        skip_ws ();
-        expect ':';
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' -> advance ()
-        | Some '}' ->
-            advance ();
-            again := false
-        | _ ->
-            fail := true;
-            again := false
-      done
-    end
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then advance ()
-    else begin
-      let again = ref true in
-      while !again && not !fail do
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' -> advance ()
-        | Some ']' ->
-            advance ();
-            again := false
-        | _ ->
-            fail := true;
-            again := false
-      done
-    end
-  in
-  value ();
-  skip_ws ();
-  (not !fail) && !pos = n
+module J = Stats.Json
+
+let parses (s : string) : bool = Result.is_ok (J.of_string s)
 
 let test_json_validator () =
-  check "object" true (json_is_valid {|{"a":1,"b":[true,null,"x"]}|});
-  check "nested" true (json_is_valid {|[{"k":-1.5e3},{}]|});
-  check "trailing garbage" false (json_is_valid "{}x");
-  check "unterminated" false (json_is_valid {|{"a":1|});
-  check "bare word" false (json_is_valid "hello")
+  check "object" true (parses {|{"a":1,"b":[true,null,"x"]}|});
+  check "nested" true (parses {|[{"k":-1.5e3},{}]|});
+  check "trailing garbage" false (parses "{}x");
+  check "unterminated" false (parses {|{"a":1|});
+  check "bare word" false (parses "hello");
+  check "truncated document" false (parses "{\"trajectory\": [\n  {\"a\": 1},\n");
+  check "trailing comma" false (parses {|{"a": [1, 2,]}|});
+  check "bare nan" false (parses {|{"p50_ms": nan}|});
+  check "escapes decode" true
+    (J.of_string {|"\"\\\/\b\f\n\r\t\u00e9\ud83d\ude00"|} = Ok (J.Str "\"\\/\b\012\n\r\t\xc3\xa9\xf0\x9f\x98\x80"));
+  check "lone surrogate" false (parses {|"\ud83d"|})
 
 let test_chrome_trace_emitter () =
   let module C = Stats.Chrome_trace in
@@ -207,22 +99,62 @@ let test_chrome_trace_emitter () =
       C.process_name ~pid:0 "p";
       C.thread_name ~pid:0 ~tid:3 "core 3";
       C.complete ~cat:"segment"
-        ~args:[ ("work", C.Int 7); ("f", C.Float 1.25) ]
+        ~args:[ ("work", J.Int 7); ("f", J.Float 1.25) ]
         ~name:"run" ~pid:0 ~tid:3 ~ts:1.5 ~dur:2.5 ();
       C.instant ~name:"beat \"x\"\n" ~pid:0 ~tid:3 ~ts:4.0 ();
     ]
   in
   let s = C.to_string events in
-  check "valid JSON" true (json_is_valid s);
-  check "escapes quotes and newlines" true
-    (json_is_valid s
-    && not
-         (String.exists (fun c -> c = '\n') s));
-  (* non-finite numbers must not leak into the document *)
-  let s2 =
-    C.to_string [ C.instant ~name:"x" ~pid:0 ~tid:0 ~ts:Float.nan () ]
+  (* names with quotes and newlines survive *)
+  check "events read back" true
+    (J.of_string s
+    = Ok (J.Obj [ ("traceEvents", J.List events); ("displayTimeUnit", J.Str "ns") ]))
+
+let gen_json : J.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  (* any byte, with quotes, brackets and backslashes more often *)
+  let str = string_size ~gen:(oneof [ oneofl [ '"'; '\\'; '['; '{'; ',' ]; char ]) (int_bound 12) in
+  let leaf =
+    oneof
+      [ return J.Null; map (fun b -> J.Bool b) bool; map (fun s -> J.Str s) str;
+        map (fun n -> J.Int n) (oneof [ int; oneofl [ min_int; max_int ] ]);
+        map (fun x -> J.Float (if Float.is_finite x then x else 0.)) float;
+        map (fun n -> J.Float (float_of_int n)) small_signed_int (* integral *) ]
   in
-  check "nan clamped" true (json_is_valid s2)
+  let sub self n = list_size (int_bound 4) (self (n / 3)) in
+  sized @@ fix (fun self n ->
+    if n <= 1 then leaf
+    else
+      frequency
+        [ (2, leaf); (1, map (fun l -> J.List l) (sub self n));
+          (1, map (fun kvs -> J.Obj kvs) (list_size (int_bound 4) (pair str (self (n / 3))))) ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json print then parse is the identity" ~count:500
+    (QCheck.make ~print:J.to_string gen_json)
+    (fun v -> J.of_string (J.to_string v) = Ok v)
+
+let test_json_printer () =
+  let check_str = Alcotest.(check string) in
+  (* the shortest decimal that reads back, always a float; ints exact;
+     non-finite floats null *)
+  List.iter
+    (fun (v, want) -> check_str want want (J.to_string v))
+    [ (J.Float 20000., "20000.0"); (J.Float 0.1, "0.1"); (J.Float 1e16, "1e+16");
+      (J.Int 4581323701851014233, "4581323701851014233");
+      (J.List [ J.Float Float.nan; J.Float infinity ], "[\n  null,\n  null\n]") ];
+  (* no list: one line; a list: one element per line; an object holding
+     a list: one member per line.  It prints back byte-identical. *)
+  let doc = {|{
+  "t": [
+    {"n": 1, "p50_ms": null, "o": {"x": 2.5}},
+    []
+  ],
+  "label": "a]b \"q\""
+}|} in
+  match J.of_string doc with
+  | Ok v -> check_str "reprint is byte-identical" doc (J.to_string v)
+  | Error e -> Alcotest.fail e
 
 let suite =
   ( "stats",
@@ -241,4 +173,6 @@ let suite =
       Alcotest.test_case "json validator" `Quick test_json_validator;
       Alcotest.test_case "chrome trace emitter" `Quick
         test_chrome_trace_emitter;
+      QCheck_alcotest.to_alcotest prop_json_roundtrip;
+      Alcotest.test_case "json printer" `Quick test_json_printer;
     ] )
