@@ -551,14 +551,13 @@ let run_serve_bench ~(requests : int) ~(tenants : int) ~(rate : float)
 
 (* ------------------------------------------------------------------ *)
 (* The network serving fabric: the same audit-gated load, but over a
-   loopback socket through Net.Server — shards, router policies and
-   micro-batching included.  One leg per placement policy, all in one
+   loopback socket through Net.Server — shards and router policies
+   included.  One leg per placement policy, all in one
    process, so a single run yields the FIFO-vs-size-aware head-of-line
    comparison the trajectory tracks. *)
 
 let net_run_json ~(label : string) ~(policy : string) ~(shards : int)
-    ~(batch_max : int) ~(batch_us : float) ~(chaos_seed : int option)
-    ~(retries : int) (r : Net.Netload.report) : J.t =
+    ~(chaos_seed : int option) ~(retries : int) (r : Net.Netload.report) : J.t =
   let spec = r.spec in
   J.Obj
     [ ("label", J.Str label);
@@ -569,9 +568,7 @@ let net_run_json ~(label : string) ~(policy : string) ~(shards : int)
       ( "net",
         J.Obj
           [ ("policy", J.Str policy); int "shards" shards;
-            int "conns" spec.conns; int "window" spec.window;
-            int "batch_max" batch_max;
-            int "batch_us" (Float.to_int (Float.round batch_us)) ] );
+            int "conns" spec.conns; int "window" spec.window ] );
       ( "results",
         J.List
           [ J.Obj
@@ -592,8 +589,8 @@ let net_run_json ~(label : string) ~(policy : string) ~(shards : int)
 let run_net_bench ~(requests : int) ~(tenants : int) ~(seed : int)
     ~(domains : int) ~(cap : int) ~(slo_ms : float)
     ~(chaos_seed : int option) ~(retries : int) ~(shards : int)
-    ~(conns : int) ~(window : int) ~(batch_max : int) ~(batch_us : float)
-    ~(small_max : int) ~(json : (J.t list -> unit) option) ~(label : string) : unit =
+    ~(conns : int) ~(window : int) ~(small_max : int)
+    ~(json : (J.t list -> unit) option) ~(label : string) : unit =
   let legs =
     (* the FIFO baseline is one pool with no routing decision at all;
        the policy legs split the same domain budget across [shards] *)
@@ -631,11 +628,9 @@ let run_net_bench ~(requests : int) ~(tenants : int) ~(seed : int)
       (fun (name, shards, policy) ->
         Printf.printf
           "=== net bench [%s]: %d requests, %d conns, window %d, %d \
-           shard(s) x %d domain(s), batch <=%d @ %.0f us, cap %d, SLO %.1f \
-           ms%s ===\n\
+           shard(s) x %d domain(s), cap %d, SLO %.1f ms%s ===\n\
            %!"
-          name requests conns window shards domains batch_max batch_us cap
-          slo_ms
+          name requests conns window shards domains cap slo_ms
           (match chaos_seed with
           | None -> ""
           | Some n -> Printf.sprintf ", chaos seed %d" n);
@@ -665,25 +660,20 @@ let run_net_bench ~(requests : int) ~(tenants : int) ~(seed : int)
                     shards;
                     pool = pool_cfg;
                     policy;
-                    batch_max;
-                    batch_delay_us = batch_us;
-                    batch_size_max = small_max;
                   };
               }
             (Net.Server.Tcp { host = "127.0.0.1"; port = 0 })
             ()
         in
         let r = Net.Netload.run (Net.Server.bound_addr srv) spec in
-        let st = Net.Server.stop srv in
+        ignore (Net.Server.stop srv : Net.Server.stats);
         Format.printf "%a@." Net.Netload.pp_report r;
-        Printf.printf "batched members: %d of %d routed\n%!"
-          st.shard.batched_members st.shard.submitted;
         (name, shards, r))
       legs
   in
   let row (name, shards, r) =
     net_run_json ~label:(Printf.sprintf "%s-net-%s" label name) ~policy:name
-      ~shards ~batch_max ~batch_us ~chaos_seed ~retries r
+      ~shards ~chaos_seed ~retries r
   in
   Option.iter (fun write -> write (List.map row results)) json;
   (* the head-of-line contrast the size-aware policy exists for, when
@@ -745,7 +735,7 @@ let usage () =
      baseline, tenant-hash, jsq, size-aware), each a labelled trajectory\n\
      row with req/s and client-side p50/p95/p99.  Extra flags:\n\
     \  --shards N --conns N --window N (per-conn in-flight bound; each >= 1)\n\
-    \  --batch-max N --batch-us F (micro-batching) --small-max N\n\
+    \  --small-max N (the small class: size-aware routing, latency split)\n\
     \  --append            add this run to the file's trajectory instead\n\
     \                      of overwriting (exit 2, file untouched, when\n\
     \                      it does not parse or has no trajectory list)\n\
@@ -783,8 +773,6 @@ let () =
   let shards = ref 2 in
   let conns = ref 2 in
   let window = ref 64 in
-  let batch_max = ref 8 in
-  let batch_us = ref 200. in
   let small_max = ref 4 in
   let int_flag ?(min = 0) what v r rest parse =
     (match int_of_string_opt v with
@@ -808,15 +796,7 @@ let () =
     | "--shards" :: v :: rest -> int_flag ~min:1 "--shards" v shards rest parse
     | "--conns" :: v :: rest -> int_flag ~min:1 "--conns" v conns rest parse
     | "--window" :: v :: rest -> int_flag ~min:1 "--window" v window rest parse
-    | "--batch-max" :: v :: rest -> int_flag "--batch-max" v batch_max rest parse
     | "--small-max" :: v :: rest -> int_flag "--small-max" v small_max rest parse
-    | "--batch-us" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some f when f >= 0. -> batch_us := f
-        | _ ->
-            Printf.eprintf "bad --batch-us %S\n%!" v;
-            exit 2);
-        parse rest
     | "--requests" :: v :: rest -> int_flag "--requests" v requests rest parse
     | "--tenants" :: v :: rest -> int_flag "--tenants" v tenants rest parse
     | "--seed" :: v :: rest -> int_flag "--seed" v seed rest parse
@@ -901,8 +881,8 @@ let () =
     if !net then
       run_net_bench ~requests:!requests ~tenants:!tenants ~seed:!seed ~domains
         ~cap:!cap ~slo_ms:!slo_ms ~chaos_seed:!chaos_seed ~retries:!retries
-        ~shards:!shards ~conns:!conns ~window:!window ~batch_max:!batch_max
-        ~batch_us:!batch_us ~small_max:!small_max ~json ~label
+        ~shards:!shards ~conns:!conns ~window:!window ~small_max:!small_max
+        ~json ~label
     else
       run_serve_bench ~requests:!requests ~tenants:!tenants ~rate:!rate
         ~seed:!seed ~domains ~cap:!cap ~slo_ms:!slo_ms ~chaos_seed:!chaos_seed

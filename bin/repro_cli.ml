@@ -121,7 +121,14 @@ let run_workload (name : string) (domains : int) (scale : int)
         Printf.eprintf "--domains and --scale must be >= 1\n";
         1
       end
-      else begin
+      else
+        (* open before running, as [write_trace] does, so a bad path
+           fails fast *)
+        match Option.map (fun file -> (file, open_out file)) trace_file with
+        | exception Sys_error msg ->
+            Printf.eprintf "cannot write trace: %s\n" msg;
+            1
+        | trace_out ->
         Printf.printf
           "workload %s: %d items at scale %d, %d domain(s), heart %.0f us \
            (host cores: %d)\n\
@@ -131,11 +138,7 @@ let run_workload (name : string) (domains : int) (scale : int)
         let t0 = Mclock.now_s () in
         let serial = Workloads.Real_bench.run_serial b ~scale in
         let serial_s = Mclock.now_s () -. t0 in
-        let tracer =
-          match trace_file with
-          | None -> None
-          | Some _ -> Some (Obs.Trace.create ())
-        in
+        let tracer = Option.map (fun _ -> Obs.Trace.create ()) trace_out in
         let config =
           { Par.Runtime.default_config with domains; heart_us; tracer }
         in
@@ -179,20 +182,16 @@ let run_workload (name : string) (domains : int) (scale : int)
                  %d\n"
                 i w.tasks_run w.promotions w.steals w.max_deque)
             st.per_worker;
-        (match (trace_file, tracer) with
-        | Some file, Some tr -> (
-            match open_out file with
-            | exception Sys_error msg ->
-                Printf.eprintf "cannot write trace: %s\n" msg
-            | oc ->
-                output_string oc (Obs.Export.to_chrome_string tr);
-                close_out oc;
-                Printf.printf
-                  "wrote %s (%d events, %d dropped) — load it at \
-                   https://ui.perfetto.dev\n"
-                  file
-                  (Obs.Trace.total_written tr)
-                  (Obs.Trace.total_dropped tr))
+        (match (trace_out, tracer) with
+        | Some (file, oc), Some tr ->
+            output_string oc (Obs.Export.to_chrome_string tr);
+            close_out oc;
+            Printf.printf
+              "wrote %s (%d events, %d dropped) — load it at \
+               https://ui.perfetto.dev\n"
+              file
+              (Obs.Trace.total_written tr)
+              (Obs.Trace.total_dropped tr)
         | _ -> ());
         if par <> serial then begin
           Printf.eprintf
@@ -203,7 +202,6 @@ let run_workload (name : string) (domains : int) (scale : int)
           Printf.printf "checksums agree\n";
           0
         end
-      end
 
 let go id trace_file workload domains scale heart_us stats =
   match (workload, id) with

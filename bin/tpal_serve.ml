@@ -9,7 +9,7 @@
      tpal_serve --requests 10000 --tenants 4 --rate 20000
      tpal_serve --kernel plus_reduce --scale 2 --domains 4
      tpal_serve --tpal examples/asm/fib.tpal
-     tpal_serve --listen 127.0.0.1:7411 --shards 2 --policy size --batch-us 200
+     tpal_serve --listen 127.0.0.1:7411 --shards 2 --policy size
      tpal_serve --connect 127.0.0.1:7411 --requests 100000 --conns 4
 
    SIGINT/SIGTERM are graceful everywhere: the in-process load stops
@@ -20,7 +20,8 @@
 
    Exits non-zero when the exactly-once audit fails (lost, duplicated
    or mismatched requests, or none completed) or an explicit request
-   errors. *)
+   errors; exits 2 before anything runs when the --trace file cannot
+   be opened. *)
 
 (* a signal flag both the load loop and the server wait-loop poll;
    handlers only flip the atomic — nothing async-unsafe *)
@@ -170,29 +171,26 @@ let run_tpal pool ~path ~seeds =
                 e;
               1))
 
-let write_trace ~(trace : string option) ~(tracer : Obs.Trace.t option) : unit
-    =
+(* [trace] is the file named by --trace, opened before the run. *)
+let write_trace ~(trace : (string * out_channel) option)
+    ~(tracer : Obs.Trace.t option) : unit =
   match (trace, tracer) with
-  | Some file, Some tr -> (
-      match open_out file with
-      | exception Sys_error msg -> Fmt.epr "cannot write trace: %s@." msg
-      | oc ->
-          output_string oc
-            (Obs.Export.to_chrome_string ~process:"tpal-serve" tr);
-          close_out oc;
-          Fmt.pr
-            "wrote %s (%d events, %d dropped) — load it at \
-             https://ui.perfetto.dev@."
-            file
-            (Obs.Trace.total_written tr)
-            (Obs.Trace.total_dropped tr))
+  | Some (file, oc), Some tr ->
+      output_string oc (Obs.Export.to_chrome_string ~process:"tpal-serve" tr);
+      close_out oc;
+      Fmt.pr
+        "wrote %s (%d events, %d dropped) — load it at \
+         https://ui.perfetto.dev@."
+        file
+        (Obs.Trace.total_written tr)
+        (Obs.Trace.total_dropped tr)
   | _ -> ()
 
 (* --listen: the socket front-end.  Blocks until SIGINT/SIGTERM, then
    drains gracefully and exits 0. *)
 let run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
-    ~lease_s ~tracer ~chaos ~retries ~shards ~policy ~batch_us ~batch_max
-    ~small_max ~metrics ~trace =
+    ~lease_s ~tracer ~chaos ~retries ~shards ~policy ~small_max ~metrics
+    ~trace =
   match Net.Server.addr_of_string listen with
   | None ->
       Fmt.epr "tpal_serve: bad --listen address %S (want host:port or \
@@ -214,9 +212,6 @@ let run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
                 pool_config ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
                   ~lease_s ~tracer ~chaos ~retries;
               policy;
-              batch_max;
-              batch_delay_us = batch_us;
-              batch_size_max = small_max;
             }
           in
           let srv =
@@ -225,13 +220,10 @@ let run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
                 { Net.Server.default_config with shard = shard_cfg; tracer }
               addr ()
           in
-          Fmt.pr
-            "listening on %s: %d shard(s) x %d domain(s), policy %s, batch \
-             <=%d @@ %.0f us@."
+          Fmt.pr "listening on %s: %d shard(s) x %d domain(s), policy %s@."
             (Net.Server.addr_to_string (Net.Server.bound_addr srv))
             shards domains
-            (Net.Router.policy_name policy)
-            batch_max batch_us;
+            (Net.Router.policy_name policy);
           while not (Atomic.get stop_requested) do
             Thread.delay 0.05
           done;
@@ -249,11 +241,8 @@ let run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
             st.skipped st.dead_conns;
           Array.iteri
             (fun i (ss : Net.Shard.shard_stats) ->
-              Fmt.pr
-                "shard %d: routed %d, submitted %d, served %d (met %d), \
-                 batches %d@."
-                i ss.routed ss.pool.submitted ss.pool.served ss.pool.met
-                ss.batch.flushes)
+              Fmt.pr "shard %d: routed %d, submitted %d, served %d (met %d)@."
+                i ss.routed ss.pool.submitted ss.pool.served ss.pool.met)
             st.shard.per_shard;
           if metrics then
             Array.iteri
@@ -299,11 +288,14 @@ let run_client ~connect ~requests ~conns ~tenants ~seed ~slo_ms ~tight_frac
 
 let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
     ~cap ~quantum ~panic_ms ~lease_s ~chaos_seed ~retries ~kernel ~scale ~tpal
-    ~seeds ~metrics ~trace ~listen ~connect ~shards ~policy ~batch_us
-    ~batch_max ~small_max ~conns ~window =
-  let tracer =
-    match trace with None -> None | Some _ -> Some (Obs.Trace.create ())
-  in
+    ~seeds ~metrics ~trace ~listen ~connect ~shards ~policy ~small_max ~conns
+    ~window =
+  match Option.map (fun file -> (file, open_out file)) trace with
+  | exception Sys_error msg ->
+      Fmt.epr "cannot write trace: %s@." msg;
+      2
+  | trace ->
+  let tracer = Option.map (fun _ -> Obs.Trace.create ()) trace in
   let chaos =
     match chaos_seed with
     | None -> None
@@ -315,11 +307,16 @@ let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
   match (listen, connect) with
   | Some listen, _ ->
       run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
-        ~lease_s ~tracer ~chaos ~retries ~shards ~policy ~batch_us ~batch_max
-        ~small_max ~metrics ~trace
+        ~lease_s ~tracer ~chaos ~retries ~shards ~policy ~small_max ~metrics
+        ~trace
   | None, Some connect ->
-      run_client ~connect ~requests ~conns ~tenants ~seed ~slo_ms ~tight_frac
-        ~window ~small_max
+      let code =
+        run_client ~connect ~requests ~conns ~tenants ~seed ~slo_ms ~tight_frac
+          ~window ~small_max
+      in
+      (* the file is open: leave it a valid, empty trace *)
+      write_trace ~trace ~tracer;
+      code
   | None, None ->
   install_signal_handlers ();
   let pool =
@@ -486,25 +483,12 @@ let policy =
               small-request shard; small requests never queue behind a \
               large one).")
 
-let batch_us =
-  Arg.(value & opt float 200.
-    & info [ "batch-us" ] ~docv:"US"
-        ~doc:"Server mode: micro-batch delay bound — a small request \
-              parked behind a busy pool joins its queue at the first \
-              completion after waiting this long; an idle pool takes it \
-              at once.")
-
-let batch_max =
-  Arg.(value & opt int 8
-    & info [ "batch-max" ] ~docv:"N"
-        ~doc:"Server mode: max small requests folded into one session \
-              entry; 1 disables micro-batching.")
-
 let small_max =
   Arg.(value & opt int 4
     & info [ "small-max" ] ~docv:"N"
-        ~doc:"DRR-size threshold for the small-request class (size policy \
-              routing and micro-batch eligibility).")
+        ~doc:"DRR-size threshold of the small-request class: the size \
+              policy's routing in server mode, the small/large latency \
+              split in client mode.")
 
 let conns =
   Arg.(value & opt pos_int 2
@@ -524,15 +508,15 @@ let cmd =
       const
         (fun requests tenants rate seed slo_ms tight_frac domains heart_us cap
              quantum panic_ms lease_s chaos_seed retries kernel scale tpal
-             seeds metrics trace listen connect shards policy batch_us
-             batch_max small_max conns window ->
+             seeds metrics trace listen connect shards policy small_max
+             conns window ->
           run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains
             ~heart_us ~cap ~quantum ~panic_ms ~lease_s ~chaos_seed ~retries
             ~kernel ~scale ~tpal ~seeds ~metrics ~trace ~listen ~connect
-            ~shards ~policy ~batch_us ~batch_max ~small_max ~conns ~window)
+            ~shards ~policy ~small_max ~conns ~window)
       $ requests $ tenants $ rate $ seed $ slo_ms $ tight_frac $ domains
       $ heart_us $ cap $ quantum $ panic_ms $ lease_s $ chaos_seed $ retries
       $ kernel $ scale $ tpal $ seeds $ metrics $ trace $ listen $ connect
-      $ shards $ policy $ batch_us $ batch_max $ small_max $ conns $ window)
+      $ shards $ policy $ small_max $ conns $ window)
 
 let () = exit (Cmd.eval' cmd)

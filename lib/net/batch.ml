@@ -1,17 +1,11 @@
-(** Micro-batching of small requests: a pure accumulation buffer with
-    two flush triggers — a count bound ([max]) and an age bound
-    ([delay_s]) — over an {e explicit} clock, so batching semantics
-    are virtual-clock-testable like the rest of the policy layer.
+(** Ignored; kept until the benchmark stops naming it (ROADMAP item
+    1).  Nothing in the serving path batches: {!Shard} submits every
+    request as its own pool ticket, and reports a zero {!stats} per
+    shard.  perfbench's [batch.add_ns] micro-benchmark still calls
+    {!create} and {!add}.
 
-    The TREES-style amortization argument: one {!Serve.Pool} dispatch
-    (mutex round-trip, DRR/EDF decision, urgency install, condition
-    broadcast) costs about as much as a small request's whole kernel,
-    so entering the session once per {e batch} instead of once per
-    {e request} multiplies small-request throughput by up to the batch
-    width.  The price is latency, worth paying only while the pool is
-    busy: {!Shard} sends smalls to an idle pool at once and calls
-    {!poll} at each completion, so [delay_s] bounds only that wait.
-
+    A pure accumulation buffer with two flush triggers — a count bound
+    ([max]) and an age bound ([delay_s]) — over an explicit clock.
     Holds items in arrival order; never reorders. *)
 
 type 'a t = {

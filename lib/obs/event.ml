@@ -51,9 +51,6 @@ type t =
           wire tag, [rx] its direction (received vs sent) *)
   | Route of { shard : int; size : int }
       (** the {!Net.Router} placed a request on [shard] *)
-  | Batch of { n : int; wait_us : int }
-      (** a micro-batch of [n] small requests flushed after the oldest
-          member waited [wait_us] *)
   | Drain of { pending : int }
       (** graceful shutdown began with [pending] requests in flight *)
 
@@ -69,7 +66,7 @@ let outcome_code = function
   | `Cancelled -> 3
 
 (** [encode e] is [(code, a, b)] — the non-timestamp words of a ring
-    slot.  Code 9 is free. *)
+    slot.  Codes 9 and 22 are free. *)
 let encode : t -> int * int * int = function
   | Beat -> (1, 0, 0)
   | Promote { kind = `Loop } -> (2, 0, 0)
@@ -93,7 +90,6 @@ let encode : t -> int * int * int = function
   | Conn { up } -> (19, bool_bit up, 0)
   | Frame { rx; kind; bytes } -> (20, (kind lsl 1) lor bool_bit rx, bytes)
   | Route { shard; size } -> (21, shard, size)
-  | Batch { n; wait_us } -> (22, n, wait_us)
   | Drain { pending } -> (23, pending, 0)
 
 let decode ~(code : int) ~(a : int) ~(b : int) : t option =
@@ -134,7 +130,6 @@ let decode ~(code : int) ~(a : int) ~(b : int) : t option =
   | 19 -> Some (Conn { up = a = 1 })
   | 20 -> Some (Frame { rx = a land 1 = 1; kind = a asr 1; bytes = b })
   | 21 -> Some (Route { shard = a; size = b })
-  | 22 -> Some (Batch { n = a; wait_us = b })
   | 23 -> Some (Drain { pending = a })
   | _ -> None
 
@@ -169,5 +164,4 @@ let name : t -> string = function
   | Frame { rx = true; _ } -> "frame-rx"
   | Frame { rx = false; _ } -> "frame-tx"
   | Route _ -> "route"
-  | Batch _ -> "batch"
   | Drain _ -> "drain"

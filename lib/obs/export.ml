@@ -118,10 +118,6 @@ let to_chrome ?(pid = 0) ?(process = "tpal-par") (tr : Trace.t) :
               instant ~cat:"net"
                 ~args:[ ("shard", J.Int shard); ("size", J.Int size) ]
                 "route"
-          | Batch { n; wait_us } ->
-              instant ~cat:"net"
-                ~args:[ ("n", J.Int n); ("wait_us", J.Int wait_us) ]
-                "batch"
           | Drain { pending } ->
               instant ~cat:"net"
                 ~args:[ ("pending", J.Int pending) ]

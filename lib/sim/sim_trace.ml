@@ -377,12 +377,17 @@ let report ?(width = 64) (t : t) : string =
 
 (** [to_chrome ~cycles_per_us t] maps the stream onto Chrome
     trace-event JSON objects: one thread per core, complete spans for
-    segments, thread-scoped instants for the point events. *)
+    segments, thread-scoped instants for the point events.  Times are
+    µs rounded to the ns, as [Obs.Export]'s are: an exact
+    [cycles / cycles_per_us] prints with up to 17 digits. *)
 let to_chrome ?(cycles_per_us = Params.default.cycles_per_us) (t : t) :
     Stats.Json.t list =
   let module C = Stats.Chrome_trace in
   let module J = Stats.Json in
-  let us cycles = float_of_int cycles /. float_of_int cycles_per_us in
+  let us cycles =
+    Float.round (float_of_int cycles *. 1e3 /. float_of_int cycles_per_us)
+    /. 1e3
+  in
   let n = max 1 (procs t) in
   let meta =
     C.process_name ~pid:0 "tpal-sim"

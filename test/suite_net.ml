@@ -3,9 +3,10 @@
    version-mismatch skips, latched death on oversized frames — the
    deterministic router policies (tenant-hash stability, JSQ
    tie-breaking, the size-aware small shard that never queues behind
-   large work), the virtual-clock micro-batcher, the shard layer's
-   exactly-once fan-in/fan-out, and a loopback server/client smoke
-   with a full lost/duplicated/mismatched audit.
+   large work), the virtual-clock micro-batcher the benchmark still
+   names, the shard layer's one pool ticket per request with
+   exactly-once delivery and cancel, and a loopback server/client
+   smoke with a full lost/duplicated/mismatched audit.
 
    Codec, router, and batch tests are pure (no sockets, no clocks);
    the shard and server tests use single-domain polling pools so they
@@ -316,7 +317,8 @@ let test_batch_remove_and_drain () =
   check "drain empty" true (Net.Batch.drain b = [])
 
 (* ------------------------------------------------------------------ *)
-(* Shard layer: fan-out, batching, exactly-once fan-in. *)
+(* Shard layer: routing, one pool ticket per request, exactly-once
+   delivery. *)
 
 let pool_config ?(cap = 4096) () : Serve.Pool.config =
   {
@@ -332,19 +334,16 @@ let pool_config ?(cap = 4096) () : Serve.Pool.config =
     default_slo_s = 30.;
   }
 
-let shard_config ?(shards = 2) ?(batch_max = 1) () : Net.Shard.config =
+let shard_config ?(shards = 2) () : Net.Shard.config =
   {
     Net.Shard.default_config with
     shards;
     pool = pool_config ();
     policy = Net.Router.Size_aware { small_max = 4 };
-    batch_max;
-    batch_delay_us = 500.;
-    batch_size_max = 4;
   }
 
 let test_shard_roundtrip_mixed () =
-  let t = Net.Shard.create ~config:(shard_config ~batch_max:8 ()) () in
+  let t = Net.Shard.create ~config:(shard_config ()) () in
   let expect_small = Serve.Load.expected_checksum 128 in
   let expect_large = Serve.Load.expected_checksum 8192 in
   let tickets =
@@ -369,29 +368,14 @@ let test_shard_roundtrip_mixed () =
       | Error e -> Alcotest.failf "await failed: %a" Serve.Pool.pp_error e)
     tickets;
   let st = Net.Shard.close t in
-  check "some requests batched" true (st.batched_members > 0);
   check_int "all submitted" 60 st.submitted;
-  (* small-shard isolation held: every large went to shard 1 *)
-  check "large work avoided the small shard" true
-    (Array.length st.per_shard = 2);
+  (* small-shard isolation held: the 40 smalls, and nothing else, went
+     to shard 0 *)
+  check_int "large work avoided the small shard" 40 st.per_shard.(0).routed;
   let resolved_after = Net.Shard.submit t ~tenant:"late" (Serve.Pool.Thunk (fun _ -> 0)) in
   check "closed shard refuses" true (resolved_after = Error Serve.Pool.Pool_closed)
 
-(* A small thunk that holds its pool until the test opens [latch]. *)
-let latched (latch : bool Atomic.t) : Serve.Pool.work =
-  Serve.Pool.Thunk
-    (fun _ ->
-      while not (Atomic.get latch) do
-        Thread.delay 1e-4
-      done;
-      0)
-
 let small_work = Serve.Pool.Thunk (Serve.Load.kernel 64)
-
-(* batch_max high + long delay: a batch never fills or ages out, so a
-   member leaves the batcher only when its pool can take it *)
-let parking_config ?shards () =
-  { (shard_config ?shards ~batch_max:64 ()) with batch_delay_us = 30_000_000. }
 
 let submit_ok ?(size = 1) ?on_resolve t tenant w =
   match Net.Shard.submit t ~tenant ~size ?on_resolve w with
@@ -411,133 +395,133 @@ let wait_until ?(timeout_s = 10.) f =
   done;
   f ()
 
-(* Records each flush's member count, newest first. *)
-let fill_log () =
-  let log = Atomic.make [] in
-  (log, Some (fun ~n ~wait_us:_ -> Atomic.set log (n :: Atomic.get log)))
+(* Submit a request that holds its pool until [latch] opens, and wait
+   until it runs, so what the pool is given next queues behind it. *)
+let hold t (latch : bool Atomic.t) : unit =
+  let started = Atomic.make false in
+  ignore
+    (submit_ok t "hold"
+       (Serve.Pool.Thunk
+          (fun _ ->
+            Atomic.set started true;
+            while not (Atomic.get latch) do
+              Thread.delay 1e-4
+            done;
+            0)));
+  check "the holder runs" true (wait_until (fun () -> Atomic.get started))
 
-let test_shard_cancel_parked () =
-  (* a latched small takes the idle pool at once and holds it, so the
-     next small parks and stays parked long enough to cancel *)
-  let t = Net.Shard.create ~config:(parking_config ()) () in
+let test_shard_cancel_queued () =
+  let t = Net.Shard.create ~config:(shard_config ~shards:1 ()) () in
   let latch = Atomic.make false in
   Fun.protect ~finally:(fun () ->
       Atomic.set latch true;
       ignore (Net.Shard.close t))
   @@ fun () ->
-  ignore (submit_ok t "hold" (latched latch));
+  hold t latch;
   let resolved = ref None in
   let tk = submit_ok t "a" ~on_resolve:(fun r -> resolved := Some r) small_work in
-  check "cancel hits the parked member" true (Net.Shard.cancel t tk);
+  check "cancel hits the queued request" true (Net.Shard.cancel t tk);
   (match !resolved with
   | Some (Error (Serve.Pool.Cancelled `Explicit)) -> ()
   | _ -> Alcotest.fail "expected a typed Cancelled resolution");
   check "second cancel misses" true (not (Net.Shard.cancel t tk))
 
-let test_shard_close_drains_parked () =
-  let t = Net.Shard.create ~config:(parking_config ()) () in
+let test_shard_close_drains_queued () =
+  let t = Net.Shard.create ~config:(shard_config ~shards:1 ()) () in
   let latch = Atomic.make false in
-  ignore (submit_ok t "hold" (latched latch));
+  hold t latch;
   let tks = List.init 5 (fun i -> submit_ok t (Printf.sprintf "t%d" i) small_work) in
-  (* open the latch only once close has flushed the parked members
-     (the latched small was flush 1), so close itself must place them *)
+  (* open the latch only once close has begun, which the shard shows by
+     refusing work, so the five are still queued when it starts *)
   let opener =
     Thread.create
       (fun () ->
         ignore
           (wait_until (fun () ->
-               (Net.Shard.stats t).per_shard.(0).batch.flushes >= 2));
+               Net.Shard.submit t ~tenant:"probe" ~on_resolve:ignore small_work
+               = Error Serve.Pool.Pool_closed));
         Atomic.set latch true)
       ()
   in
   let st = Net.Shard.close t in
   Thread.join opener;
-  (* parked members were flushed at close: they either executed
-     (pool drained them) or resolved typed — never lost *)
+  (* queued requests either ran (the pool drained them) or resolved
+     typed — never lost *)
   List.iter
     (fun tk ->
       match Net.Shard.try_result t tk with
       | Some (Ok _) | Some (Error Serve.Pool.Pool_closed) -> ()
       | Some (Error e) ->
           Alcotest.failf "unexpected error: %a" Serve.Pool.pp_error e
-      | None -> Alcotest.fail "parked member lost at close")
+      | None -> Alcotest.fail "queued request lost at close")
     tks;
   check "close reports the policy" true (st.policy = "size-aware")
 
 let test_shard_idle_sends_at_once () =
-  (* nothing to amortize a dispatch against: the 30 s delay is not paid *)
-  let t = Net.Shard.create ~config:(parking_config ()) () in
+  (* an idle pool runs a lone small at once, well inside [await_ok]'s
+     second *)
+  let t = Net.Shard.create ~config:(shard_config ()) () in
   Fun.protect ~finally:(fun () -> ignore (Net.Shard.close t)) @@ fun () ->
   await_ok t (submit_ok t "a" small_work)
 
-let test_shard_completion_flushes_parked () =
-  let log, on_batch = fill_log () in
-  let t = Net.Shard.create ~config:{ (parking_config ()) with on_batch } () in
-  let latch = Atomic.make false in
-  Fun.protect ~finally:(fun () ->
-      Atomic.set latch true;
-      ignore (Net.Shard.close t))
-  @@ fun () ->
-  ignore (submit_ok t "hold" (latched latch));
-  let tks = List.init 3 (fun i -> submit_ok t (Printf.sprintf "t%d" i) small_work) in
-  Thread.delay 0.02;
-  check "parked while the pool is held" true
-    (List.for_all (fun tk -> Net.Shard.try_result t tk = None) tks);
-  Atomic.set latch true;
-  List.iter (await_ok t) tks;
-  check "the latch alone, then the three as one batch" true
-    (List.rev (Atomic.get log) = [ 1; 3 ])
-
-let test_shard_aged_join_busy_queue () =
-  let log, on_batch = fill_log () in
-  let cfg =
-    { (shard_config ~shards:1 ~batch_max:64 ()) with batch_delay_us = 1000.; on_batch }
+let test_shard_cancel_running () =
+  let t = Net.Shard.create ~config:(shard_config ~shards:1 ()) () in
+  Fun.protect ~finally:(fun () -> ignore (Net.Shard.close t)) @@ fun () ->
+  let started = Atomic.make false and resolved = Atomic.make None in
+  let work =
+    Serve.Pool.Thunk
+      (fun (module E : Workloads.Exec.S) ->
+        Atomic.set started true;
+        (* ~100 s of polling work: only the cancel can end it in time *)
+        E.par_for ~lo:0 ~hi:1_000_000 (fun _ -> Unix.sleepf 0.0001);
+        0)
   in
-  let t = Net.Shard.create ~config:cfg () in
-  let first = Atomic.make false and rest = Atomic.make false in
-  Fun.protect ~finally:(fun () ->
-      Atomic.set first true;
-      Atomic.set rest true;
-      ignore (Net.Shard.close t))
-  @@ fun () ->
-  (* one direct request holds the pool and two queue behind it *)
-  let held = submit_ok ~size:16 t "d" (latched first) in
-  let queued = List.init 2 (fun _ -> submit_ok ~size:16 t "d" (latched rest)) in
-  let smalls = List.init 2 (fun i -> submit_ok t (Printf.sprintf "s%d" i) small_work) in
-  Thread.delay 0.02;
-  check "aged smalls wait for a completion" true (Atomic.get log = []);
-  Atomic.set first true;
-  check "the first completion sends them" true
-    (wait_until ~timeout_s:1. (fun () -> Atomic.get log = [ 2 ]));
-  check "while the queue is still held" true
-    (List.for_all (fun tk -> Net.Shard.try_result t tk = None) queued);
-  Atomic.set rest true;
-  List.iter (await_ok t) ((held :: queued) @ smalls)
+  let tk = submit_ok t "a" ~on_resolve:(fun r -> Atomic.set resolved (Some r)) work in
+  check "the request runs" true (wait_until (fun () -> Atomic.get started));
+  check "cancel reaches it" true (Net.Shard.cancel t tk);
+  check "it unwinds with a typed Cancelled" true
+    (wait_until (fun () ->
+         Atomic.get resolved = Some (Error (Serve.Pool.Cancelled `Explicit))))
 
-let test_shard_retry_backoff_is_idle () =
-  (* the pool's only work is a retry waiting out a 10-20 s backoff; it
-     starts nothing before then, so a small is not parked behind it *)
+let test_shard_one_ticket_per_request () =
+  let t = Net.Shard.create ~config:(shard_config ()) () in
+  let tks =
+    List.init 40 (fun i ->
+        let size = if i mod 4 = 0 then 16 else 1 in
+        submit_ok ~size t (Printf.sprintf "t%d" (i mod 3)) small_work)
+  in
+  List.iter (await_ok t) tks;
+  let st = Net.Shard.close t in
+  check_int "all submitted" 40 st.submitted;
+  check_int "each request is one pool ticket" st.submitted
+    (Array.fold_left
+       (fun n (ss : Net.Shard.shard_stats) -> n + ss.pool.submitted)
+       0 st.per_shard);
+  Array.iteri
+    (fun i (ss : Net.Shard.shard_stats) ->
+      check_int (Printf.sprintf "shard %d: on the shard it was routed to" i)
+        ss.routed ss.pool.submitted)
+    st.per_shard
+
+let test_shard_retry_backoff_counts () =
+  (* the pool's only work is a retry waiting out a 10-20 s backoff: the
+     JSQ router must still see it *)
   let pool =
     { (pool_config ()) with retries = 1; retry_backoff_s = 20.; retry_backoff_max_s = 20. }
   in
-  let t = Net.Shard.create ~config:{ (parking_config ~shards:1 ()) with pool } () in
+  let t = Net.Shard.create ~config:{ (shard_config ~shards:1 ()) with pool } () in
   Fun.protect ~finally:(fun () -> ignore (Net.Shard.close t)) @@ fun () ->
   let fault = Serve.Pool.Thunk (fun _ -> raise (Par.Chaos.Injected { domain = 0; beat = 0 })) in
   ignore (submit_ok ~size:16 t "f" fault);
   check "the first attempt failed into backoff" true
     (wait_until (fun () -> (Net.Shard.stats t).per_shard.(0).pool.retried = 1));
-  check_int "the retry still counts toward depth" 1 (Net.Shard.depths t).(0);
-  await_ok t (submit_ok t "a" small_work)
+  check_int "the retry still counts toward depth" 1 (Net.Shard.depths t).(0)
 
 (* ------------------------------------------------------------------ *)
 (* Loopback server: end-to-end smoke with the full audit. *)
 
-let server_config ?(shards = 2) ?(batch_max = 4) () : Net.Server.config =
-  {
-    Net.Server.default_config with
-    shard = shard_config ~shards ~batch_max ();
-    drain_timeout_s = 30.;
-  }
+let server_config ?(shards = 2) () : Net.Server.config =
+  { Net.Server.default_config with shard = shard_config ~shards () }
 
 let test_server_loopback_audit () =
   let srv =
@@ -642,13 +626,13 @@ let test_server_hello_shards () =
 
 let test_server_drain_rejects_new () =
   let srv =
-    Net.Server.create ~config:(server_config ~shards:1 ~batch_max:1 ())
+    Net.Server.create ~config:(server_config ~shards:1 ())
       (Net.Server.Tcp { host = "127.0.0.1"; port = 0 })
       ()
   in
   let addr = Net.Server.bound_addr srv in
   let c = Net.Client.connect addr in
-  (* park a couple of requests, then stop the server while holding the
+  (* queue a few requests, then stop the server while holding the
      connection open: stop must flush typed responses for everything *)
   let tks =
     List.init 8 (fun _ ->
@@ -741,26 +725,21 @@ let with_shard (cfg : Net.Shard.config) (body : Net.Shard.t -> unit) : unit =
   let t = Net.Shard.create ~config:cfg () in
   Fun.protect ~finally:(fun () -> ignore (Net.Shard.close t)) (fun () -> body t)
 
-(* 1,000,000 small requests through a 2-shard fabric with batching on,
-   256 in flight. *)
+(* 1,000,000 small requests through a 2-shard fabric, 256 in flight:
+   each is one pool ticket, which the shard must read once from the
+   pool's hook. *)
 let test_shard_memory_flat () =
-  with_shard (shard_config ~batch_max:8 ()) @@ fun t ->
+  with_shard (shard_config ()) @@ fun t ->
   ignore (drive_hooked t ~window:256 ~n:100_000 : int);
   let before = Checks.live_words () in
   check_int "refused" 0 (drive_hooked t ~window:256 ~n:900_000);
   Checks.check_flat ~before ~n:900_000 ()
 
-(* The same without batching: each request is one pool ticket, which
-   the shard must read once from the pool's hook.  Then against a
-   one-deep pool queue, which refuses a share of the submits outright:
-   a refused submit must not use up a shard ticket, which would hold
-   the answered set's watermark and keep every later answer. *)
+(* The same against a one-deep pool queue, which refuses a share of the
+   submits outright: a refused submit must not use up a shard ticket,
+   which would hold the answered set's watermark and keep every later
+   answer. *)
 let test_shard_direct_memory_flat () =
-  (with_shard (shard_config ()) @@ fun t ->
-   ignore (drive_hooked t ~window:256 ~n:10_000 : int);
-   let before = Checks.live_words () in
-   check_int "refused" 0 (drive_hooked t ~window:256 ~n:100_000);
-   Checks.check_flat ~before ~n:100_000 ());
   let cfg = shard_config () in
   with_shard { cfg with pool = pool_config ~cap:1 () } @@ fun t ->
   ignore (drive_hooked t ~window:8 ~n:10_000 : int);
@@ -818,20 +797,19 @@ let expect_done (r : Net.Client.response) : unit =
 
 (* 200,000 requests over a loopback server and client, 128 in flight. *)
 let test_server_memory_flat () =
-  with_server (server_config ~batch_max:8 ()) @@ fun p ->
+  with_server (server_config ()) @@ fun p ->
   pump p ~window:128 ~n:20_000 expect_done;
   let before = Checks.live_words () in
   pump p ~window:128 ~n:180_000 expect_done;
   Checks.check_flat ~before ~n:180_000 ()
 
-(* Under backpressure a flushed batch is rejected inside
-   [Shard.submit], so the response hook of the request that flushed it
-   runs before [submit] returns; the server must not record that
-   finished ticket for [Cancel] afterwards.  With a one-deep pool
-   queue and 512 requests in flight, a third to two thirds of them
-   are rejected. *)
+(* A request the pool takes at once can finish, and its response hook
+   run, before [Shard.submit] returns, and a refused one is answered
+   on the spot; the server must not record either finished ticket for
+   [Cancel] afterwards.  With a one-deep pool queue and 512 requests in
+   flight, a third to two thirds of them are rejected. *)
 let test_server_rejections_leave_nothing () =
-  let cfg = server_config ~shards:1 ~batch_max:8 () in
+  let cfg = server_config ~shards:1 () in
   with_server { cfg with shard = { cfg.shard with pool = pool_config ~cap:1 () } }
   @@ fun p ->
   let rejected = ref 0 in
@@ -945,6 +923,29 @@ let test_client_unexpected_responses () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "await of a ticket never issued did not raise")
 
+(* A wire [Cancel] goes through the connection's ticket map to
+   [Net.Shard.cancel].  On one shard of one domain, a [Prog] loop of a
+   million iterations (about half a second) holds the pool while a
+   [Synth] of the same tenant queues behind it, and the client cancels
+   the [Synth]. *)
+let spin_src =
+  "spin: [.]\n  n := 1000000\n  jump loop\n\nloop: [.]\n  if-jump n, done\n\
+  \  n := n - 1\n  jump loop\n\ndone: [.]\n  halt\n"
+
+let test_server_wire_cancel () =
+  with_server (server_config ~shards:1 ()) @@ fun p ->
+  let spin = Net.Client.submit p.c ~tenant:"t" (Net.Wire.Prog { src = spin_src }) in
+  let queued = Net.Client.submit p.c ~tenant:"t" (Net.Wire.Synth { n = 16 }) in
+  Net.Client.cancel p.c queued;
+  (match Net.Client.await ~timeout_s:30. p.c queued with
+  | Some { status = Net.Wire.Cancelled `Explicit; _ } -> ()
+  | Some _ -> Alcotest.fail "the queued request was not cancelled"
+  | None -> Alcotest.fail "no response for the queued request");
+  (match Net.Client.await ~timeout_s:60. p.c spin with
+  | Some { status = Net.Wire.Done _; _ } -> ()
+  | _ -> Alcotest.fail "the loop did not complete");
+  check_int "one response per ticket" 2 (Net.Client.received p.c)
+
 let suite =
   ( "net",
     [
@@ -976,18 +977,18 @@ let suite =
         test_batch_remove_and_drain;
       Alcotest.test_case "shard: mixed sizes roundtrip exactly once" `Slow
         test_shard_roundtrip_mixed;
-      Alcotest.test_case "shard: cancel a parked member" `Quick
-        test_shard_cancel_parked;
-      Alcotest.test_case "shard: close never loses parked work" `Slow
-        test_shard_close_drains_parked;
+      Alcotest.test_case "shard: cancel a queued request" `Quick
+        test_shard_cancel_queued;
+      Alcotest.test_case "shard: close never loses queued work" `Slow
+        test_shard_close_drains_queued;
       Alcotest.test_case "shard: a lone small on an idle pool is sent at once"
         `Quick test_shard_idle_sends_at_once;
-      Alcotest.test_case "shard: a completion flushes parked smalls as one batch"
-        `Quick test_shard_completion_flushes_parked;
-      Alcotest.test_case "shard: aged smalls join a busy queue at a completion"
-        `Quick test_shard_aged_join_busy_queue;
-      Alcotest.test_case "shard: a retry in backoff leaves the pool idle" `Quick
-        test_shard_retry_backoff_is_idle;
+      Alcotest.test_case "shard: cancel reaches a running request" `Quick
+        test_shard_cancel_running;
+      Alcotest.test_case "shard: one pool ticket per request" `Quick
+        test_shard_one_ticket_per_request;
+      Alcotest.test_case "shard: a retry in backoff counts toward depth" `Quick
+        test_shard_retry_backoff_counts;
       Alcotest.test_case "server: loopback audit" `Slow
         test_server_loopback_audit;
       Alcotest.test_case "server: peers that hang up never kill it" `Quick
@@ -1004,10 +1005,12 @@ let suite =
         `Quick test_shard_direct_memory_flat;
       Alcotest.test_case "server: live heap flat over 200k loopback requests"
         `Quick test_server_memory_flat;
-      Alcotest.test_case "server: rejected batches leave no cancel entries"
+      Alcotest.test_case "server: rejected submits leave no cancel entries"
         `Quick test_server_rejections_leave_nothing;
       Alcotest.test_case "client: unexpected responses are dropped and counted"
         `Quick test_client_unexpected_responses;
       Alcotest.test_case "netload: a failed connection's requests are lost"
         `Quick test_netload_failed_conns_lost;
+      Alcotest.test_case "server: a wire Cancel reaches a queued request" `Quick
+        test_server_wire_cancel;
     ] )

@@ -97,7 +97,6 @@ let test_event_roundtrip () =
       Frame { rx = true; kind = 3; bytes = 96 };
       Frame { rx = false; kind = 5; bytes = 28 };
       Route { shard = 2; size = 16 };
-      Batch { n = 8; wait_us = 150 };
       Drain { pending = 12 };
     ]
   in
