@@ -5,7 +5,8 @@
 
     Policies (McKenney's partitioning guidance: shard first,
     communicate narrowly — the router is the {e only} cross-shard
-    decision point, and it reads one int per shard):
+    decision point, and it reads at most one int per shard, only when
+    {!reads_depths} says the decision needs it):
 
     - {b Tenant_hash}: stable FNV-1a affinity — a tenant always lands
       on the same shard, so per-tenant state (DRR deficit, retry
@@ -16,7 +17,7 @@
     - {b Size_aware}: shard 0 is reserved for small requests
       ([size <= small_max]) and {e only} small requests route there —
       a small request can never queue behind a large one (the
-      space-sharing answer to ROADMAP item 2's head-of-line problem).
+      space-sharing answer to head-of-line blocking, DESIGN §13).
       Large requests go join-shortest-queue over shards [1..n-1].
       With a single shard the policy degenerates to FIFO, which is
       what the bench's baseline leg measures. *)
@@ -50,6 +51,20 @@ let fnv1a (s : string) : int =
       h := Int64.mul !h 0x100000001b3L)
     s;
   Int64.to_int !h land max_int
+
+(** [reads_depths policy ~shards ~size]: whether {!route} reads
+    [depths] for a request of [size] over [shards] shards.  When
+    [false], every snapshot routes it to the same shard, so the caller
+    need not probe the pools: [Tenant_hash] reads none, nor does
+    [Size_aware] for a small request or for a large one with a single
+    large shard. *)
+let reads_depths (policy : policy) ~(shards : int) ~(size : int) : bool =
+  shards > 1
+  &&
+  match policy with
+  | Tenant_hash -> false
+  | Jsq -> true
+  | Size_aware { small_max } -> size > small_max && shards > 2
 
 let argmin (depths : int array) (lo : int) : int =
   let best = ref lo in

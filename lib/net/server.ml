@@ -208,11 +208,19 @@ let response_of (ticket : int)
       let status, info = status_of_error e in
       Wire.Response { ticket; status; value = 0; sojourn_us = 0; info }
 
+(* A peer's request must not make the server allocate without bound: a
+   [Synth] is at most 2^24 slots (128 MiB), and a [Kernel] runs at scale
+   32 at most, where the largest inputs, plus_reduce's and mergesort's,
+   are about 100 MB. *)
+let max_kernel_scale = 32
+
 let work_of_payload (p : Wire.payload) : (Serve.Pool.work, string) result =
   match p with
   | Wire.Synth { n } ->
       if n < 0 || n > 1 lsl 24 then Error "synth size out of range"
       else Ok (Serve.Pool.Thunk (Serve.Load.kernel n))
+  | Wire.Kernel { scale; _ } when scale > max_kernel_scale ->
+      Error "kernel scale out of range"
   | Wire.Kernel { name; scale } -> (
       match Workloads.Real_bench.find name with
       | Some bench -> Ok (Serve.Pool.Kernel { bench; scale = max 1 scale })

@@ -18,11 +18,11 @@
     explicit until it does.
 
     This is the one place the serving stack keeps per-ticket results
-    and asks "was ticket [k] already answered?": {!Pool} and
-    {!Net.Shard} for reads and [cancel], {!Net.Client} for reads, its
-    [received] count and its duplicate count.  Not thread-safe: each
-    owner guards it with its own mutex, and checks itself that a
-    ticket was issued. *)
+    and asks "was ticket [k] already answered?": {!Pool} for reads and
+    [cancel], {!Net.Client} for reads, its [received] count and its
+    duplicate count.  ({!Net.Shard} keeps none: its ticket is the
+    routed pool's.)  Not thread-safe: each owner guards it with its own
+    mutex, and checks itself that a ticket was issued. *)
 
 type 'a t = {
   mutable low : int;  (** every ticket below this is answered *)

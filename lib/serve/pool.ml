@@ -702,7 +702,7 @@ let create ?(config = default_config) () : t =
     ticket exists to resolve).  With or without a hook, the result is
     also kept for one read ({!await}, {!try_result}); a caller that
     never reads a ticket keeps its result alive, so {!Net.Shard} reads
-    each of its pool tickets once from the hook. *)
+    each of its hook tickets once from the hook. *)
 let submit (t : t) ~(tenant : string) ?deadline_s ?(size = 1)
     ?(on_resolve : ((completion, error) result -> unit) option) (w : work) :
     (ticket, error) result =

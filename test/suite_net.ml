@@ -282,6 +282,36 @@ let test_policy_parse () =
     = Some (Net.Router.Size_aware { small_max = 7 }));
   check "garbage" true (Net.Router.policy_of_string "lifo" = None)
 
+(* Whenever the router says it reads no depth for a request, any two
+   depth snapshots must route that request to the same shard: the
+   shard layer then skips probing its pools. *)
+let prop_reads_depths =
+  let gen =
+    QCheck.Gen.(
+      let* policy =
+        oneof
+          [
+            return Net.Router.Tenant_hash;
+            return Net.Router.Jsq;
+            map
+              (fun small_max -> Net.Router.Size_aware { small_max })
+              (frequency [ (4, int_range (-2) 40); (1, int) ]);
+          ]
+      in
+      let* shards = int_range 1 6 in
+      let* size = frequency [ (4, int_range (-2) 48); (1, int) ] in
+      let* tenant = gen_string_n 12 in
+      let depth = int_bound 1000 in
+      let* a = array_repeat shards depth and* b = array_repeat shards depth in
+      return (policy, shards, size, tenant, a, b))
+  in
+  QCheck.Test.make ~name:"router: a route that reads no depth ignores them"
+    ~count:2000 (QCheck.make gen)
+    (fun (policy, shards, size, tenant, a, b) ->
+      Net.Router.reads_depths policy ~shards ~size
+      || Net.Router.route policy ~depths:a ~tenant ~size
+         = Net.Router.route policy ~depths:b ~tenant ~size)
+
 (* ------------------------------------------------------------------ *)
 (* Micro-batcher: explicit clock, no threads. *)
 
@@ -426,6 +456,18 @@ let test_shard_cancel_queued () =
   | _ -> Alcotest.fail "expected a typed Cancelled resolution");
   check "second cancel misses" true (not (Net.Shard.cancel t tk))
 
+(* Queued requests either ran (the pool drained them) or resolved typed
+   at close — never lost. *)
+let ran_or_closed t tks =
+  List.iter
+    (fun tk ->
+      match Net.Shard.try_result t tk with
+      | Some (Ok _) | Some (Error Serve.Pool.Pool_closed) -> ()
+      | Some (Error e) ->
+          Alcotest.failf "unexpected error: %a" Serve.Pool.pp_error e
+      | None -> Alcotest.fail "queued request lost at close")
+    tks
+
 let test_shard_close_drains_queued () =
   let t = Net.Shard.create ~config:(shard_config ~shards:1 ()) () in
   let latch = Atomic.make false in
@@ -445,16 +487,7 @@ let test_shard_close_drains_queued () =
   in
   let st = Net.Shard.close t in
   Thread.join opener;
-  (* queued requests either ran (the pool drained them) or resolved
-     typed — never lost *)
-  List.iter
-    (fun tk ->
-      match Net.Shard.try_result t tk with
-      | Some (Ok _) | Some (Error Serve.Pool.Pool_closed) -> ()
-      | Some (Error e) ->
-          Alcotest.failf "unexpected error: %a" Serve.Pool.pp_error e
-      | None -> Alcotest.fail "queued request lost at close")
-    tks;
+  ran_or_closed t tks;
   check "close reports the policy" true (st.policy = "size-aware")
 
 let test_shard_idle_sends_at_once () =
@@ -654,7 +687,11 @@ let test_server_drain_rejects_new () =
 
 let test_shard_reads_once () =
   let t = Net.Shard.create ~config:(shard_config ()) () in
-  Fun.protect ~finally:(fun () -> ignore (Net.Shard.close t)) @@ fun () ->
+  let latch = Atomic.make false in
+  Fun.protect ~finally:(fun () ->
+      Atomic.set latch true;
+      ignore (Net.Shard.close t))
+  @@ fun () ->
   let delivered = Some (Error Serve.Pool.Delivered) in
   let tk = submit_ok t "a" small_work in
   await_ok t tk;
@@ -663,7 +700,7 @@ let test_shard_reads_once () =
     = delivered);
   check "try_result after the read" true (Net.Shard.try_result t tk = delivered);
   Checks.at_once "await of a ticket never issued" (fun () ->
-      match Net.Shard.await ~timeout_s:2. t (tk + 1000) with
+      match Net.Shard.await ~timeout_s:2. t { tk with pt = tk.pt + 1000 } with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "await of a ticket never issued did not raise");
   (* a hook ticket is delivered through its hook and never stored *)
@@ -671,7 +708,32 @@ let test_shard_reads_once () =
   let h = submit_ok t "a" ~on_resolve:(fun _ -> Atomic.set hooked true) small_work in
   check "the hook fired" true (wait_until (fun () -> Atomic.get hooked));
   check "a hook ticket is not stored" true (Net.Shard.try_result t h = delivered);
-  check "cancel of a delivered hook ticket misses" false (Net.Shard.cancel t h)
+  check "cancel of a delivered hook ticket misses" false (Net.Shard.cancel t h);
+  (* nor is one still pending: no read can race its hook *)
+  hold t latch;
+  let fired = Atomic.make false in
+  let q = submit_ok t "a" ~on_resolve:(fun _ -> Atomic.set fired true) small_work in
+  check "a pending hook ticket reads Delivered at once" true
+    (Checks.at_once "await of a pending hook ticket" (fun () ->
+         Some (Net.Shard.await ~timeout_s:5. t q))
+    = delivered);
+  check "try_result of it too" true (Net.Shard.try_result t q = delivered);
+  check "it had not resolved" false (Atomic.get fired);
+  Atomic.set latch true;
+  check "its hook still fires" true (wait_until (fun () -> Atomic.get fired));
+  (* a shard index out of range: reads raise, cancel misses *)
+  List.iter
+    (fun shard ->
+      let forged = { tk with shard } in
+      (match Net.Shard.await ~timeout_s:2. t forged with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "await on shard %d did not raise" shard);
+      (match Net.Shard.try_result t forged with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "try_result on shard %d did not raise" shard);
+      check (Printf.sprintf "cancel on shard %d misses" shard) false
+        (Net.Shard.cancel t forged))
+    [ -1; 2 ]
 
 (* Drive [n] small requests through [t], [window] in flight, each
    resolved through a hook that accounts for it the way Net.Server's
@@ -748,6 +810,39 @@ let test_shard_direct_memory_flat () =
   Checks.check_flat ~before ~n:100_000 ();
   if refused < 10_000 then
     Alcotest.failf "only %d of 100,000 submits were refused" refused
+
+(* Two threads close a 2-shard fabric whose small pool is held by a
+   latched request with five more queued behind it, and the latch opens
+   shortly after: both calls wait for the pools, so both return final
+   statistics, and every queued ticket ran or resolved typed. *)
+let test_shard_concurrent_close () =
+  let t = Net.Shard.create ~config:(shard_config ()) () in
+  let latch = Atomic.make false in
+  hold t latch;
+  let tks = List.init 5 (fun i -> submit_ok t (Printf.sprintf "t%d" i) small_work) in
+  let second = ref None in
+  let closer = Thread.create (fun () -> second := Some (Net.Shard.close t)) () in
+  let opener =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.05;
+        Atomic.set latch true)
+      ()
+  in
+  let first = Net.Shard.close t in
+  Thread.join closer;
+  Thread.join opener;
+  List.iter
+    (fun (which, (st : Net.Shard.stats)) ->
+      check_int (which ^ " close: submitted") 6 st.submitted;
+      Array.iteri
+        (fun i (ss : Net.Shard.shard_stats) ->
+          check
+            (Printf.sprintf "%s close: shard %d has runtime stats" which i)
+            true (ss.pool.runtime <> None))
+        st.per_shard)
+    [ ("first", first); ("second", Option.get !second) ];
+  ran_or_closed t tks
 
 (* A client connection sending [Synth 16] requests, [window] in flight,
    and reading each response once, in ticket order, as soon as it and
@@ -946,6 +1041,29 @@ let test_server_wire_cancel () =
   | _ -> Alcotest.fail "the loop did not complete");
   check_int "one response per ticket" 2 (Net.Client.received p.c)
 
+(* A wire [Kernel] above scale 32 is refused typed and never reaches
+   the shard: at the u16 scale maximum, plus_reduce alone would
+   allocate about 210 GB. *)
+let test_server_kernel_scale_bound () =
+  let srv =
+    Net.Server.create ~config:(server_config ())
+      (Net.Server.Tcp { host = "127.0.0.1"; port = 0 })
+      ()
+  in
+  let c = Net.Client.connect (Net.Server.bound_addr srv) in
+  let tk =
+    Net.Client.submit c ~tenant:"t"
+      (Net.Wire.Kernel { name = "plus_reduce"; scale = 33 })
+  in
+  let r = Net.Client.await ~timeout_s:30. c tk in
+  Net.Client.close c;
+  let st = Net.Server.stop srv in
+  (match r with
+  | Some { status = Net.Wire.Failed; info = "kernel scale out of range"; _ } -> ()
+  | Some _ -> Alcotest.fail "scale 33 was not refused as out of range"
+  | None -> Alcotest.fail "no response for the scale-33 request");
+  check_int "the request never reached the shard" 0 st.shard.submitted
+
 let suite =
   ( "net",
     [
@@ -1013,4 +1131,9 @@ let suite =
         `Quick test_netload_failed_conns_lost;
       Alcotest.test_case "server: a wire Cancel reaches a queued request" `Quick
         test_server_wire_cancel;
+      QCheck_alcotest.to_alcotest prop_reads_depths;
+      Alcotest.test_case "server: a wire Kernel above scale 32 is refused" `Quick
+        test_server_kernel_scale_bound;
+      Alcotest.test_case "shard: concurrent closes both wait for the pools"
+        `Quick test_shard_concurrent_close;
     ] )
