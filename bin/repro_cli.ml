@@ -17,9 +17,10 @@
    executor, and print wall-clock plus the scheduler counters
    (beats, promotions, steals, joins).  --trace FILE attaches the
    per-domain ring-buffer tracers and writes the real run as the same
-   Chrome trace-event JSON as the simulator's; --stats prints the full
-   per-worker metrics table (idle time, steal-failure rate, callback
-   errors, ring drop accounting). *)
+   Chrome trace-event JSON as the simulator's, with the session's GC
+   phases on "gc ring K" tracks; --stats prints the full per-worker
+   metrics table (idle time, steal-failure rate, callback errors, ring
+   drop accounting) and the per-domain GC census. *)
 
 open Cmdliner
 
@@ -47,9 +48,10 @@ let stats_arg =
     value & flag
     & info [ "stats" ]
         ~doc:
-          "With $(b,--workload), print the full metrics snapshot and the \
+          "With $(b,--workload), print the full metrics snapshot, the \
            per-worker breakdown (idle ns, steal-failure rate, callback \
-           errors) instead of the one-line totals.")
+           errors) and the per-domain GC census instead of the one-line \
+           totals.")
 
 let workload_arg =
   Arg.(
@@ -142,6 +144,19 @@ let run_workload (name : string) (domains : int) (scale : int)
         let config =
           { Par.Runtime.default_config with domains; heart_us; tracer }
         in
+        (* the per-domain GC census over the session, with --stats or
+           --trace; runtime events are process-wide, so only a driver
+           starts them *)
+        let census =
+          if not (stats || Option.is_some tracer) then None
+          else
+            let c = Obs.Gc_census.create ?tracer () in
+            match Obs.Gc_census.start c with
+            | () -> Some c
+            | exception Sys_error msg ->
+                Printf.eprintf "gc census off: %s\n%!" msg;
+                None
+        in
         (* kernel time is clocked inside the session so the speedup
            measures the scheduler, not domain spawn/join setup *)
         let (par, kernel_s), (st : Par.Runtime.stats) =
@@ -150,6 +165,7 @@ let run_workload (name : string) (domains : int) (scale : int)
               let sum = b.run (module Par.Runtime.Exec) ~scale in
               (sum, Mclock.now_s () -. k0))
         in
+        Option.iter Obs.Gc_census.stop census;
         Printf.printf "serial   %10.4f s  checksum %d\n" serial_s serial;
         Printf.printf
           "par      %10.4f s  checksum %d  speedup %.2fx  (session %.4f s \
@@ -172,7 +188,8 @@ let run_workload (name : string) (domains : int) (scale : int)
                 i w.tasks_run w.promotions w.steals w.steal_attempts w.joins
                 w.max_deque
                 (float_of_int w.idle_ns /. 1e6))
-            st.per_worker
+            st.per_worker;
+          Option.iter (Format.printf "%a@." Obs.Gc_census.pp) census
         end
         else
           Array.iteri

@@ -171,6 +171,27 @@ let run_tpal pool ~path ~seeds =
                 e;
               1))
 
+(* With --metrics or --trace, a per-domain GC census counts the
+   collector's stop-the-world sections from before the pools start
+   until the load ends: a table with --metrics, "gc ring K" tracks
+   with --trace.  Runtime events are process-wide, so this driver
+   starts them, never a library; without either flag nothing does. *)
+let start_census ~metrics ~(tracer : Obs.Trace.t option) :
+    Obs.Gc_census.t option =
+  if not (metrics || Option.is_some tracer) then None
+  else
+    let c = Obs.Gc_census.create ?tracer () in
+    match Obs.Gc_census.start c with
+    | () -> Some c
+    | exception Sys_error msg ->
+        Fmt.epr "tpal_serve: gc census off: %s@." msg;
+        None
+
+let print_census ~metrics (census : Obs.Gc_census.t option) : unit =
+  match census with
+  | Some c when metrics -> Fmt.pr "%a@." Obs.Gc_census.pp c
+  | _ -> ()
+
 (* [trace] is the file named by --trace, opened before the run. *)
 let write_trace ~(trace : (string * out_channel) option)
     ~(tracer : Obs.Trace.t option) : unit =
@@ -214,6 +235,7 @@ let run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
               policy;
             }
           in
+          let census = start_census ~metrics ~tracer in
           let srv =
             Net.Server.create
               ~config:
@@ -227,6 +249,7 @@ let run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
           while not (Atomic.get stop_requested) do
             Thread.delay 0.05
           done;
+          Option.iter Obs.Gc_census.stop census;
           (* measured before [stop], while the server still holds its
              connections and shards: state kept for tickets already
              answered shows up here, and is gone once it drains *)
@@ -250,6 +273,7 @@ let run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
                 Fmt.pr "shard %d latency: %a@." i Obs.Hist.pp_summary
                   ss.pool.latency)
               st.shard.per_shard;
+          print_census ~metrics census;
           write_trace ~trace ~tracer;
           0)
 
@@ -319,6 +343,7 @@ let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
       code
   | None, None ->
   install_signal_handlers ();
+  let census = start_census ~metrics ~tracer in
   let pool =
     Serve.Pool.create
       ~config:
@@ -334,6 +359,7 @@ let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
         run_load pool ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac
   in
   let st = Serve.Pool.close pool in
+  Option.iter Obs.Gc_census.stop census;
   Fmt.pr
     "pool: submitted %d, served %d (met %d, missed %d), shed %d, rejected \
      %d, cancelled %d, cancels %d, retried %d, restarts %d, failures %d, \
@@ -349,6 +375,7 @@ let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
         Fmt.pr "latency %-8s %a@." tenant Obs.Hist.pp_summary s)
       st.latency_per_tenant
   end;
+  print_census ~metrics census;
   write_trace ~trace ~tracer;
   code
 
@@ -445,16 +472,19 @@ let seeds =
 let metrics =
   Arg.(value & flag
     & info [ "metrics" ]
-        ~doc:"Print the runtime metrics snapshot and per-tenant latency \
-              percentiles (p50/p95/p99) at shutdown.")
+        ~doc:"Print the runtime metrics snapshot, per-tenant latency \
+              percentiles (p50/p95/p99) and the per-domain GC census \
+              (stop-the-world sections, minor collections and major \
+              slices per runtime ring) at shutdown.")
 
 let trace =
   Arg.(value & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
-        ~doc:"Record the server's admission/dispatch decisions and the \
-              worker domains' scheduler events into per-domain ring buffers \
-              and write them to $(docv) as Chrome trace-event JSON \
-              (Perfetto-loadable).")
+        ~doc:"Record the server's admission/dispatch decisions, the \
+              worker domains' scheduler events and the collector's GC \
+              phases (one \"gc ring K\" track per runtime ring) into \
+              per-domain ring buffers and write them to $(docv) as Chrome \
+              trace-event JSON (Perfetto-loadable).")
 
 let listen =
   Arg.(value & opt (some string) None

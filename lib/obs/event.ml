@@ -7,7 +7,13 @@
     schedules; serve events cover the admission / DRR–EDF dispatch /
     completion / degradation decisions of {!Serve.Pool}.  Region and
     tenant identifiers are {!Labels}-interned ints — resolve them
-    through the owning {!Trace.t}. *)
+    through the owning {!Trace.t}.  {!Gc} spans come from the
+    runtime's own event rings, read by {!Gc_census}. *)
+
+(** The garbage-collector phases {!Gc_census} follows: leading or
+    joining a stop-the-world section, a minor collection, a major
+    slice. *)
+type gc_phase = [ `Stw_leader | `Stw_handler | `Minor | `Major_slice ]
 
 type t =
   | Beat  (** a heartbeat observed at a promotion-ready poll *)
@@ -53,11 +59,31 @@ type t =
       (** the {!Net.Router} placed a request on [shard] *)
   | Drain of { pending : int }
       (** graceful shutdown began with [pending] requests in flight *)
+  | Gc of { phase : gc_phase; inner : gc_phase list; ns : int }
+      (** a garbage-collector interval of [ns] nanoseconds that just
+          ended, recorded at its end like {!Nap}: [phase] opened it and
+          [inner] lists, in {!gc_phases} order, the other phases that
+          ran inside it *)
 
 let bool_bit b = if b then 1 else 0
 
 let chaos_kind_code = function `Stall -> 0 | `Slow -> 1 | `Drop -> 2 | `Raise -> 3
 let cancel_reason_code = function `Explicit -> 0 | `Deadline -> 1 | `Lease -> 2
+
+(** Every {!gc_phase}, in code order. *)
+let gc_phases : gc_phase list = [ `Stw_leader; `Stw_handler; `Minor; `Major_slice ]
+
+let gc_phase_code : gc_phase -> int = function
+  | `Stw_leader -> 0
+  | `Stw_handler -> 1
+  | `Minor -> 2
+  | `Major_slice -> 3
+
+let gc_phase_name : gc_phase -> string = function
+  | `Stw_leader -> "stw-leader"
+  | `Stw_handler -> "stw-handler"
+  | `Minor -> "minor"
+  | `Major_slice -> "major-slice"
 
 let outcome_code = function
   | `Met -> 0
@@ -66,7 +92,7 @@ let outcome_code = function
   | `Cancelled -> 3
 
 (** [encode e] is [(code, a, b)] — the non-timestamp words of a ring
-    slot.  Codes 9 and 22 are free. *)
+    slot.  Code 22 is free. *)
 let encode : t -> int * int * int = function
   | Beat -> (1, 0, 0)
   | Promote { kind = `Loop } -> (2, 0, 0)
@@ -91,6 +117,11 @@ let encode : t -> int * int * int = function
   | Frame { rx; kind; bytes } -> (20, (kind lsl 1) lor bool_bit rx, bytes)
   | Route { shard; size } -> (21, shard, size)
   | Drain { pending } -> (23, pending, 0)
+  | Gc { phase; inner; ns } ->
+      let bits =
+        List.fold_left (fun m p -> m lor (1 lsl gc_phase_code p)) 0 inner
+      in
+      (9, gc_phase_code phase lor (bits lsl 2), ns)
 
 let decode ~(code : int) ~(a : int) ~(b : int) : t option =
   match code with
@@ -131,6 +162,13 @@ let decode ~(code : int) ~(a : int) ~(b : int) : t option =
   | 20 -> Some (Frame { rx = a land 1 = 1; kind = a asr 1; bytes = b })
   | 21 -> Some (Route { shard = a; size = b })
   | 23 -> Some (Drain { pending = a })
+  | 9 ->
+      let phase = List.nth gc_phases (a land 3) in
+      let inner =
+        List.filter (fun p -> (a asr 2) land (1 lsl gc_phase_code p) <> 0)
+          gc_phases
+      in
+      Some (Gc { phase; inner; ns = b })
   | _ -> None
 
 let name : t -> string = function
@@ -165,3 +203,4 @@ let name : t -> string = function
   | Frame { rx = false; _ } -> "frame-tx"
   | Route _ -> "route"
   | Drain _ -> "drain"
+  | Gc { phase; _ } -> "gc-" ^ gc_phase_name phase

@@ -6,7 +6,8 @@
     instants for beats ("heartbeat"), steals ("steal"), promotions
     ("promotion"), join suspend/resume ("join") and scheduler noise
     ("scheduler"); serving-layer decisions get their own "serve"
-    category on the pool's track. *)
+    category on the pool's track, and {!Gc_census} spans a "gc"
+    category on one track per runtime ring. *)
 
 module C = Stats.Chrome_trace
 module J = Stats.Json
@@ -121,7 +122,19 @@ let to_chrome ?(pid = 0) ?(process = "tpal-par") (tr : Trace.t) :
           | Drain { pending } ->
               instant ~cat:"net"
                 ~args:[ ("pending", J.Int pending) ]
-                "drain")
+                "drain"
+          | Gc { inner; ns; _ } ->
+              (* recorded as the interval ends, like a nap *)
+              push
+                (C.complete ~cat:"gc" ~name:(Event.name e)
+                   ~args:
+                     [ ( "inner",
+                         J.Str
+                           (String.concat "," (List.map Event.gc_phase_name inner))
+                       ) ]
+                   ~pid ~tid
+                   ~ts:(us_of_ns (max 0 (at_ns - ns)))
+                   ~dur:(us_of_ns ns) ()))
         events;
       (* tasks still open when the trace ended (or whose finish was
          dropped): close them at the last timestamp seen *)

@@ -991,6 +991,14 @@ let metrics ?(tracer : Obs.Trace.t option) (st : stats) : Obs.Metrics.t =
       (match tracer with None -> 0 | Some tr -> Obs.Trace.total_dropped tr);
   }
 
+(** [set_minor_heap words] gives the calling domain a minor heap of
+    [words] words, if it has another size.  OCaml 5.1 sizes minor heaps
+    per domain: [Gc.set] resizes only the caller's, and a spawned domain
+    starts at the runtime's initial size, not at its spawner's. *)
+let set_minor_heap (words : int) : unit =
+  let g = Gc.get () in
+  if g.minor_heap_size <> words then Gc.set { g with minor_heap_size = words }
+
 (* Sessions cannot nest (a domain already inside a session must not
    boot another — its DLS ctx would be clobbered and the outer pool
    would lose a worker), but independent sessions MAY coexist in one
@@ -1002,7 +1010,8 @@ let metrics ?(tracer : Obs.Trace.t option) (st : stats) : Obs.Metrics.t =
 (** [run ?config main] executes [main] under the multi-domain
     heartbeat scheduler: [config.domains] worker domains, the calling
     domain being worker 0.  Returns [main]'s result and the session
-    statistics.
+    statistics.  Every worker runs with the calling domain's minor-heap
+    size (see {!set_minor_heap}).
     An exception inside a task — user code, an injected {!Chaos}
     fault, or a {!Cancelled} unwind — propagates structurally to its
     fork point (children are always joined first, so no task strays);
@@ -1012,6 +1021,10 @@ let run ?(config = default_config) (main : unit -> 'a) : 'a * stats =
   if Domain.DLS.get ctx_key <> None then
     invalid_arg "Par.Runtime.run: already running";
   let n = max 1 config.domains in
+  (* a session's domains share one minor-heap size: the starting
+     domain's.  Started from a domain at the initial size, no worker
+     calls [Gc.set]. *)
+  let minor_words = (Gc.get ()).minor_heap_size in
   (* chaos state is materialized per targeted worker only; an
      absent or empty plan leaves every worker's [chaos = None] —
      the exact chaos-free hot path and counters *)
@@ -1054,7 +1067,9 @@ let run ?(config = default_config) (main : unit -> 'a) : 'a * stats =
   let others =
     try
       Array.init (n - 1) (fun i ->
-          Domain.spawn (fun () -> run_worker pool (i + 1)))
+          Domain.spawn (fun () ->
+              set_minor_heap minor_words;
+              run_worker pool (i + 1)))
     with e ->
       (* spawn failed: stop whatever did start, then re-raise *)
       Atomic.set pool.stop true;

@@ -31,7 +31,20 @@
     [Cancelled `Lease]; the flag clears when the request finally
     returns.  Closing the pool resolves every still-queued request
     with the typed {!error.Pool_closed} — never by racing domain
-    shutdown against a half-executed queue. *)
+    shutdown against a half-executed queue.
+
+    GC policy: the domains a pool owns run with a minor heap of
+    {!minor_heap_words} words, set by the pool's own domain before its
+    session starts and adopted by the session's workers; the domain
+    that calls {!create} keeps its own setting.  OCaml 5.1 asks for a
+    stop-the-world major slice once a domain's direct major-heap
+    allocations since its last slice exceed its minor-heap size, so at
+    the 256k-word default every request that allocates a 2 MB array
+    (a [Serve.Load.kernel 262144]) forces one on its own, and every
+    domain in the process must join it.  The size is a constant, not a
+    config field: it trades a bounded, measured amount of memory
+    (DESIGN §10) for fewer pauses that every domain in the process
+    pays, so no one pool's caller is placed to tune it. *)
 
 type work =
   | Kernel of { bench : Workloads.Real_bench.t; scale : int }
@@ -548,6 +561,12 @@ let watchdog_loop (t : t) : unit =
 
 (* ------------------------------------------------------------------ *)
 
+(** Minor-heap size, in words, of every domain a pool owns: 2M words
+    (16 MB) per domain.  Chosen by census and alternating pairs on the
+    net-closed benchmark: 1M gave no gain, and 3M's larger gain cost
+    +26% peak RSS (DESIGN §10). *)
+let minor_heap_words = 2 * 1024 * 1024
+
 (** [create ?config ()] spawns the warm session (one domain running
     the dispatch loop; the session itself spawns [domains − 1] worker
     domains) and the lease watchdog, and waits until the dispatch loop
@@ -596,6 +615,7 @@ let create ?(config = default_config) () : t =
   in
   let d =
     Domain.spawn (fun () ->
+        Par.Runtime.set_minor_heap minor_heap_words;
         (* the session loop: one warm Par.Runtime session normally; on
            a session-fatal error (a Machine_fault, or anything escaping
            the dispatch loop itself) the wreck is resolved and — once

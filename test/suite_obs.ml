@@ -98,6 +98,10 @@ let test_event_roundtrip () =
       Frame { rx = false; kind = 5; bytes = 28 };
       Route { shard = 2; size = 16 };
       Drain { pending = 12 };
+      Gc { phase = `Stw_leader; inner = []; ns = 1_400_000 };
+      Gc { phase = `Stw_handler; inner = [ `Minor; `Major_slice ]; ns = 9 };
+      Gc { phase = `Minor; inner = []; ns = 0 };
+      Gc { phase = `Major_slice; inner = [ `Stw_leader ]; ns = 77 };
     ]
   in
   List.iter
@@ -523,6 +527,162 @@ let test_profile_of_trace () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* GC census: the runtime's own event rings, per domain. *)
+
+(* A 2-domain session whose iterations each allocate a 2 MB array
+   straight into the major heap and sleep (so worker 1 steals some),
+   then a forced minor collection while both workers are live. *)
+let gc_session ?tracer () =
+  ignore
+    (Par.Runtime.run
+       ~config:{ Par.Runtime.default_config with domains = 2; tracer }
+       (fun () ->
+         Par.Runtime.par_for ~lo:0 ~hi:16 (fun _ ->
+             ignore (Sys.opaque_identity (Array.make 262144 0));
+             Unix.sleepf 0.001);
+         Gc.minor ()))
+
+let ring0 rows =
+  match List.find_opt (fun (r : Obs.Gc_census.row) -> r.ring = 0) rows with
+  | Some r -> r
+  | None -> Alcotest.fail "no row for ring 0 (the main domain)"
+
+let test_gc_census_counts () =
+  let census = Obs.Gc_census.create () in
+  Obs.Gc_census.start census;
+  let q0 = Gc.quick_stat () in
+  gc_session ();
+  let q1 = Gc.quick_stat () in
+  Obs.Gc_census.stop census;
+  let rows = Obs.Gc_census.rows census in
+  let active =
+    List.filter
+      (fun (r : Obs.Gc_census.row) ->
+        r.stw_leader.count + r.stw_handler.count + r.minor.count
+        + r.major_slice.count
+        > 0)
+      rows
+  in
+  check "both session domains' rings took part" true (List.length active >= 2);
+  List.iter
+    (fun (r : Obs.Gc_census.row) ->
+      let what = Printf.sprintf "ring %d" r.ring in
+      check (what ^ " led or joined a stop-the-world section") true
+        (r.stw_leader.count + r.stw_handler.count > 0);
+      check (what ^ " ran minor collections") true (r.minor.count > 0);
+      check (what ^ " phase times are non-negative") true
+        (r.stw_leader.ns >= 0 && r.stw_handler.ns >= 0 && r.minor.ns >= 0
+       && r.major_slice.ns >= 0 && r.gc_ns >= 0))
+    active;
+  (* every minor collection stops every domain, so the main domain's
+     ring saw each one the process ran *)
+  let main = ring0 rows in
+  if main.lost = 0 then
+    check_int "ring 0 minor count = Gc.quick_stat delta"
+      (q1.minor_collections - q0.minor_collections)
+      main.minor.count
+
+let test_gc_census_idempotent () =
+  let census = Obs.Gc_census.create () in
+  Obs.Gc_census.stop census;
+  check_int "a census never started has no rows" 0
+    (List.length (Obs.Gc_census.rows census));
+  Obs.Gc_census.start census;
+  Obs.Gc_census.start census;
+  Gc.minor ();
+  Obs.Gc_census.stop census;
+  let first = ring0 (Obs.Gc_census.rows census) in
+  check "the forced minor collection was counted" true (first.minor.count >= 1);
+  Obs.Gc_census.stop census;
+  (* the rings are paused: collections now are never counted *)
+  Gc.minor ();
+  Gc.minor ();
+  check "a second stop changes nothing" true
+    (ring0 (Obs.Gc_census.rows census) = first);
+  let other = Obs.Gc_census.create () in
+  Obs.Gc_census.start census;
+  (match Obs.Gc_census.start other with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a second census started while one runs");
+  let q0 = Gc.quick_stat () in
+  Gc.minor ();
+  let q1 = Gc.quick_stat () in
+  Obs.Gc_census.stop census;
+  let again = ring0 (Obs.Gc_census.rows census) in
+  if again.lost = first.lost then
+    check_int "a restarted census counts only its own window"
+      (q1.minor_collections - q0.minor_collections)
+      (again.minor.count - first.minor.count);
+  Obs.Gc_census.stop other
+
+let test_gc_census_trace () =
+  let tr = Obs.Trace.create () in
+  let census = Obs.Gc_census.create ~tracer:tr () in
+  Obs.Gc_census.start census;
+  gc_session ~tracer:tr ();
+  Obs.Gc_census.stop census;
+  let events =
+    match Stats.Json.of_string (Obs.Export.to_chrome_string tr) with
+    | Ok (Stats.Json.Obj fields) -> (
+        match List.assoc_opt "traceEvents" fields with
+        | Some (Stats.Json.List l) -> l
+        | _ -> Alcotest.fail "no traceEvents list")
+    | Ok _ -> Alcotest.fail "trace is not a JSON object"
+    | Error e -> Alcotest.failf "trace does not parse: %s" e
+  in
+  let field k = function
+    | Stats.Json.Obj f -> List.assoc_opt k f
+    | _ -> None
+  in
+  let num k e =
+    match field k e with
+    | Some (Stats.Json.Int n) -> float_of_int n
+    | Some (Stats.Json.Float x) -> x
+    | _ -> Alcotest.failf "event without a numeric %s" k
+  in
+  let tid e = int_of_float (num "tid" e) in
+  let gc_tracks =
+    List.filter_map
+      (fun e ->
+        match (field "name" e, field "args" e) with
+        | Some (Stats.Json.Str "thread_name"), Some args -> (
+            match field "name" args with
+            | Some (Stats.Json.Str n)
+              when String.length n > 8 && String.sub n 0 8 = "gc ring " ->
+                Some (tid e)
+            | _ -> None)
+        | _ -> None)
+      events
+  in
+  check "one gc track per ring, at least two" true (List.length gc_tracks >= 2);
+  let spans =
+    List.filter (fun e -> field "cat" e = Some (Stats.Json.Str "gc")) events
+  in
+  check "the trace holds GC spans" true (spans <> []);
+  List.iter
+    (fun e -> check "a GC span sits on a gc track" true (List.mem (tid e) gc_tracks))
+    spans;
+  List.iter
+    (fun track ->
+      let on_track =
+        List.sort compare
+          (List.filter_map
+             (fun e ->
+               if tid e = track then Some (num "ts" e, num "dur" e) else None)
+             spans)
+      in
+      let rec disjoint = function
+        | (ts, dur) :: ((ts', _) :: _ as rest) ->
+            (* stamps are whole ns printed in µs *)
+            ts +. dur <= ts' +. 1e-3 && disjoint rest
+        | _ -> true
+      in
+      check
+        (Printf.sprintf "GC spans on track %d do not overlap" track)
+        true (disjoint on_track))
+    gc_tracks
+
 let suite =
   ( "obs",
     [
@@ -554,4 +714,10 @@ let suite =
         test_profile_what_if;
       Alcotest.test_case "profile from trace intervals" `Quick
         test_profile_of_trace;
+      Alcotest.test_case "gc census: per-ring STW and minor counts" `Quick
+        test_gc_census_counts;
+      Alcotest.test_case "gc census: start and stop are idempotent" `Quick
+        test_gc_census_idempotent;
+      Alcotest.test_case "gc census: traced spans do not overlap" `Quick
+        test_gc_census_trace;
     ] )

@@ -1028,6 +1028,128 @@ let test_pool_memory_flat () =
   run 180_000;
   Checks.check_flat ~before ~n:180_000 ()
 
+(* ------------------------------------------------------------------ *)
+(* GC policy: the domains a pool owns run a minor heap of
+   [Serve.Pool.minor_heap_words]; the creating domain keeps its own,
+   and a plain session keeps the runtime's initial size. *)
+
+(* The distinct (domain, minor-heap words) pairs seen by [E.par_for]
+   iterations.  Iterations sleep, so a session's other workers steal
+   some; passes repeat until [domains] domains have reported (at most
+   200 passes). *)
+let minor_heaps_seen (module E : Workloads.Exec.S) ~domains : (int * int) list
+    =
+  let seen = Atomic.make [] in
+  let rec record d w =
+    let l = Atomic.get seen in
+    if not (List.mem (d, w) l) then
+      if not (Atomic.compare_and_set seen l ((d, w) :: l)) then record d w
+  in
+  let domains_seen () =
+    List.length (List.sort_uniq compare (List.map fst (Atomic.get seen)))
+  in
+  let passes = ref 0 in
+  while domains_seen () < domains && !passes < 200 do
+    incr passes;
+    E.par_for ~lo:0 ~hi:64 (fun _ ->
+        record (Domain.self () :> int) (Gc.get ()).minor_heap_size;
+        Unix.sleepf 0.0002)
+  done;
+  Atomic.get seen
+
+let check_minor_heaps what ~domains ~words (seen : (int * int) list) =
+  check_int (what ^ ": domains seen") domains
+    (List.length (List.sort_uniq compare (List.map fst seen)));
+  List.iter (fun (_, w) -> check_int (what ^ ": minor-heap words") words w) seen
+
+(* the pairs seen by a Thunk run on [pool] *)
+let pool_minor_heaps pool ~domains =
+  let seen = ref [] in
+  let probe e =
+    seen := minor_heaps_seen e ~domains;
+    0
+  in
+  match Serve.Pool.submit pool ~tenant:"gc" (Serve.Pool.Thunk probe) with
+  | Error _ -> Alcotest.fail "gc probe rejected"
+  | Ok t -> (
+      match Serve.Pool.await ~timeout_s:30. pool t with
+      | Ok _ -> !seen
+      | Error e -> Alcotest.failf "gc probe errored: %a" Serve.Pool.pp_error e)
+
+let own_minor_heap () = (Gc.get ()).minor_heap_size
+
+let test_pool_gc_policy () =
+  let mine = own_minor_heap () in
+  let words = Serve.Pool.minor_heap_words in
+  List.iter
+    (fun domains ->
+      let what = Printf.sprintf "%d-domain pool" domains in
+      let pool = Serve.Pool.create ~config:(pool_config ~domains ()) () in
+      check_int (what ^ ": creating domain after create") mine
+        (own_minor_heap ());
+      check_minor_heaps what ~domains ~words (pool_minor_heaps pool ~domains);
+      let boom = Par.Runtime.Machine_fault Tpal.Machine_error.Halted in
+      (match
+         Serve.Pool.submit pool ~tenant:"a"
+           (Serve.Pool.Thunk (fun _ -> raise boom))
+       with
+      | Error _ -> Alcotest.fail "faulting submit rejected"
+      | Ok t -> (
+          match Serve.Pool.await ~timeout_s:30. pool t with
+          | Error (Serve.Pool.Failed (Par.Runtime.Machine_fault _)) -> ()
+          | _ -> Alcotest.fail "faulting request did not fail typed"));
+      check_minor_heaps (what ^ " after a warm restart") ~domains ~words
+        (pool_minor_heaps pool ~domains);
+      let st = Serve.Pool.close pool in
+      check_int (what ^ ": one warm restart") 1 st.restarts;
+      check_int (what ^ ": creating domain after close") mine
+        (own_minor_heap ()))
+    [ 1; 2 ]
+
+let test_shard_gc_policy () =
+  let t =
+    Net.Shard.create
+      ~config:
+        {
+          Net.Shard.default_config with
+          shards = 2;
+          pool = pool_config ();
+          policy = Net.Router.Size_aware { small_max = 4 };
+        }
+      ()
+  in
+  Fun.protect ~finally:(fun () -> ignore (Net.Shard.close t)) @@ fun () ->
+  (* size 1 routes to the small shard 0, size 64 to shard 1 *)
+  List.iter
+    (fun (size, shard) ->
+      let seen = ref [] in
+      let probe e =
+        seen := minor_heaps_seen e ~domains:1;
+        0
+      in
+      match Net.Shard.submit t ~tenant:"gc" ~size (Serve.Pool.Thunk probe) with
+      | Error _ -> Alcotest.fail "gc probe rejected"
+      | Ok tk -> (
+          check_int "routed shard" shard tk.shard;
+          match Net.Shard.await ~timeout_s:30. t tk with
+          | Ok _ ->
+              check_minor_heaps
+                (Printf.sprintf "shard %d" shard)
+                ~domains:1 ~words:Serve.Pool.minor_heap_words !seen
+          | Error e ->
+              Alcotest.failf "gc probe errored: %a" Serve.Pool.pp_error e))
+    [ (1, 0); (64, 1) ]
+
+let test_plain_session_minor_heap () =
+  let initial = Domain.join (Domain.spawn own_minor_heap) in
+  check_int "main domain at the initial size" initial (own_minor_heap ());
+  let seen, _ =
+    Par.Runtime.run
+      ~config:{ Par.Runtime.default_config with domains = 2 }
+      (fun () -> minor_heaps_seen (module Par.Runtime.Exec) ~domains:2)
+  in
+  check_minor_heaps "plain 2-domain session" ~domains:2 ~words:initial seen
+
 let suite =
   ( "serve",
     [
@@ -1082,4 +1204,10 @@ let suite =
         `Quick test_lease_cancels_polling_request;
       Alcotest.test_case "pool: a second Machine_fault fails the pool over"
         `Quick test_second_fault_fails_over;
+      Alcotest.test_case "pool: its domains run the GC policy, its creator not"
+        `Quick test_pool_gc_policy;
+      Alcotest.test_case "pool: a shard fabric's pools run the GC policy"
+        `Quick test_shard_gc_policy;
+      Alcotest.test_case "runtime: a plain session keeps the initial minor heap"
+        `Quick test_plain_session_minor_heap;
     ] )
