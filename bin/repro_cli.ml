@@ -150,8 +150,8 @@ let run_workload (name : string) (domains : int) (scale : int)
         let census =
           if not (stats || Option.is_some tracer) then None
           else
-            let c = Obs.Gc_census.create ?tracer () in
-            match Obs.Gc_census.start c with
+            let c = Gc_census.create ?tracer () in
+            match Gc_census.start c with
             | () -> Some c
             | exception Sys_error msg ->
                 Printf.eprintf "gc census off: %s\n%!" msg;
@@ -165,7 +165,7 @@ let run_workload (name : string) (domains : int) (scale : int)
               let sum = b.run (module Par.Runtime.Exec) ~scale in
               (sum, Mclock.now_s () -. k0))
         in
-        Option.iter Obs.Gc_census.stop census;
+        Option.iter Gc_census.stop census;
         Printf.printf "serial   %10.4f s  checksum %d\n" serial_s serial;
         Printf.printf
           "par      %10.4f s  checksum %d  speedup %.2fx  (session %.4f s \
@@ -189,7 +189,7 @@ let run_workload (name : string) (domains : int) (scale : int)
                 w.max_deque
                 (float_of_int w.idle_ns /. 1e6))
             st.per_worker;
-          Option.iter (Format.printf "%a@." Obs.Gc_census.pp) census
+          Option.iter (Format.printf "%a@." Gc_census.pp) census
         end
         else
           Array.iteri

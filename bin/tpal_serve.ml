@@ -21,7 +21,8 @@
    Exits non-zero when the exactly-once audit fails (lost, duplicated
    or mismatched requests, or none completed) or an explicit request
    errors; exits 2 before anything runs when the --trace file cannot
-   be opened. *)
+   be opened, the --listen address cannot be bound, or a --listen or
+   --connect host does not resolve. *)
 
 (* a signal flag both the load loop and the server wait-loop poll;
    handlers only flip the atomic — nothing async-unsafe *)
@@ -33,7 +34,7 @@ let install_signal_handlers () =
   try Sys.set_signal Sys.sigterm h with _ -> ()
 
 let pool_config ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms ~lease_s
-    ~tracer ~chaos ~retries : Serve.Pool.config =
+    ~tracer ~chaos : Serve.Pool.config =
   {
     Serve.Pool.default_config with
     (* one tracer for both layers: the server's admission/dispatch track
@@ -49,7 +50,6 @@ let pool_config ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms ~lease_s
       };
     default_slo_s = slo_ms /. 1e3;
     lease_s;
-    retries;
   }
 
 let run_load pool ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac =
@@ -177,19 +177,19 @@ let run_tpal pool ~path ~seeds =
    with --trace.  Runtime events are process-wide, so this driver
    starts them, never a library; without either flag nothing does. *)
 let start_census ~metrics ~(tracer : Obs.Trace.t option) :
-    Obs.Gc_census.t option =
+    Gc_census.t option =
   if not (metrics || Option.is_some tracer) then None
   else
-    let c = Obs.Gc_census.create ?tracer () in
-    match Obs.Gc_census.start c with
+    let c = Gc_census.create ?tracer () in
+    match Gc_census.start c with
     | () -> Some c
     | exception Sys_error msg ->
         Fmt.epr "tpal_serve: gc census off: %s@." msg;
         None
 
-let print_census ~metrics (census : Obs.Gc_census.t option) : unit =
+let print_census ~metrics (census : Gc_census.t option) : unit =
   match census with
-  | Some c when metrics -> Fmt.pr "%a@." Obs.Gc_census.pp c
+  | Some c when metrics -> Fmt.pr "%a@." Gc_census.pp c
   | _ -> ()
 
 (* [trace] is the file named by --trace, opened before the run. *)
@@ -210,8 +210,7 @@ let write_trace ~(trace : (string * out_channel) option)
 (* --listen: the socket front-end.  Blocks until SIGINT/SIGTERM, then
    drains gracefully and exits 0. *)
 let run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
-    ~lease_s ~tracer ~chaos ~retries ~shards ~policy ~small_max ~metrics
-    ~trace =
+    ~lease_s ~tracer ~chaos ~shards ~policy ~small_max ~metrics =
   match Net.Server.addr_of_string listen with
   | None ->
       Fmt.epr "tpal_serve: bad --listen address %S (want host:port or \
@@ -231,17 +230,29 @@ let run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
               shards;
               pool =
                 pool_config ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
-                  ~lease_s ~tracer ~chaos ~retries;
+                  ~lease_s ~tracer ~chaos;
               policy;
             }
           in
           let census = start_census ~metrics ~tracer in
-          let srv =
+          let refused msg =
+            Option.iter Gc_census.stop census;
+            Fmt.epr "tpal_serve: %s@." msg;
+            2
+          in
+          match
             Net.Server.create
               ~config:
                 { Net.Server.default_config with shard = shard_cfg; tracer }
               addr ()
-          in
+          with
+          | exception Net.Server.Unresolved host ->
+              refused ("cannot resolve " ^ host)
+          | exception Unix.Unix_error (e, _, _) ->
+              refused
+                (Printf.sprintf "cannot listen on %s: %s" listen
+                   (Unix.error_message e))
+          | srv ->
           Fmt.pr "listening on %s: %d shard(s) x %d domain(s), policy %s@."
             (Net.Server.addr_to_string (Net.Server.bound_addr srv))
             shards domains
@@ -249,7 +260,7 @@ let run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
           while not (Atomic.get stop_requested) do
             Thread.delay 0.05
           done;
-          Option.iter Obs.Gc_census.stop census;
+          Option.iter Gc_census.stop census;
           (* measured before [stop], while the server still holds its
              connections and shards: state kept for tickets already
              answered shows up here, and is gone once it drains *)
@@ -274,7 +285,6 @@ let run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
                   ss.pool.latency)
               st.shard.per_shard;
           print_census ~metrics census;
-          write_trace ~trace ~tracer;
           0)
 
 (* --connect: the load-generating client; the exactly-once audit is
@@ -285,35 +295,40 @@ let run_client ~connect ~requests ~conns ~tenants ~seed ~slo_ms ~tight_frac
   | None ->
       Fmt.epr "tpal_serve: bad --connect address %S@." connect;
       2
-  | Some addr ->
-      let spec =
-        {
-          Net.Netload.default_spec with
-          requests;
-          conns;
-          tenants;
-          seed;
-          slo_s = slo_ms /. 1e3;
-          tight_frac;
-          small_max;
-          window;
-        }
-      in
-      let r = Net.Netload.run addr spec in
-      Fmt.pr "%a@." Net.Netload.pp_report r;
-      if Net.Netload.audit_ok r then 0
-      else begin
-        Fmt.epr
-          "tpal_serve: audit FAILED (lost %d, duplicated %d, mismatched %d, \
-           completed %d)@."
-          r.lost r.duplicated r.mismatched r.completed;
-        1
-      end
+  | Some addr -> (
+      match Net.Server.sockaddr addr with
+      | exception Net.Server.Unresolved host ->
+          Fmt.epr "tpal_serve: cannot resolve %s@." host;
+          2
+      | _ ->
+          let spec =
+            {
+              Net.Netload.default_spec with
+              requests;
+              conns;
+              tenants;
+              seed;
+              slo_s = slo_ms /. 1e3;
+              tight_frac;
+              small_max;
+              window;
+            }
+          in
+          let r = Net.Netload.run addr spec in
+          Fmt.pr "%a@." Net.Netload.pp_report r;
+          if Net.Netload.audit_ok r then 0
+          else begin
+            Fmt.epr
+              "tpal_serve: audit FAILED (lost %d, duplicated %d, mismatched \
+               %d, completed %d)@."
+              r.lost r.duplicated r.mismatched r.completed;
+            1
+          end)
 
 let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
-    ~cap ~quantum ~panic_ms ~lease_s ~chaos_seed ~retries ~kernel ~scale ~tpal
-    ~seeds ~metrics ~trace ~listen ~connect ~shards ~policy ~small_max ~conns
-    ~window =
+    ~cap ~quantum ~panic_ms ~lease_s ~chaos_seed ~kernel ~scale ~tpal ~seeds
+    ~metrics ~trace ~listen ~connect ~shards ~policy ~small_max ~conns ~window
+    =
   match Option.map (fun file -> (file, open_out file)) trace with
   | exception Sys_error msg ->
       Fmt.epr "cannot write trace: %s@." msg;
@@ -330,9 +345,14 @@ let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
   | None -> ());
   match (listen, connect) with
   | Some listen, _ ->
-      run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
-        ~lease_s ~tracer ~chaos ~retries ~shards ~policy ~small_max ~metrics
-        ~trace
+      let code =
+        run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
+          ~lease_s ~tracer ~chaos ~shards ~policy ~small_max ~metrics
+      in
+      (* the file is open: a refused address leaves it a valid, empty
+         trace *)
+      write_trace ~trace ~tracer;
+      code
   | None, Some connect ->
       let code =
         run_client ~connect ~requests ~conns ~tenants ~seed ~slo_ms ~tight_frac
@@ -348,7 +368,7 @@ let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
     Serve.Pool.create
       ~config:
         (pool_config ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
-           ~lease_s ~tracer ~chaos ~retries)
+           ~lease_s ~tracer ~chaos)
       ()
   in
   let code =
@@ -359,7 +379,7 @@ let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
         run_load pool ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac
   in
   let st = Serve.Pool.close pool in
-  Option.iter Obs.Gc_census.stop census;
+  Option.iter Gc_census.stop census;
   Fmt.pr
     "pool: submitted %d, served %d (met %d, missed %d), shed %d, rejected \
      %d, cancelled %d, cancels %d, retried %d, restarts %d, failures %d, \
@@ -436,12 +456,6 @@ let chaos_seed =
         ~doc:"Inject a seeded timing-fault plan (beat stalls, slowdowns, \
               dropped beats) into the warm session's worker domains; the \
               exactly-once audit must still pass.")
-
-let retries =
-  Arg.(value & opt int 0
-    & info [ "retries" ] ~docv:"N"
-        ~doc:"Per-tenant retry budget for retryable request failures \
-              (exponential backoff, idempotent re-admission).")
 
 let kernel =
   Arg.(value & opt (some string) None & info [ "kernel" ] ~docv:"NAME" ~doc:"Submit one registry kernel instead of the synthetic load.")
@@ -537,16 +551,16 @@ let cmd =
     Term.(
       const
         (fun requests tenants rate seed slo_ms tight_frac domains heart_us cap
-             quantum panic_ms lease_s chaos_seed retries kernel scale tpal
-             seeds metrics trace listen connect shards policy small_max
-             conns window ->
+             quantum panic_ms lease_s chaos_seed kernel scale tpal seeds
+             metrics trace listen connect shards policy small_max conns
+             window ->
           run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains
-            ~heart_us ~cap ~quantum ~panic_ms ~lease_s ~chaos_seed ~retries
-            ~kernel ~scale ~tpal ~seeds ~metrics ~trace ~listen ~connect
-            ~shards ~policy ~small_max ~conns ~window)
+            ~heart_us ~cap ~quantum ~panic_ms ~lease_s ~chaos_seed ~kernel
+            ~scale ~tpal ~seeds ~metrics ~trace ~listen ~connect ~shards
+            ~policy ~small_max ~conns ~window)
       $ requests $ tenants $ rate $ seed $ slo_ms $ tight_frac $ domains
-      $ heart_us $ cap $ quantum $ panic_ms $ lease_s $ chaos_seed $ retries
-      $ kernel $ scale $ tpal $ seeds $ metrics $ trace $ listen $ connect
-      $ shards $ policy $ small_max $ conns $ window)
+      $ heart_us $ cap $ quantum $ panic_ms $ lease_s $ chaos_seed $ kernel
+      $ scale $ tpal $ seeds $ metrics $ trace $ listen $ connect $ shards
+      $ policy $ small_max $ conns $ window)
 
 let () = exit (Cmd.eval' cmd)

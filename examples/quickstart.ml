@@ -1,7 +1,7 @@
-(* Quickstart: build the paper's running example (prod, Figure 2) with
-   the Builder DSL, run it serially and under heartbeat scheduling,
-   inspect the cost semantics, and round-trip it through the textual
-   assembly syntax.
+(* Quickstart: take the paper's running example (prod, Figure 2, as
+   parsed from examples/asm/prod.tpal), run it serially and under
+   heartbeat scheduling, inspect the cost semantics, and round-trip it
+   through the textual assembly syntax.
 
    Run with:  dune exec examples/quickstart.exe *)
 

@@ -1,4 +1,7 @@
-(** The paper's example programs, transcribed block-for-block.
+(** The paper's example programs, parsed from their one source, the
+    shipped [examples/asm/*.tpal] files (embedded at build time by this
+    library's dune rule).  The comments in those files explain the
+    blocks.
 
     - {!prod} — the running example (Figures 2 and 32–34): [c = a * b]
       by repeated addition, with a heartbeat-promotable loop.
@@ -7,6 +10,8 @@
       promote-the-outermost-parallelism policy.
     - {!fib} — recursive parallelism over an explicit call stack with
       promotion-ready marks (Figures 20, 22–23).
+    - {!prod_reduced} — [prod] in the reduced block style of
+      Appendix D.5, for the style ablation.
 
     Transcription notes (deviations from the paper's figures, each
     forced by a latent assumption of the figures that the abstract
@@ -34,334 +39,47 @@
     back to the matching inner handler — the behaviour §B.1
     prescribes. *)
 
-open Builder
+let load (src : string) : Ast.program = Check.check_exn (Parser.parse src)
 
-(* ------------------------------------------------------------------ *)
-(* prod — Figures 2 / 32–34.                                          *)
-(* ------------------------------------------------------------------ *)
+(** [c = a * b]: seed [a] and [b]; [c] at halt. *)
+let prod : Ast.program = load Asm_sources.prod
 
-(** [prod] computes [c = a * b] by [a] repeated additions of [b].
-    Seed registers [a] and [b]; the result is in register [c] at halt.
-    Entirely serial when the heartbeat is off; promotable at block
-    [loop] otherwise. *)
-let prod : Ast.program =
-  program ~entry:"prod"
-    [
-      (* computes c = a * b *)
-      block "prod" [ mov "r" (int 0) ] (jump "loop");
-      block "exit"
-        ~annot:(jtppt [ ("r", "r2") ] "comb")
-        [ mov "c" (reg "r") ]
-        halt;
-      block "loop" ~annot:(prppt "loop-try-promote")
-        [
-          if_jump "a" (lab "exit");
-          add "r" (reg "r") (reg "b");
-          sub "a" (reg "a") (int 1);
-        ]
-        (jump "loop");
-      block "loop-try-promote"
-        [
-          lt "t" (reg "a") (int 2);
-          if_jump "t" (lab "loop");
-          jralloc "jr" "exit";
-        ]
-        (jump "loop-promote");
-      block "loop-par-try-promote"
-        [ lt "t" (reg "a") (int 2); if_jump "t" (lab "loop-par") ]
-        (jump "loop-promote");
-      block "loop-promote"
-        [
-          div "m" (reg "a") (int 2);
-          modulo "n" (reg "a") (int 2);
-          mov "a" (reg "m");
-          mov "tr" (reg "r");
-          mov "r" (int 0);
-          fork "jr" (lab "loop-par");
-          add "a" (reg "m") (reg "n");
-          mov "r" (reg "tr");
-        ]
-        (jump "loop-par");
-      block "loop-par" ~annot:(prppt "loop-par-try-promote")
-        [
-          if_jump "a" (lab "exit-par");
-          add "r" (reg "r") (reg "b");
-          sub "a" (reg "a") (int 1);
-        ]
-        (jump "loop-par");
-      block "comb" [ add "r" (reg "r") (reg "r2") ] (join "jr");
-      block "exit-par" [] (join "jr");
-    ]
+(** [f = d{^e}]: seed [d] and [e]; [f] at halt. *)
+let pow : Ast.program = load Asm_sources.pow
+
+(** [f = fib(n)]: seed [n]; [f] at halt. *)
+let fib : Ast.program = load Asm_sources.fib
+
+(** [c = a * b] in the reduced style: seed [a] and [b]; [c] at halt. *)
+let prod_reduced : Ast.program = load Asm_sources.prod_reduced
+
+(* runs [prog] with integer [seeds] and reads integer register [out] *)
+let run ?(options = Eval.default_options) (prog : Ast.program)
+    (seeds : (string * int) list) (out : string) :
+    (int * Eval.finished, Machine_error.t) result =
+  let seeds = List.map (fun (r, n) -> (r, Value.Vint n)) seeds in
+  match Eval.run_seeded ~options prog seeds with
+  | Error e -> Error e
+  | Ok fin -> (
+      match Regfile.find_opt out fin.task.regs with
+      | Some (Value.Vint v) -> Ok (v, fin)
+      | _ -> Error (Machine_error.Unbound_register out))
 
 (** [run_prod ?options ~a ~b ()] runs {!prod} and extracts [c]. *)
-let run_prod ?(options = Eval.default_options) ~(a : int) ~(b : int) () :
-    (int * Eval.finished, Machine_error.t) result =
-  match
-    Eval.run_seeded ~options prod
-      [ ("a", Value.Vint a); ("b", Value.Vint b) ]
-  with
-  | Error e -> Error e
-  | Ok fin -> (
-      match Regfile.find_opt "c" fin.task.regs with
-      | Some (Value.Vint c) -> Ok (c, fin)
-      | _ -> Error (Machine_error.Unbound_register "c"))
-
-(* ------------------------------------------------------------------ *)
-(* pow — Figures 16–19, with prod nested inside.                      *)
-(* ------------------------------------------------------------------ *)
-
-(** [pow] computes [f = d{^e}] by [e] multiplications, each performed
-    by the nested [prod] loop ([c = a * b] with [a = d], [b = pr]).
-    Seed registers [d] and [e]; the result is in [f] at halt.
-
-    Heartbeats at {e any} promotion-ready point (outer [ploop] /
-    [ploop-par], inner [loop] / [loop-par]) first try to promote
-    remaining outer iterations and only then inner ones —
-    the outermost-first policy of heartbeat scheduling. *)
-let pow : Ast.program =
-  program ~entry:"pow"
-    [
-      (* ---- sequential outer blocks (Figure 17) ---- *)
-      block "pow"
-        [ mov "pr" (int 1); mov "pjr" (int 0) ]
-        (jump "ploop");
-      block "pexit"
-        ~annot:(jtppt [ ("pr", "pr2") ] "pcomb")
-        [ mov "f" (reg "pr") ]
-        halt;
-      block "ploop" ~annot:(prppt "ptry-promote")
-        [
-          if_jump "e" (lab "pexit");
-          mov "a" (reg "d");
-          mov "b" (reg "pr");
-          mov "ret" (lab "ploop-cont");
-        ]
-        (jump "prod");
-      block "ploop-cont"
-        [ mov "pr" (reg "c"); sub "e" (reg "e") (int 1) ]
-        (jump "ploop");
-      (* ---- outer-first promotion handlers (Figure 18) ---- *)
-      block "ptry-promote"
-        [
-          mov "pabort" (lab "ploop");
-          mov "ploop-promote-cont" (lab "ploop-par");
-          if_jump "pjr" (lab "ploop-try-promote");
-          mov "pabort" (lab "ploop-par");
-        ]
-        (jump "ploop-par-try-promote");
-      block "loop-outer-first"
-        [
-          mov "pabort" (lab "loop-try-promote");
-          mov "ploop-promote-cont" (lab "loop");
-          if_jump "pjr" (lab "ploop-try-promote");
-        ]
-        (jump "ploop-par-try-promote");
-      block "loop-par-outer-first"
-        [
-          mov "pabort" (lab "loop-par-try-promote");
-          mov "ploop-promote-cont" (lab "loop-par");
-          if_jump "pjr" (lab "ploop-try-promote");
-        ]
-        (jump "ploop-par-try-promote");
-      block "ploop-try-promote"
-        [
-          lt "t" (reg "e") (int 2);
-          if_jump "t" (reg "pabort");
-          jralloc "pjr" "pexit";
-        ]
-        (jump "ploop-promote");
-      block "ploop-par-try-promote"
-        [ lt "t" (reg "e") (int 2); if_jump "t" (reg "pabort") ]
-        (jump "ploop-promote");
-      block "ploop-promote"
-        [
-          div "m" (reg "e") (int 2);
-          modulo "n" (reg "e") (int 2);
-          mov "e" (reg "m");
-          mov "tr" (reg "pr");
-          mov "pr" (int 1);
-          (* ↓ needed for prod: the interrupted inner iteration must
-             return into the parallel outer loop *)
-          mov "ret" (lab "ploop-par-cont");
-          fork "pjr" (lab "ploop-par");
-          add "e" (reg "m") (reg "n");
-          mov "pr" (reg "tr");
-        ]
-        (jump_reg "ploop-promote-cont");
-      (* ---- parallel outer blocks (Figure 19) ---- *)
-      block "pcomb" [ mul "pr" (reg "pr") (reg "pr2") ] (join "pjr");
-      block "ploop-par" ~annot:(prppt "ptry-promote")
-        [
-          if_jump "e" (lab "pjoin");
-          mov "a" (reg "d");
-          mov "b" (reg "pr");
-          mov "ret" (lab "ploop-par-cont");
-        ]
-        (jump "prod");
-      block "ploop-par-cont"
-        [ mov "pr" (reg "c"); sub "e" (reg "e") (int 1) ]
-        (jump "ploop-par");
-      block "pjoin" [] (join "pjr");
-      (* ---- nested prod (Figure 32–34, annotations redirected to the
-              outer-first wrappers, exit returns through [ret]) ---- *)
-      block "prod" [ mov "r" (int 0) ] (jump "loop");
-      block "exit"
-        ~annot:(jtppt [ ("r", "r2") ] "comb")
-        [ mov "c" (reg "r") ]
-        (jump_reg "ret");
-      block "loop" ~annot:(prppt "loop-outer-first")
-        [
-          if_jump "a" (lab "exit");
-          add "r" (reg "r") (reg "b");
-          sub "a" (reg "a") (int 1);
-        ]
-        (jump "loop");
-      block "loop-try-promote"
-        [
-          lt "t" (reg "a") (int 2);
-          if_jump "t" (lab "loop");
-          jralloc "jr" "exit";
-        ]
-        (jump "loop-promote");
-      block "loop-par-try-promote"
-        [ lt "t" (reg "a") (int 2); if_jump "t" (lab "loop-par") ]
-        (jump "loop-promote");
-      block "loop-promote"
-        [
-          div "m" (reg "a") (int 2);
-          modulo "n" (reg "a") (int 2);
-          mov "a" (reg "m");
-          mov "tr" (reg "r");
-          mov "r" (int 0);
-          fork "jr" (lab "loop-par");
-          add "a" (reg "m") (reg "n");
-          mov "r" (reg "tr");
-        ]
-        (jump "loop-par");
-      block "loop-par" ~annot:(prppt "loop-par-outer-first")
-        [
-          if_jump "a" (lab "exit-par");
-          add "r" (reg "r") (reg "b");
-          sub "a" (reg "a") (int 1);
-        ]
-        (jump "loop-par");
-      block "comb" [ add "r" (reg "r") (reg "r2") ] (join "jr");
-      block "exit-par" [] (join "jr");
-    ]
+let run_prod ?options ~(a : int) ~(b : int) () =
+  run ?options prod [ ("a", a); ("b", b) ] "c"
 
 (** [run_pow ?options ~d ~e ()] runs {!pow} and extracts [f]. *)
-let run_pow ?(options = Eval.default_options) ~(d : int) ~(e : int) () :
-    (int * Eval.finished, Machine_error.t) result =
-  match
-    Eval.run_seeded ~options pow [ ("d", Value.Vint d); ("e", Value.Vint e) ]
-  with
-  | Error e -> Error e
-  | Ok fin -> (
-      match Regfile.find_opt "f" fin.task.regs with
-      | Some (Value.Vint f) -> Ok (f, fin)
-      | _ -> Error (Machine_error.Unbound_register "f"))
-
-(* ------------------------------------------------------------------ *)
-(* fib — Figures 20 / 22–23: recursive parallelism with an explicit   *)
-(* call stack and promotion-ready marks.                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Both the serial and parallel loop variants push frames of the shape
-   [slot 0: return continuation; slot 1: promotion mark; slot 2: the
-   stashed second-branch argument n-2], mirroring Figure 22, and are
-   paired with a promotion handler that splits the oldest mark. *)
-let fib_loop_blocks ~(loop : string) ~(handler : string) :
-    (Ast.label * Ast.block) list =
-  [
-    block loop ~annot:(prppt handler)
-      [
-        mov "f" (reg "n");
-        lt "t" (reg "n") (int 2);
-        if_jump "t" (lab "retk");
-        mov "f" (int 0);
-        salloc "sp" 3;
-        store "sp" 0 (lab "branch1");
-        sub "t" (reg "n") (int 2);
-        prmpush "sp" 1;
-        store "sp" 2 (reg "t");
-        sub "n" (reg "n") (int 1);
-      ]
-      (jump loop);
-    block handler
-      [
-        prmempty "t" "sp";
-        if_jump "t" (lab loop);
-        jralloc "jr" "retk";
-        prmsplit "sp" "top";
-        (* sp-top points at slot 0 of the promoted (oldest) frame *)
-        sub "top" (reg "top") (int 1);
-        add "sp-top" (reg "sp") (reg "top");
-        (* the promoted frame now returns into the join *)
-        store "sp-top" 0 (lab "joink");
-        mov "tn" (reg "n");
-        load "n" "sp-top" 2;
-        (* stash the join record in the consumed argument slot so that
-           joink can reload it after jr is clobbered by later
-           promotions *)
-        store "sp-top" 2 (reg "jr");
-        mov "tsp" (reg "sp");
-        snew "sp";
-        salloc "sp" 3;
-        store "sp" 0 (lab "joink");
-        store "sp" 2 (reg "jr");
-        fork "jr" (lab "loop-par");
-        mov "sp" (reg "tsp");
-        mov "n" (reg "tn");
-      ]
-      (jump "loop-par");
-  ]
-
-(** [fib] computes [f = fib(n)].  Seed register [n]; the result is in
-    [f] at halt.  Promotion splits the {e oldest} promotion-ready mark
-    in the task's call stack, forking the stashed [fib(n-2)] branch
-    onto a fresh stack. *)
-let fib : Ast.program =
-  program ~entry:"start"
-    ([
-       block "start" [ snew "sp"; mov "ret" (lab "done") ] (jump "fib");
-       block "done" [] halt;
-       (* computes f = fib(n) *)
-       block "fib"
-         [ salloc "sp" 1; store "sp" 0 (lab "exit") ]
-         (jump "loop");
-       block "exit" [ sfree "sp" 1 ] (jump_reg "ret");
-       block "retk"
-         ~annot:(jtppt [ ("f", "f2") ] "comb")
-         [ load "t" "sp" 0 ]
-         (jump_reg "t");
-       block "branch1"
-         [
-           store "sp" 0 (lab "branch2");
-           prmpop "sp" 1;
-           load "n" "sp" 2;
-           store "sp" 2 (reg "f");
-         ]
-         (jump "loop");
-       block "branch2"
-         [ load "t" "sp" 2; add "f" (reg "f") (reg "t"); sfree "sp" 3 ]
-         (jump "retk");
-       block "comb" [ add "f" (reg "f") (reg "f2") ] (join "jr");
-       block "joink"
-         [ load "jr" "sp" 2; add "sp" (reg "sp") (int 3) ]
-         (join "jr");
-     ]
-    @ fib_loop_blocks ~loop:"loop" ~handler:"loop-try-promote"
-    @ fib_loop_blocks ~loop:"loop-par" ~handler:"loop-par-try-promote")
+let run_pow ?options ~(d : int) ~(e : int) () =
+  run ?options pow [ ("d", d); ("e", e) ] "f"
 
 (** [run_fib ?options ~n ()] runs {!fib} and extracts [f]. *)
-let run_fib ?(options = Eval.default_options) ~(n : int) () :
-    (int * Eval.finished, Machine_error.t) result =
-  match Eval.run_seeded ~options fib [ ("n", Value.Vint n) ] with
-  | Error e -> Error e
-  | Ok fin -> (
-      match Regfile.find_opt "f" fin.task.regs with
-      | Some (Value.Vint f) -> Ok (f, fin)
-      | _ -> Error (Machine_error.Unbound_register "f"))
+let run_fib ?options ~(n : int) () = run ?options fib [ ("n", n) ] "f"
+
+(** [run_prod_reduced ?options ~a ~b ()] runs {!prod_reduced} and
+    extracts [c]. *)
+let run_prod_reduced ?options ~(a : int) ~(b : int) () =
+  run ?options prod_reduced [ ("a", a); ("b", b) ] "c"
 
 (** Reference implementations used by tests. *)
 let fib_spec : int -> int =
@@ -371,80 +89,3 @@ let fib_spec : int -> int =
 let pow_spec (d : int) (e : int) : int =
   let rec go acc e = if e = 0 then acc else go (acc * d) (e - 1) in
   go 1 e
-
-(* ------------------------------------------------------------------ *)
-(* prod in the "reduced" block style — Appendix D.5's alternative.    *)
-(* ------------------------------------------------------------------ *)
-
-(** [prod_reduced] computes [c = a * b] like {!prod} but in the
-    {e reduced} style discussed in Appendix D.5: a single loop block
-    serves both the serial and parallel phases, the join record is
-    allocated lazily behind a sentinel ([jr = 0] until the first
-    promotion), and the loop exit pays a conditional branch to decide
-    between the serial exit and join resolution.
-
-    The paper argues the {e expanded} style of {!prod} is preferable
-    because its serial blocks pay zero parallelism overhead; the
-    benchmark harness's style ablation quantifies the difference on
-    this pair. *)
-let prod_reduced : Ast.program =
-  program ~entry:"prod"
-    [
-      block "prod"
-        [ mov "r" (int 0); mov "jr" (int 0) ]
-        (jump "loop");
-      block "exit"
-        ~annot:(jtppt [ ("r", "r2") ] "comb")
-        [ mov "c" (reg "r") ]
-        halt;
-      block "loop" ~annot:(prppt "loop-try-promote")
-        [
-          if_jump "a" (lab "done");
-          add "r" (reg "r") (reg "b");
-          sub "a" (reg "a") (int 1);
-        ]
-        (jump "loop");
-      (* the reduced style's extra exit conditional: serial completion
-         if no promotion ever happened, join resolution otherwise *)
-      block "done"
-        [ if_jump "jr" (lab "exit-serial") ]
-        (join "jr");
-      block "exit-serial" [ mov "c" (reg "r") ] halt;
-      block "loop-try-promote"
-        [
-          lt "t" (reg "a") (int 2);
-          if_jump "t" (lab "loop");
-          (* sentinel dispatch: allocate the join record on the first
-             promotion only *)
-          if_jump "jr" (lab "alloc");
-        ]
-        (jump "loop-promote");
-      block "alloc" [ jralloc "jr" "exit" ] (jump "loop-promote");
-      block "loop-promote"
-        [
-          div "m" (reg "a") (int 2);
-          modulo "n" (reg "a") (int 2);
-          mov "a" (reg "m");
-          mov "tr" (reg "r");
-          mov "r" (int 0);
-          fork "jr" (lab "loop");
-          add "a" (reg "m") (reg "n");
-          mov "r" (reg "tr");
-        ]
-        (jump "loop");
-      block "comb" [ add "r" (reg "r") (reg "r2") ] (join "jr");
-    ]
-
-(** [run_prod_reduced ?options ~a ~b ()] runs {!prod_reduced} and
-    extracts [c]. *)
-let run_prod_reduced ?(options = Eval.default_options) ~(a : int) ~(b : int)
-    () : (int * Eval.finished, Machine_error.t) result =
-  match
-    Eval.run_seeded ~options prod_reduced
-      [ ("a", Value.Vint a); ("b", Value.Vint b) ]
-  with
-  | Error e -> Error e
-  | Ok fin -> (
-      match Regfile.find_opt "c" fin.task.regs with
-      | Some (Value.Vint c) -> Ok (c, fin)
-      | _ -> Error (Machine_error.Unbound_register "c"))

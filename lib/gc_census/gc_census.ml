@@ -28,12 +28,18 @@
     exit.  One census reads the rings at a time.
 
     With a tracer, each top-level GC interval of a ring becomes one
-    {!Event.Gc} span on that ring's ["gc ring K"] track, written by the
+    {!Obs.Event.Gc} span on that ring's ["gc ring K"] track, written by the
     poller (the track's only writer) at the interval's own end time;
     phases nested inside it are listed in the span, so spans on a
     track never overlap.  When the poller falls behind, a ring wraps
     and its oldest events are lost: they are counted per ring, never
-    dropped silently, and the ring's open phases are forgotten. *)
+    dropped silently, and the ring's open phases are forgotten.
+
+    A library of its own, apart from [obs]: [runtime_events] is
+    force-linked and the poller needs [threads], so only the binaries
+    that start a census carry either. *)
+
+open Obs
 
 type tally = { count : int; ns : int }
 
@@ -219,7 +225,7 @@ let start (t : t) : unit =
   Fun.protect ~finally:(fun () -> Mutex.unlock global) @@ fun () ->
   match !running with
   | Some u when u == t -> ()
-  | Some _ -> invalid_arg "Obs.Gc_census.start: another census is running"
+  | Some _ -> invalid_arg "Gc_census.start: another census is running"
   | None ->
       if Option.is_none !cursor then check_events_dir ();
       Runtime_events.start ();

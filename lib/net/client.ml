@@ -114,31 +114,13 @@ let send (t : t) (f : Wire.frame) : unit =
       done)
 
 (** [connect ?client addr] dials, sends [Hello], and waits for
-    [Hello_ok] (raising [Failure] if the server hangs up first).  A
-    refused or failed dial raises its [Unix_error] and keeps no
-    socket. *)
+    [Hello_ok] (raising [Failure] if the server hangs up first).  An
+    unresolvable host raises {!Server.Unresolved}; a refused or failed
+    dial raises its [Unix_error] and keeps no socket. *)
 let connect ?(client = "tpal-client") (addr : Server.addr) : t =
-  let dial domain sockaddr =
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-    match Unix.connect fd sockaddr with
-    | () -> fd
-    | exception e ->
-        Unix.close fd;
-        raise e
-  in
-  let fd =
-    match addr with
-    | Server.Unix_path p -> dial Unix.PF_UNIX (Unix.ADDR_UNIX p)
-    | Server.Tcp { host; port } ->
-        let inet =
-          match Unix.inet_addr_of_string host with
-          | a -> a
-          | exception _ -> (
-              try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-              with _ -> Unix.inet_addr_loopback)
-        in
-        dial Unix.PF_INET (Unix.ADDR_INET (inet, port))
-  in
+  let sa = Server.sockaddr addr in
+  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  Server.closing_on_error fd (fun () -> Unix.connect fd sa);
   let t =
     {
       fd;

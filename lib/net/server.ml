@@ -39,6 +39,28 @@ let addr_of_string (s : string) : addr option =
             Some (Tcp { host = (if pre = "" then "127.0.0.1" else pre); port })
         | _ -> if s.[0] = '/' || s.[0] = '.' then Some (Unix_path s) else None)
 
+(** Raised for a TCP host that is neither an IP literal nor a name the
+    resolver knows. *)
+exception Unresolved of string
+
+(** [sockaddr addr] is the socket address [addr] names, for the server
+    and the client alike.  A host that does not resolve raises
+    {!Unresolved}: there is no fallback address. *)
+let sockaddr (addr : addr) : Unix.sockaddr =
+  match addr with
+  | Unix_path p -> Unix.ADDR_UNIX p
+  | Tcp { host; port } ->
+      let inet =
+        match Unix.inet_addr_of_string host with
+        | a -> a
+        | exception Failure _ -> (
+            match Unix.gethostbyname host with
+            | { h_addr_list = [||]; _ } | (exception Not_found) ->
+                raise (Unresolved host)
+            | h -> h.h_addr_list.(0))
+      in
+      Unix.ADDR_INET (inet, port)
+
 (** Frames in both directions are bounded by {!Wire.default_max_frame}. *)
 type config = {
   shard : Shard.config;
@@ -385,40 +407,35 @@ let accept_loop (t : t) : unit =
     | exception _ -> ()
   done
 
+(* [f ()], closing [fd] first if it raises *)
+let closing_on_error (fd : Unix.file_descr) (f : unit -> 'a) : 'a =
+  match f () with
+  | v -> v
+  | exception e ->
+      Unix.close fd;
+      raise e
+
 (** [create ?config addr ()] binds and listens on [addr] (a Unix path
     is unlinked first; TCP port 0 picks a free port — read the real
     one back with {!bound_addr}), boots the shard fabric, and starts
-    accepting.  Ignores SIGPIPE process-wide: a write to a peer that
-    has hung up must fail with EPIPE on that connection, not kill the
-    process. *)
+    accepting.  An unresolvable host raises {!Unresolved}; a failed
+    [bind], [listen] or shard boot re-raises and keeps no socket.
+    Ignores SIGPIPE process-wide: a write to a peer that has hung up
+    must fail with EPIPE on that connection, not kill the process. *)
 let create ?(config = default_config) (addr : addr) () : t =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let listen_fd, bound =
-    match addr with
-    | Unix_path p ->
-        (try Unix.unlink p with _ -> ());
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.bind fd (Unix.ADDR_UNIX p);
-        Unix.listen fd 64;
-        (fd, addr)
-    | Tcp { host; port } ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        let inet =
-          match Unix.inet_addr_of_string host with
-          | a -> a
-          | exception _ -> (
-              try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-              with _ -> Unix.inet_addr_loopback)
-        in
-        Unix.bind fd (Unix.ADDR_INET (inet, port));
-        Unix.listen fd 64;
-        let port =
-          match Unix.getsockname fd with
-          | Unix.ADDR_INET (_, p) -> p
-          | _ -> port
-        in
-        (fd, Tcp { host; port })
+  let sa = sockaddr addr in
+  let listen_fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  let bound =
+    closing_on_error listen_fd @@ fun () ->
+    (match addr with
+    | Unix_path p -> ( try Unix.unlink p with _ -> ())
+    | Tcp _ -> Unix.setsockopt listen_fd Unix.SO_REUSEADDR true);
+    Unix.bind listen_fd sa;
+    Unix.listen listen_fd 64;
+    match (addr, Unix.getsockname listen_fd) with
+    | Tcp { host; _ }, Unix.ADDR_INET (_, port) -> Tcp { host; port }
+    | _ -> addr
   in
   (* thread the server's trace emission through the shard layer's
      route hook; the forward ref breaks the creation cycle (the shard
@@ -431,10 +448,11 @@ let create ?(config = default_config) (addr : addr) () : t =
         Some (fun ~shard ~size -> !emit_ref (Obs.Event.Route { shard; size }));
     }
   in
+  let shard = closing_on_error listen_fd (Shard.create ~config:shard_cfg) in
   let t =
     {
       cfg = config;
-      shard = Shard.create ~config:shard_cfg ();
+      shard;
       listen_fd;
       addr = bound;
       m = Mutex.create ();

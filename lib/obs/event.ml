@@ -8,9 +8,9 @@
     completion / degradation decisions of {!Serve.Pool}.  Region and
     tenant identifiers are {!Labels}-interned ints — resolve them
     through the owning {!Trace.t}.  {!Gc} spans come from the
-    runtime's own event rings, read by {!Gc_census}. *)
+    runtime's own event rings, read by the [gc_census] library. *)
 
-(** The garbage-collector phases {!Gc_census} follows: leading or
+(** The garbage-collector phases [Gc_census] follows: leading or
     joining a stop-the-world section, a minor collection, a major
     slice. *)
 type gc_phase = [ `Stw_leader | `Stw_handler | `Minor | `Major_slice ]

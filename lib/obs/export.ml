@@ -6,7 +6,7 @@
     instants for beats ("heartbeat"), steals ("steal"), promotions
     ("promotion"), join suspend/resume ("join") and scheduler noise
     ("scheduler"); serving-layer decisions get their own "serve"
-    category on the pool's track, and {!Gc_census} spans a "gc"
+    category on the pool's track, and [Gc_census] spans a "gc"
     category on one track per runtime ring. *)
 
 module C = Stats.Chrome_trace

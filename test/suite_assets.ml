@@ -61,21 +61,6 @@ let test_fib_file () = run_file "fib.tpal" [ ("n", 13) ] "f" 233 60
 let test_prod_reduced_file () =
   run_file "prod_reduced.tpal" [ ("a", 25); ("b", 5) ] "c" 125 20
 
-let test_assets_match_canned () =
-  (* the shipped pow/fib sources are exactly the canned programs *)
-  List.iter
-    (fun (name, canned) ->
-      match load name with
-      | None -> ()
-      | Some p ->
-          check (name ^ " = canned program") true (Ast.equal_program p canned))
-    [
-      ("prod.tpal", Programs.prod);
-      ("pow.tpal", Programs.pow);
-      ("fib.tpal", Programs.fib);
-      ("prod_reduced.tpal", Programs.prod_reduced);
-    ]
-
 let suite =
   ( "assets",
     [
@@ -84,6 +69,4 @@ let suite =
       Alcotest.test_case "fib.tpal end to end" `Quick test_fib_file;
       Alcotest.test_case "prod_reduced.tpal end to end" `Quick
         test_prod_reduced_file;
-      Alcotest.test_case "assets match canned programs" `Quick
-        test_assets_match_canned;
     ] )

@@ -1064,6 +1064,70 @@ let test_server_kernel_scale_bound () =
   | None -> Alcotest.fail "no response for the scale-33 request");
   check_int "the request never reached the shard" 0 st.shard.submitted
 
+(* ------------------------------------------------------------------ *)
+(* Address errors: a refused address ends typed and keeps no socket. *)
+
+(* the lowest free descriptor: a socket that leaks moves it *)
+let lowest_free_fd () : Unix.file_descr =
+  let fd = Unix.dup Unix.stdin in
+  Unix.close fd;
+  fd
+
+let test_server_bind_refused_keeps_no_socket () =
+  let holder = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close holder) @@ fun () ->
+  Unix.bind holder (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen holder 1;
+  let port =
+    match Unix.getsockname holder with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "no port"
+  in
+  let before = lowest_free_fd () in
+  for _ = 1 to 20 do
+    match
+      Net.Server.create ~config:(server_config ~shards:1 ())
+        (Net.Server.Tcp { host = "127.0.0.1"; port })
+        ()
+    with
+    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ()
+    | srv ->
+        ignore (Net.Server.stop srv);
+        Alcotest.fail "bound a port another socket listens on"
+  done;
+  check "no descriptor leaked" true (lowest_free_fd () = before)
+
+(* [.invalid] never resolves (RFC 6761): both ends refuse it instead
+   of falling back to loopback, where this server listens *)
+let test_unresolvable_host_refused () =
+  let srv =
+    Net.Server.create ~config:(server_config ~shards:1 ())
+      (Net.Server.Tcp { host = "127.0.0.1"; port = 0 })
+      ()
+  in
+  let port =
+    match Net.Server.bound_addr srv with
+    | Net.Server.Tcp { port; _ } -> port
+    | Net.Server.Unix_path _ -> Alcotest.fail "no port"
+  in
+  let host = "no-such-host.invalid" in
+  (match
+     Net.Server.create ~config:(server_config ~shards:1 ())
+       (Net.Server.Tcp { host; port = 0 })
+       ()
+   with
+  | exception Net.Server.Unresolved h -> Alcotest.(check string) "host" host h
+  | other ->
+      ignore (Net.Server.stop other);
+      Alcotest.fail "a server listens on an unresolvable host");
+  (match Net.Client.connect (Net.Server.Tcp { host; port }) with
+  | exception Net.Server.Unresolved h -> Alcotest.(check string) "host" host h
+  | c ->
+      Net.Client.close c;
+      Alcotest.fail "a client connected to an unresolvable host");
+  check_int "the loopback server saw no connection" 0
+    (Net.Server.stop srv).conns
+
 let suite =
   ( "net",
     [
@@ -1136,4 +1200,8 @@ let suite =
         test_server_kernel_scale_bound;
       Alcotest.test_case "shard: concurrent closes both wait for the pools"
         `Quick test_shard_concurrent_close;
+      Alcotest.test_case "server: a refused bind keeps no socket" `Quick
+        test_server_bind_refused_keeps_no_socket;
+      Alcotest.test_case "server and client refuse an unresolvable host"
+        `Quick test_unresolvable_host_refused;
     ] )

@@ -544,21 +544,21 @@ let gc_session ?tracer () =
          Gc.minor ()))
 
 let ring0 rows =
-  match List.find_opt (fun (r : Obs.Gc_census.row) -> r.ring = 0) rows with
+  match List.find_opt (fun (r : Gc_census.row) -> r.ring = 0) rows with
   | Some r -> r
   | None -> Alcotest.fail "no row for ring 0 (the main domain)"
 
 let test_gc_census_counts () =
-  let census = Obs.Gc_census.create () in
-  Obs.Gc_census.start census;
+  let census = Gc_census.create () in
+  Gc_census.start census;
   let q0 = Gc.quick_stat () in
   gc_session ();
   let q1 = Gc.quick_stat () in
-  Obs.Gc_census.stop census;
-  let rows = Obs.Gc_census.rows census in
+  Gc_census.stop census;
+  let rows = Gc_census.rows census in
   let active =
     List.filter
-      (fun (r : Obs.Gc_census.row) ->
+      (fun (r : Gc_census.row) ->
         r.stw_leader.count + r.stw_handler.count + r.minor.count
         + r.major_slice.count
         > 0)
@@ -566,7 +566,7 @@ let test_gc_census_counts () =
   in
   check "both session domains' rings took part" true (List.length active >= 2);
   List.iter
-    (fun (r : Obs.Gc_census.row) ->
+    (fun (r : Gc_census.row) ->
       let what = Printf.sprintf "ring %d" r.ring in
       check (what ^ " led or joined a stop-the-world section") true
         (r.stw_leader.count + r.stw_handler.count > 0);
@@ -584,44 +584,44 @@ let test_gc_census_counts () =
       main.minor.count
 
 let test_gc_census_idempotent () =
-  let census = Obs.Gc_census.create () in
-  Obs.Gc_census.stop census;
+  let census = Gc_census.create () in
+  Gc_census.stop census;
   check_int "a census never started has no rows" 0
-    (List.length (Obs.Gc_census.rows census));
-  Obs.Gc_census.start census;
-  Obs.Gc_census.start census;
+    (List.length (Gc_census.rows census));
+  Gc_census.start census;
+  Gc_census.start census;
   Gc.minor ();
-  Obs.Gc_census.stop census;
-  let first = ring0 (Obs.Gc_census.rows census) in
+  Gc_census.stop census;
+  let first = ring0 (Gc_census.rows census) in
   check "the forced minor collection was counted" true (first.minor.count >= 1);
-  Obs.Gc_census.stop census;
+  Gc_census.stop census;
   (* the rings are paused: collections now are never counted *)
   Gc.minor ();
   Gc.minor ();
   check "a second stop changes nothing" true
-    (ring0 (Obs.Gc_census.rows census) = first);
-  let other = Obs.Gc_census.create () in
-  Obs.Gc_census.start census;
-  (match Obs.Gc_census.start other with
+    (ring0 (Gc_census.rows census) = first);
+  let other = Gc_census.create () in
+  Gc_census.start census;
+  (match Gc_census.start other with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "a second census started while one runs");
   let q0 = Gc.quick_stat () in
   Gc.minor ();
   let q1 = Gc.quick_stat () in
-  Obs.Gc_census.stop census;
-  let again = ring0 (Obs.Gc_census.rows census) in
+  Gc_census.stop census;
+  let again = ring0 (Gc_census.rows census) in
   if again.lost = first.lost then
     check_int "a restarted census counts only its own window"
       (q1.minor_collections - q0.minor_collections)
       (again.minor.count - first.minor.count);
-  Obs.Gc_census.stop other
+  Gc_census.stop other
 
 let test_gc_census_trace () =
   let tr = Obs.Trace.create () in
-  let census = Obs.Gc_census.create ~tracer:tr () in
-  Obs.Gc_census.start census;
+  let census = Gc_census.create ~tracer:tr () in
+  Gc_census.start census;
   gc_session ~tracer:tr ();
-  Obs.Gc_census.stop census;
+  Gc_census.stop census;
   let events =
     match Stats.Json.of_string (Obs.Export.to_chrome_string tr) with
     | Ok (Stats.Json.Obj fields) -> (
