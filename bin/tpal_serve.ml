@@ -213,8 +213,8 @@ let run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
     ~lease_s ~tracer ~chaos ~shards ~policy ~small_max ~metrics =
   match Net.Server.addr_of_string listen with
   | None ->
-      Fmt.epr "tpal_serve: bad --listen address %S (want host:port or \
-               unix:/path)@." listen;
+      Fmt.epr "tpal_serve: bad --listen address %S (want host:port, \
+               unix:PATH or a path with a /)@." listen;
       2
   | Some addr -> (
       match Net.Router.policy_of_string ~small_max policy with
@@ -382,11 +382,9 @@ let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
   Option.iter Gc_census.stop census;
   Fmt.pr
     "pool: submitted %d, served %d (met %d, missed %d), shed %d, rejected \
-     %d, cancelled %d, cancels %d, retried %d, restarts %d, failures %d, \
-     stalls %d@."
+     %d, cancelled %d, cancels %d, restarts %d, failures %d, stalls %d@."
     st.submitted st.served st.met st.missed st.shed st.sched.rejected
-    st.cancelled st.cancels st.retried st.restarts st.failures
-    st.stalls_detected;
+    st.cancelled st.cancels st.restarts st.failures st.stalls_detected;
   if metrics then begin
     Fmt.pr "%a@." Obs.Metrics.pp (Serve.Pool.metrics ?tracer st);
     Fmt.pr "latency (all tenants): %a@." Obs.Hist.pp_summary st.latency;
@@ -504,8 +502,8 @@ let listen =
   Arg.(value & opt (some string) None
     & info [ "listen" ] ~docv:"ADDR"
         ~doc:"Serve the wire protocol on $(docv) (host:port, port 0 picks a \
-              free one, or unix:/path).  Runs until SIGINT/SIGTERM, then \
-              drains gracefully and exits 0.")
+              free one; or a Unix socket, unix:PATH or a path with a /).  \
+              Runs until SIGINT/SIGTERM, then drains gracefully and exits 0.")
 
 let connect =
   Arg.(value & opt (some string) None

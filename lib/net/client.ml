@@ -120,7 +120,9 @@ let send (t : t) (f : Wire.frame) : unit =
 let connect ?(client = "tpal-client") (addr : Server.addr) : t =
   let sa = Server.sockaddr addr in
   let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
-  Server.closing_on_error fd (fun () -> Unix.connect fd sa);
+  Server.closing_on_error fd (fun () ->
+      Unix.connect fd sa;
+      Server.no_delay sa fd);
   let t =
     {
       fd;

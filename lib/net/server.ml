@@ -24,20 +24,24 @@ let addr_to_string = function
   | Unix_path p -> "unix:" ^ p
   | Tcp { host; port } -> Printf.sprintf "%s:%d" host port
 
-(** ["unix:/path"] or a bare path → [Unix_path]; ["host:port"] →
-    [Tcp]. *)
+(** ["unix:PATH"], or a path with a ['/'] in it, → [Unix_path];
+    ["host:port"] → [Tcp], and [":port"] is loopback.  Anything else,
+    such as a bare word or a bare port, is [None]: a mistyped address
+    is refused, not served on a socket file in the working directory. *)
 let addr_of_string (s : string) : addr option =
-  match String.index_opt s ':' with
-  | None -> if s = "" then None else Some (Unix_path s)
-  | Some i -> (
-      let pre = String.sub s 0 i in
-      let post = String.sub s (i + 1) (String.length s - i - 1) in
-      if pre = "unix" then if post = "" then None else Some (Unix_path post)
-      else
-        match int_of_string_opt post with
+  if String.starts_with ~prefix:"unix:" s then
+    let path = String.sub s 5 (String.length s - 5) in
+    if path = "" then None else Some (Unix_path path)
+  else if String.contains s '/' then Some (Unix_path s)
+  else
+    match String.index_opt s ':' with
+    | None -> None
+    | Some i -> (
+        let host = String.sub s 0 i in
+        match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
         | Some port when port >= 0 && port < 65536 ->
-            Some (Tcp { host = (if pre = "" then "127.0.0.1" else pre); port })
-        | _ -> if s.[0] = '/' || s.[0] = '.' then Some (Unix_path s) else None)
+            Some (Tcp { host = (if host = "" then "127.0.0.1" else host); port })
+        | _ -> None)
 
 (** Raised for a TCP host that is neither an IP literal nor a name the
     resolver knows. *)
@@ -60,6 +64,25 @@ let sockaddr (addr : addr) : Unix.sockaddr =
             | h -> h.h_addr_list.(0))
       in
       Unix.ADDR_INET (inet, port)
+
+(** [no_delay sa fd] makes each write on a TCP socket leave at once:
+    it sets TCP_NODELAY, so Nagle's algorithm no longer holds a small
+    frame until the peer acknowledges the previous segment.  A
+    Unix-domain socket has no such delay and is left as it is.  The
+    server calls it on every connection it accepts, the client on the
+    socket it dials. *)
+let no_delay (sa : Unix.sockaddr) (fd : Unix.file_descr) : unit =
+  match sa with
+  | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
+  | Unix.ADDR_UNIX _ -> ()
+
+(* [f ()], closing [fd] first if it raises *)
+let closing_on_error (fd : Unix.file_descr) (f : unit -> 'a) : 'a =
+  match f () with
+  | v -> v
+  | exception e ->
+      Unix.close fd;
+      raise e
 
 (** Frames in both directions are bounded by {!Wire.default_max_frame}. *)
 type config = {
@@ -364,13 +387,20 @@ let reader_loop (t : t) (c : conn) : unit =
 (* ------------------------------------------------------------------ *)
 (* Accept loop and lifecycle. *)
 
+(* [Unix.accept], the connection set {!no_delay}; a failure keeps no
+   socket *)
+let accept (listen_fd : Unix.file_descr) : Unix.file_descr * Unix.sockaddr =
+  let fd, peer_sa = Unix.accept listen_fd in
+  closing_on_error fd (fun () -> no_delay peer_sa fd);
+  (fd, peer_sa)
+
 let accept_loop (t : t) : unit =
   while not (Atomic.get t.stop_flag) do
     match Unix.select [ t.listen_fd ] [] [] 0.2 with
     | [], _, _ -> ()
     | _ :: _, _, _ when Atomic.get t.stop_flag -> ()
     | _ :: _, _, _ -> (
-        match Unix.accept t.listen_fd with
+        match accept t.listen_fd with
         | exception _ -> ()
         | fd, peer_sa ->
             let peer =
@@ -406,14 +436,6 @@ let accept_loop (t : t) : unit =
             c.reader <- Some (Thread.create (reader_loop t) c))
     | exception _ -> ()
   done
-
-(* [f ()], closing [fd] first if it raises *)
-let closing_on_error (fd : Unix.file_descr) (f : unit -> 'a) : 'a =
-  match f () with
-  | v -> v
-  | exception e ->
-      Unix.close fd;
-      raise e
 
 (** [create ?config addr ()] binds and listens on [addr] (a Unix path
     is unlinked first; TCP port 0 picks a free port — read the real

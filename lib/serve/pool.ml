@@ -38,13 +38,15 @@
     session starts and adopted by the session's workers; the domain
     that calls {!create} keeps its own setting.  OCaml 5.1 asks for a
     stop-the-world major slice once a domain's direct major-heap
-    allocations since its last slice exceed its minor-heap size, so at
-    the 256k-word default every request that allocates a 2 MB array
-    (a [Serve.Load.kernel 262144]) forces one on its own, and every
-    domain in the process must join it.  The size is a constant, not a
-    config field: it trades a bounded, measured amount of memory
-    (DESIGN §10) for fewer pauses that every domain in the process
-    pays, so no one pool's caller is placed to tune it. *)
+    allocations since its last slice exceed about a quarter of its
+    minor-heap size (a measured rule, DESIGN §10), so at the 256k-word
+    default every request that allocates a 2 MB array (a
+    [Serve.Load.kernel 262144]) forces one on its own, and every domain
+    in the process must join it; at 2M words every second such request
+    still does.  The size is a constant, not a config field: it trades
+    a bounded, measured amount of memory (DESIGN §10) for fewer pauses
+    that every domain in the process pays, so no one pool's caller is
+    placed to tune it. *)
 
 type work =
   | Kernel of { bench : Workloads.Real_bench.t; scale : int }

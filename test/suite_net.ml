@@ -1128,6 +1128,74 @@ let test_unresolvable_host_refused () =
   check_int "the loopback server saw no connection" 0
     (Net.Server.stop srv).conns
 
+(* ------------------------------------------------------------------ *)
+(* Socket options and address strings. *)
+
+let nodelay (fd : Unix.file_descr) : bool = Unix.getsockopt fd Unix.TCP_NODELAY
+
+(* Over TCP both ends send each frame at once: the client's socket and
+   the server's accepted connection carry TCP_NODELAY.  A Unix-domain
+   socket takes no TCP option, and a server and client on one still
+   round-trip. *)
+let test_tcp_nodelay_both_ends () =
+  let srv =
+    Net.Server.create ~config:(server_config ~shards:1 ())
+      (Net.Server.Tcp { host = "127.0.0.1"; port = 0 })
+      ()
+  in
+  let c = Net.Client.connect (Net.Server.bound_addr srv) in
+  check "client socket has TCP_NODELAY" true (nodelay c.fd);
+  (* [connect] returned after [Hello_ok], so the server has the
+     connection *)
+  Mutex.lock srv.m;
+  let conns = srv.conns in
+  Mutex.unlock srv.m;
+  check_int "one accepted connection" 1 (List.length conns);
+  List.iter
+    (fun (conn : Net.Server.conn) ->
+      check "accepted connection has TCP_NODELAY" true (nodelay conn.fd))
+    conns;
+  Net.Client.close c;
+  ignore (Net.Server.stop srv);
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tpal-nodelay-%d.sock" (Unix.getpid ()))
+  in
+  let srv =
+    Net.Server.create ~config:(server_config ~shards:1 ()) (Net.Server.Unix_path path) ()
+  in
+  Fun.protect ~finally:(fun () -> ignore (Net.Server.stop srv)) @@ fun () ->
+  let c = Net.Client.connect (Net.Server.bound_addr srv) in
+  Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+  let tk = Net.Client.submit c ~tenant:"t" (Net.Wire.Synth { n = 16 }) in
+  match Net.Client.await ~timeout_s:30. c tk with
+  | Some r -> expect_done r
+  | None -> Alcotest.fail "no response over the Unix socket"
+
+let test_addr_of_string () =
+  let cases =
+    [
+      ("unix:/tmp/s.sock", Some (Net.Server.Unix_path "/tmp/s.sock"));
+      ("unix:rel.sock", Some (Net.Server.Unix_path "rel.sock"));
+      ("/tmp/s.sock", Some (Net.Server.Unix_path "/tmp/s.sock"));
+      ("./s.sock", Some (Net.Server.Unix_path "./s.sock"));
+      ("127.0.0.1:7411", Some (Net.Server.Tcp { host = "127.0.0.1"; port = 7411 }));
+      ("localhost:0", Some (Net.Server.Tcp { host = "localhost"; port = 0 }));
+      (":7411", Some (Net.Server.Tcp { host = "127.0.0.1"; port = 7411 }));
+      ("bogus", None);
+      ("7411", None);
+      ("host:port", None);
+      ("host:65536", None);
+      ("unix:", None);
+      ("", None);
+    ]
+  in
+  List.iter
+    (fun (s, want) ->
+      check (Printf.sprintf "addr_of_string %S" s) true
+        (Net.Server.addr_of_string s = want))
+    cases
+
 let suite =
   ( "net",
     [
@@ -1204,4 +1272,8 @@ let suite =
         test_server_bind_refused_keeps_no_socket;
       Alcotest.test_case "server and client refuse an unresolvable host"
         `Quick test_unresolvable_host_refused;
+      Alcotest.test_case "server and client set TCP_NODELAY, Unix sockets none"
+        `Quick test_tcp_nodelay_both_ends;
+      Alcotest.test_case "server: bare words and ports are not socket paths"
+        `Quick test_addr_of_string;
     ] )
