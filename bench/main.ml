@@ -455,7 +455,7 @@ let run_par_bench ~(domains : int list) ~(scale : int)
 let chaos_json : int option -> J.t = function None -> J.Null | Some n -> J.Int n
 
 let serve_run_json ~(label : string) ~(chaos_seed : int option)
-    ~(retries : int) (r : Serve.Load.report) : J.t =
+    (r : Serve.Load.report) : J.t =
   let spec = r.spec in
   let tenant (t, s) = (t, Obs.Hist.json_of_summary s) in
   J.Obj
@@ -464,7 +464,7 @@ let serve_run_json ~(label : string) ~(chaos_seed : int option)
       int "requests" spec.requests; int "tenants" spec.tenants;
       int "rate_rps" (Float.to_int (Float.round spec.rate_rps));
       int "seed" spec.seed; num 1e3 "slo_ms" (1e3 *. spec.slo_s);
-      ("chaos_seed", chaos_json chaos_seed); int "retry_budget" retries;
+      ("chaos_seed", chaos_json chaos_seed);
       ( "results",
         J.List
           [ J.Obj
@@ -472,8 +472,8 @@ let serve_run_json ~(label : string) ~(chaos_seed : int option)
                 int "rejected_full" r.rejected_full;
                 int "rejected_shed" r.rejected_shed;
                 int "completed" r.completed; int "failed" r.failed;
-                int "cancelled" r.cancelled; int "retried" r.retried;
-                int "restarts" r.restarts; int "lost" r.lost;
+                int "cancelled" r.cancelled; int "restarts" r.restarts;
+                int "lost" r.lost;
                 int "duplicated" r.duplicated; int "mismatched" r.mismatched;
                 int "met" r.met; int "missed" r.missed;
                 num 1e4 "p50_ms" r.p50_ms; num 1e4 "p95_ms" r.p95_ms;
@@ -488,23 +488,21 @@ let serve_run_json ~(label : string) ~(chaos_seed : int option)
 
 let run_serve_bench ~(requests : int) ~(tenants : int) ~(rate : float)
     ~(seed : int) ~(domains : int) ~(cap : int) ~(slo_ms : float)
-    ~(chaos_seed : int option) ~(retries : int) ~(json : (J.t list -> unit) option)
+    ~(chaos_seed : int option) ~(json : (J.t list -> unit) option)
     ~(label : string) : unit =
   Printf.printf
     "=== serve bench: %d requests, %d tenants, %.0f req/s offered, %d \
-     domain(s), cap %d, SLO %.1f ms, seed %d%s, retries %d ===\n\
+     domain(s), cap %d, SLO %.1f ms, seed %d%s ===\n\
      %!"
     requests tenants rate domains cap slo_ms seed
     (match chaos_seed with
     | None -> ""
-    | Some n -> Printf.sprintf ", chaos seed %d" n)
-    retries;
+    | Some n -> Printf.sprintf ", chaos seed %d" n);
   let chaos =
-    (* timing-only faults: the bench's audit gate must stay meaningful
-       (an injected raise without a retry budget is a guaranteed
-       failure, not a robustness measurement) *)
+    (* the plan may raise: the request it hits resolves a typed
+       [Failed], counted in [failed], and the audit must still hold *)
     Option.map
-      (fun cs -> Par.Chaos.random_plan ~raises:(retries > 0) ~seed:cs ~domains ())
+      (fun cs -> Par.Chaos.random_plan ~raises:true ~seed:cs ~domains ())
       chaos_seed
   in
   let config =
@@ -519,7 +517,6 @@ let run_serve_bench ~(requests : int) ~(tenants : int) ~(rate : float)
         };
       sched = { Serve.Sched.default_config with cap };
       default_slo_s = slo_ms /. 1e3;
-      retries;
     }
   in
   let spec =
@@ -537,7 +534,7 @@ let run_serve_bench ~(requests : int) ~(tenants : int) ~(rate : float)
   ignore (Serve.Pool.close pool);
   Format.printf "%a@." Serve.Load.pp_report report;
   Option.iter
-    (fun write -> write [ serve_run_json ~label ~chaos_seed ~retries report ])
+    (fun write -> write [ serve_run_json ~label ~chaos_seed report ])
     json;
   (* the exactly-once gate: a lost, duplicated or corrupted request is
      a correctness failure regardless of the latency numbers, and so is
@@ -557,14 +554,14 @@ let run_serve_bench ~(requests : int) ~(tenants : int) ~(rate : float)
    comparison the trajectory tracks. *)
 
 let net_run_json ~(label : string) ~(policy : string) ~(shards : int)
-    ~(chaos_seed : int option) ~(retries : int) (r : Net.Netload.report) : J.t =
+    ~(chaos_seed : int option) (r : Net.Netload.report) : J.t =
   let spec = r.spec in
   J.Obj
     [ ("label", J.Str label);
       int "host_cores" (Domain.recommended_domain_count ());
       int "requests" spec.requests; int "tenants" spec.tenants;
       int "seed" spec.seed; num 1e3 "slo_ms" (1e3 *. spec.slo_s);
-      ("chaos_seed", chaos_json chaos_seed); int "retry_budget" retries;
+      ("chaos_seed", chaos_json chaos_seed);
       ( "net",
         J.Obj
           [ ("policy", J.Str policy); int "shards" shards;
@@ -588,7 +585,7 @@ let net_run_json ~(label : string) ~(policy : string) ~(shards : int)
 
 let run_net_bench ~(requests : int) ~(tenants : int) ~(seed : int)
     ~(domains : int) ~(cap : int) ~(slo_ms : float)
-    ~(chaos_seed : int option) ~(retries : int) ~(shards : int)
+    ~(chaos_seed : int option) ~(shards : int)
     ~(conns : int) ~(window : int) ~(small_max : int)
     ~(json : (J.t list -> unit) option) ~(label : string) : unit =
   let legs =
@@ -603,8 +600,7 @@ let run_net_bench ~(requests : int) ~(tenants : int) ~(seed : int)
   in
   let chaos () =
     Option.map
-      (fun cs ->
-        Par.Chaos.random_plan ~raises:(retries > 0) ~seed:cs ~domains ())
+      (fun cs -> Par.Chaos.random_plan ~raises:true ~seed:cs ~domains ())
       chaos_seed
   in
   let spec =
@@ -646,7 +642,6 @@ let run_net_bench ~(requests : int) ~(tenants : int) ~(seed : int)
               };
             sched = { Serve.Sched.default_config with cap };
             default_slo_s = slo_ms /. 1e3;
-            retries;
           }
         in
         let srv =
@@ -673,7 +668,7 @@ let run_net_bench ~(requests : int) ~(tenants : int) ~(seed : int)
   in
   let row (name, shards, r) =
     net_run_json ~label:(Printf.sprintf "%s-net-%s" label name) ~policy:name
-      ~shards ~chaos_seed ~retries r
+      ~shards ~chaos_seed r
   in
   Option.iter (fun write -> write (List.map row results)) json;
   (* the head-of-line contrast the size-aware policy exists for, when
@@ -728,7 +723,7 @@ let usage () =
      server, audit exactly-once execution, and write the latency/goodput\n\
      trajectory (--json PATH; e.g. BENCH_serve.json).  Extra flags:\n\
     \  --requests N --tenants N --rate RPS --seed N --cap N (>= 1) --slo-ms F\n\
-    \  --chaos-seed N --retries N\n\
+    \  --chaos-seed N\n\
     \  (--domains takes its first element for the pool's session)\n\
      With --serve-bench --net: the same audit-gated load over a loopback\n\
      socket through Net.Server — one leg per router policy (fifo 1-shard\n\
@@ -768,7 +763,6 @@ let () =
   let cap = ref 512 in
   let slo_ms = ref 50. in
   let chaos_seed = ref None in
-  let retries = ref 0 in
   let net = ref false in
   let shards = ref 2 in
   let conns = ref 2 in
@@ -801,7 +795,6 @@ let () =
     | "--tenants" :: v :: rest -> int_flag "--tenants" v tenants rest parse
     | "--seed" :: v :: rest -> int_flag "--seed" v seed rest parse
     | "--cap" :: v :: rest -> int_flag ~min:1 "--cap" v cap rest parse
-    | "--retries" :: v :: rest -> int_flag "--retries" v retries rest parse
     | "--chaos-seed" :: v :: rest ->
         (match int_of_string_opt v with
         | Some n -> chaos_seed := Some n
@@ -880,13 +873,13 @@ let () =
     let domains = match !domains with d :: _ -> d | [] -> 1 in
     if !net then
       run_net_bench ~requests:!requests ~tenants:!tenants ~seed:!seed ~domains
-        ~cap:!cap ~slo_ms:!slo_ms ~chaos_seed:!chaos_seed ~retries:!retries
+        ~cap:!cap ~slo_ms:!slo_ms ~chaos_seed:!chaos_seed
         ~shards:!shards ~conns:!conns ~window:!window ~small_max:!small_max
         ~json ~label
     else
       run_serve_bench ~requests:!requests ~tenants:!tenants ~rate:!rate
         ~seed:!seed ~domains ~cap:!cap ~slo_ms:!slo_ms ~chaos_seed:!chaos_seed
-        ~retries:!retries ~json ~label
+        ~json ~label
   end
   else if !par_bench then
     run_par_bench ~domains:!domains ~scale:!scale ~json ~benches:!benches ~label

@@ -18,9 +18,9 @@
    (beats, promotions, steals, joins).  --trace FILE attaches the
    per-domain ring-buffer tracers and writes the real run as the same
    Chrome trace-event JSON as the simulator's, with the session's GC
-   phases on "gc ring K" tracks; --stats prints the full per-worker
-   metrics table (idle time, steal-failure rate, callback errors, ring
-   drop accounting) and the per-domain GC census. *)
+   phases on "gc ring K" tracks; --stats prints the full metrics
+   table (idle time, steal-failure rate, ring drop accounting), the
+   per-worker breakdown and the per-domain GC census. *)
 
 open Cmdliner
 
@@ -49,9 +49,9 @@ let stats_arg =
     & info [ "stats" ]
         ~doc:
           "With $(b,--workload), print the full metrics snapshot, the \
-           per-worker breakdown (idle ns, steal-failure rate, callback \
-           errors) and the per-domain GC census instead of the one-line \
-           totals.")
+           per-worker breakdown (tasks, promotions, steal attempts, \
+           joins, max deque depth, idle time) and the per-domain GC \
+           census instead of the one-line totals.")
 
 let workload_arg =
   Arg.(

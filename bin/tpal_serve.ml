@@ -21,8 +21,9 @@
    Exits non-zero when the exactly-once audit fails (lost, duplicated
    or mismatched requests, or none completed) or an explicit request
    errors; exits 2 before anything runs when the --trace file cannot
-   be opened, the --listen address cannot be bound, or a --listen or
-   --connect host does not resolve. *)
+   be opened, the --tpal file cannot be read or parsed, the --listen
+   address cannot be bound, or a --listen or --connect host does not
+   resolve. *)
 
 (* a signal flag both the load loop and the server wait-loop poll;
    handlers only flip the atomic — nothing async-unsafe *)
@@ -36,10 +37,9 @@ let install_signal_handlers () =
 let pool_config ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms ~lease_s
     ~tracer ~chaos : Serve.Pool.config =
   {
-    Serve.Pool.default_config with
     (* one tracer for both layers: the server's admission/dispatch track
        interleaves with the worker-domain tracks in the same trace *)
-    tracer;
+    Serve.Pool.tracer;
     runtime =
       { Par.Runtime.default_config with domains; heart_us; tracer; chaos };
     sched =
@@ -111,10 +111,7 @@ let run_kernel pool ~kernel ~scale =
               1))
 
 let read_file (path : string) : string =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  In_channel.with_open_bin path In_channel.input_all
 
 (* seed registers by prepending moves to the entry block — requests
    carry whole programs, so arguments travel inside the program *)
@@ -141,35 +138,39 @@ let seed_program (prog : Tpal.Ast.program) (seeds : (string * int) list) :
           prog.blocks;
     }
 
-let run_tpal pool ~path ~seeds =
+(* [path]'s program with [seeds] bound, read before any pool boots *)
+let load_tpal ~path ~seeds : (Tpal.Ast.program, string) result =
   match Tpal.Parser.parse_result (read_file path) with
-  | Error msg ->
-      Fmt.epr "tpal_serve: %s@." msg;
-      2
-  | Ok prog -> (
-      let prog = seed_program prog seeds in
-      match
-        Serve.Pool.submit pool ~tenant:"cli"
-          (Serve.Pool.Tpal { prog; options = Tpal.Eval.default_options })
-      with
-      | Error e ->
-          Fmt.epr "tpal_serve: submit rejected (%a)@." Serve.Pool.pp_error e;
+  | Ok prog -> Ok (seed_program prog seeds)
+  | Error msg -> Error msg
+  | exception Sys_error msg ->
+      (* opening names the file in [msg], reading a directory does not *)
+      let prefix = path ^ ": " in
+      Error
+        ("cannot read "
+        ^ if String.starts_with ~prefix msg then msg else prefix ^ msg)
+
+let run_tpal pool ~path ~prog =
+  match
+    Serve.Pool.submit pool ~tenant:"cli"
+      (Serve.Pool.Tpal { prog; options = Tpal.Eval.default_options })
+  with
+  | Error e ->
+      Fmt.epr "tpal_serve: submit rejected (%a)@." Serve.Pool.pp_error e;
+      1
+  | Ok ticket -> (
+      match Serve.Pool.await pool ticket with
+      | Ok { outcome = Serve.Pool.Tpal_result (Ok task); sojourn_s; _ } ->
+          Fmt.pr "@[<v>%s: finished in %.3f ms@,%a@]@." path
+            (1e3 *. sojourn_s) Tpal.Regfile.pp task.regs;
+          0
+      | Ok { outcome = Serve.Pool.Tpal_result (Error e); _ } ->
+          Fmt.epr "tpal_serve: machine stuck: %a@." Tpal.Machine_error.pp e;
           1
-      | Ok ticket -> (
-          match Serve.Pool.await pool ticket with
-          | Ok { outcome = Serve.Pool.Tpal_result (Ok task); sojourn_s; _ } ->
-              Fmt.pr "@[<v>%s: finished in %.3f ms@,%a@]@." path
-                (1e3 *. sojourn_s) Tpal.Regfile.pp task.regs;
-              0
-          | Ok { outcome = Serve.Pool.Tpal_result (Error e); _ } ->
-              Fmt.epr "tpal_serve: machine stuck: %a@." Tpal.Machine_error.pp
-                e;
-              1
-          | Ok _ -> assert false
-          | Error e ->
-              Fmt.epr "tpal_serve: request errored (%a)@." Serve.Pool.pp_error
-                e;
-              1))
+      | Ok _ -> assert false
+      | Error e ->
+          Fmt.epr "tpal_serve: request errored (%a)@." Serve.Pool.pp_error e;
+          1)
 
 (* With --metrics or --trace, a per-domain GC census counts the
    collector's stop-the-world sections from before the pools start
@@ -362,6 +363,18 @@ let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
       write_trace ~trace ~tracer;
       code
   | None, None ->
+  match
+    match (kernel, tpal) with
+    | None, Some path ->
+        Result.map (fun prog -> Some (path, prog)) (load_tpal ~path ~seeds)
+    | _ -> Ok None
+  with
+  | Error msg ->
+      Fmt.epr "tpal_serve: %s@." msg;
+      (* the file is open: leave it a valid, empty trace *)
+      write_trace ~trace ~tracer;
+      2
+  | Ok tpal ->
   install_signal_handlers ();
   let census = start_census ~metrics ~tracer in
   let pool =
@@ -374,7 +387,7 @@ let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
   let code =
     match (kernel, tpal) with
     | Some k, _ -> run_kernel pool ~kernel:k ~scale
-    | None, Some path -> run_tpal pool ~path ~seeds
+    | None, Some (path, prog) -> run_tpal pool ~path ~prog
     | None, None ->
         run_load pool ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac
   in
@@ -400,9 +413,10 @@ let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
 open Cmdliner
 
 (* counts that must be at least one: a zero cap, quantum or shard count
-   makes the pool or the fabric refuse its configuration, and a zero
+   makes the pool or the fabric refuse its configuration, a zero
    window would have the client wait for fewer than zero requests in
-   flight *)
+   flight, a negative request count makes the load generators raise,
+   and a kernel cannot size its input from a scale below 1 *)
 let pos_int : int Arg.conv =
   let parse s =
     match int_of_string_opt s with
@@ -412,7 +426,7 @@ let pos_int : int Arg.conv =
   Arg.conv (parse, Format.pp_print_int)
 
 let requests =
-  Arg.(value & opt int 10_000 & info [ "requests" ] ~docv:"N" ~doc:"Synthetic-load request count.")
+  Arg.(value & opt pos_int 10_000 & info [ "requests" ] ~docv:"N" ~doc:"Synthetic-load request count.")
 
 let tenants =
   Arg.(value & opt int 8 & info [ "tenants" ] ~docv:"N" ~doc:"Tenant count (Zipf-skewed offered load).")
@@ -459,7 +473,7 @@ let kernel =
   Arg.(value & opt (some string) None & info [ "kernel" ] ~docv:"NAME" ~doc:"Submit one registry kernel instead of the synthetic load.")
 
 let scale =
-  Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N" ~doc:"Kernel scale factor.")
+  Arg.(value & opt pos_int 1 & info [ "scale" ] ~docv:"N" ~doc:"Kernel scale factor.")
 
 let tpal =
   Arg.(value & opt (some string) None & info [ "tpal" ] ~docv:"FILE" ~doc:"Submit one .tpal program instead of the synthetic load.")

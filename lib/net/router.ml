@@ -9,8 +9,8 @@
     {!reads_depths} says the decision needs it):
 
     - {b Tenant_hash}: stable FNV-1a affinity — a tenant always lands
-      on the same shard, so per-tenant state (DRR deficit, retry
-      budgets, latency histograms) never splits across pools.
+      on the same shard, so per-tenant state (DRR deficit, latency
+      histograms) never splits across pools.
     - {b Jsq}: join-shortest-queue over the instantaneous backlog
       ({!Serve.Pool.depth}); ties break toward the lowest index, so
       placement is a pure function of the snapshot.

@@ -25,9 +25,10 @@ let addr_to_string = function
   | Tcp { host; port } -> Printf.sprintf "%s:%d" host port
 
 (** ["unix:PATH"], or a path with a ['/'] in it, → [Unix_path];
-    ["host:port"] → [Tcp], and [":port"] is loopback.  Anything else,
-    such as a bare word or a bare port, is [None]: a mistyped address
-    is refused, not served on a socket file in the working directory. *)
+    ["host:port"] → [Tcp], and [":port"] is loopback; a port is decimal
+    digits below 65536.  Anything else, such as a bare word or a bare
+    port, is [None]: a mistyped address is refused, not served on a
+    socket file in the working directory. *)
 let addr_of_string (s : string) : addr option =
   if String.starts_with ~prefix:"unix:" s then
     let path = String.sub s 5 (String.length s - 5) in
@@ -38,9 +39,12 @@ let addr_of_string (s : string) : addr option =
     | None -> None
     | Some i -> (
         let host = String.sub s 0 i in
-        match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-        | Some port when port >= 0 && port < 65536 ->
-            Some (Tcp { host = (if host = "" then "127.0.0.1" else host); port })
+        let port = String.sub s (i + 1) (String.length s - i - 1) in
+        (* [int_of_string] also reads "+80", "0x1F41" and "1_000" *)
+        match int_of_string_opt port with
+        | Some n
+          when String.for_all (fun c -> c >= '0' && c <= '9') port && n < 65536 ->
+            Some (Tcp { host = (if host = "" then "127.0.0.1" else host); port = n })
         | _ -> None)
 
 (** Raised for a TCP host that is neither an IP literal nor a name the
@@ -230,8 +234,6 @@ let status_of_error : Serve.Pool.error -> Wire.status * string = function
   | Serve.Pool.Cancelled r -> (Wire.Cancelled r, "")
   | Serve.Pool.Timed_out -> (Wire.Failed, "await timed out")
   | Serve.Pool.Delivered -> (Wire.Failed, "already delivered")
-  | Serve.Pool.Retry_exhausted { attempts } ->
-      (Wire.Failed, Printf.sprintf "retry budget exhausted (%d attempts)" attempts)
   | Serve.Pool.Failed e -> (Wire.Failed, Printexc.to_string e)
 
 let response_of (ticket : int)

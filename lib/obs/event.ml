@@ -46,8 +46,6 @@ type t =
   | Cancel of { reason : [ `Explicit | `Deadline | `Lease ] }
       (** a cancel token was set (pool side) or observed at a poll
           (runtime side) *)
-  | Retry of { tenant : int; attempt : int }
-      (** a failed request was re-admitted for attempt [attempt] *)
   | Restart of { attempt : int }
       (** the pool warm-restarted its runtime session *)
   | Conn of { up : bool }
@@ -92,7 +90,7 @@ let outcome_code = function
   | `Cancelled -> 3
 
 (** [encode e] is [(code, a, b)] — the non-timestamp words of a ring
-    slot.  Code 22 is free. *)
+    slot.  Codes 17 and 22 are free. *)
 let encode : t -> int * int * int = function
   | Beat -> (1, 0, 0)
   | Promote { kind = `Loop } -> (2, 0, 0)
@@ -111,7 +109,6 @@ let encode : t -> int * int * int = function
   | Degraded { on } -> (14, bool_bit on, 0)
   | Chaos { kind; arg } -> (15, chaos_kind_code kind, arg)
   | Cancel { reason } -> (16, cancel_reason_code reason, 0)
-  | Retry { tenant; attempt } -> (17, tenant, attempt)
   | Restart { attempt } -> (18, attempt, 0)
   | Conn { up } -> (19, bool_bit up, 0)
   | Frame { rx; kind; bytes } -> (20, (kind lsl 1) lor bool_bit rx, bytes)
@@ -156,7 +153,6 @@ let decode ~(code : int) ~(a : int) ~(b : int) : t option =
         match a with 0 -> `Explicit | 1 -> `Deadline | _ -> `Lease
       in
       Some (Cancel { reason })
-  | 17 -> Some (Retry { tenant = a; attempt = b })
   | 18 -> Some (Restart { attempt = a })
   | 19 -> Some (Conn { up = a = 1 })
   | 20 -> Some (Frame { rx = a land 1 = 1; kind = a asr 1; bytes = b })
@@ -195,7 +191,6 @@ let name : t -> string = function
   | Cancel { reason = `Explicit } -> "cancel"
   | Cancel { reason = `Deadline } -> "cancel-deadline"
   | Cancel { reason = `Lease } -> "cancel-lease"
-  | Retry _ -> "retry"
   | Restart _ -> "restart"
   | Conn { up = true } -> "conn-open"
   | Conn { up = false } -> "conn-close"

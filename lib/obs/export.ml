@@ -100,12 +100,6 @@ let to_chrome ?(pid = 0) ?(process = "tpal-par") (tr : Trace.t) :
           | Chaos { arg; _ } as e ->
               instant ~cat:"chaos" ~args:[ ("arg", J.Int arg) ] (Event.name e)
           | Cancel _ as e -> instant ~cat:"cancel" (Event.name e)
-          | Retry { tenant; attempt } ->
-              instant ~cat:"serve"
-                ~args:
-                  [ ("tenant", J.Str (Trace.label tr tenant));
-                    ("attempt", J.Int attempt) ]
-                "retry"
           | Restart { attempt } ->
               instant ~cat:"serve"
                 ~args:[ ("attempt", J.Int attempt) ]

@@ -4,7 +4,7 @@
 
     The record is plain data — {!Par.Runtime.metrics} fills it from a
     session's stats, and {!Serve.Pool.metrics} adds the pool's own
-    retry, restart and lease-stall counters — so this module stays
+    restart and lease-stall counters — so this module stays
     dependency-free below [par]/[serve]. *)
 
 type t = {
@@ -24,7 +24,6 @@ type t = {
   faults_injected : int;  (** chaos-schedule faults that actually fired *)
   cancels : int;  (** cooperative cancellations observed at polls *)
   polls : int;  (** promotion-ready polls (loop strip ends, fork points) *)
-  retries : int;  (** failed requests re-admitted by the pool *)
   restarts : int;  (** warm session restarts after a runtime death *)
   stalls : int;  (** watchdog / lease stall detections *)
   traced : int;  (** events emitted into rings (0 when tracing is off) *)
@@ -49,7 +48,6 @@ let zero =
     faults_injected = 0;
     cancels = 0;
     polls = 0;
-    retries = 0;
     restarts = 0;
     stalls = 0;
     traced = 0;
@@ -80,7 +78,7 @@ let pp ppf (m : t) =
      steals             %d/%d attempts (%.1f%% failed)@,\
      tasks              %d@,max deque depth    %d@,\
      idle sleep         %.3f ms (%.1f%% of worker-time)@,\
-     faults injected    %d@,cancels/retries    %d/%d@,\
+     faults injected    %d@,cancels            %d@,\
      restarts/stalls    %d/%d@,traced events      %d (%d dropped)@]"
     m.domains m.elapsed_s m.beats m.promotions m.loop_promotions
     m.branch_promotions (promotions_per_beat m) m.polls m.joins m.resumes
@@ -89,5 +87,5 @@ let pp ppf (m : t) =
     m.tasks m.max_deque
     (float_of_int m.idle_ns /. 1e6)
     (100. *. idle_frac m)
-    m.faults_injected m.cancels m.retries m.restarts m.stalls m.traced
+    m.faults_injected m.cancels m.restarts m.stalls m.traced
     m.dropped

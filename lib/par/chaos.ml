@@ -22,7 +22,7 @@
       event, no promotion — modelling lost or jittered beats.
     - [Raise]: {!Injected} is raised from the poll inside whatever
       task body is running, exercising the structured error-unwinding
-      and the serving layer's retry path.
+      and the serving layer's typed [Failed] outcome.
 
     Crash is deliberately absent: OCaml domains cannot be killed from
     outside, and a cooperative "crash" is exactly [Stall infinity] —
@@ -41,9 +41,9 @@ type plan = { seed : int; faults : fault list }
     along for reproducer messages. *)
 
 exception Injected of { domain : int; beat : int }
-(** The typed fault raised by a [Raise] entry — callers (the serving
-    layer's retry predicate, the fuzz oracle) match on it to tell an
-    injected abort from a genuine bug. *)
+(** The typed fault raised by a [Raise] entry — callers (the fuzz
+    oracle) match on it to tell an injected abort from a genuine bug;
+    through a {!Serve.Pool} it resolves its request [Failed]. *)
 
 let () =
   Printexc.register_printer (function

@@ -983,7 +983,6 @@ let metrics ?(tracer : Obs.Trace.t option) (st : stats) : Obs.Metrics.t =
     faults_injected = st.total.faults_injected;
     cancels = st.total.cancels;
     polls = st.total.polls;
-    retries = 0;
     restarts = 0;
     stalls = 0;
     traced = (match tracer with None -> 0 | Some tr -> Obs.Trace.total_written tr);

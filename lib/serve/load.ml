@@ -51,7 +51,6 @@ type report = {
   completed : int;
   failed : int;
   cancelled : int;  (** resolved as a typed {!Pool.Cancelled} *)
-  retried : int;  (** pool-level retry attempts (from {!Pool.stats}) *)
   restarts : int;  (** warm session restarts (from {!Pool.stats}) *)
   lost : int;  (** admitted but never resolved/executed *)
   duplicated : int;  (** executed more than once (exactly-once breach) *)
@@ -161,8 +160,7 @@ let run ?(await_timeout_s = 120.) ?(interrupted = fun () -> false)
     let work =
       (* the counter bumps at the END of the kernel, so it counts
          {e completed} executions: a chaos fault or cancellation that
-         unwinds mid-kernel leaves it untouched, and a retried attempt
-         that finally completes counts exactly once *)
+         unwinds mid-kernel leaves it untouched *)
       Pool.Thunk
         (fun e ->
           let c = kernel n e in
@@ -233,7 +231,6 @@ let run ?(await_timeout_s = 120.) ?(interrupted = fun () -> false)
     completed = !completed;
     failed = !failed;
     cancelled = !cancelled;
-    retried = ps.retried;
     restarts = ps.restarts;
     lost = !lost;
     duplicated;
@@ -266,15 +263,15 @@ let pp_report (ppf : Format.formatter) (r : report) : unit =
   Format.fprintf ppf
     "@[<v>offered %d, admitted %d, rejected %d (full %d, shed %d), reject \
      rate %.3f@,\
-     completed %d (met %d, missed %d), failed %d, cancelled %d, retried %d, \
-     restarts %d, lost %d, duplicated %d, mismatched %d@,\
+     completed %d (met %d, missed %d), failed %d, cancelled %d, restarts \
+     %d, lost %d, duplicated %d, mismatched %d@,\
      latency %s@,\
      throughput %.0f req/s (goodput %.0f req/s) over %.2f s@,\
      served per tenant: %a@]"
     r.offered r.admitted
     (r.rejected_full + r.rejected_shed)
     r.rejected_full r.rejected_shed r.reject_rate r.completed r.met r.missed
-    r.failed r.cancelled r.retried r.restarts r.lost r.duplicated r.mismatched
+    r.failed r.cancelled r.restarts r.lost r.duplicated r.mismatched
     (* the latencies are those of the completed requests *)
     (if r.completed = 0 then "no samples"
      else

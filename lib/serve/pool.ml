@@ -79,10 +79,6 @@ type error =
       (** the request's task tree was cooperatively unwound: by
           {!cancel}, with its caller's reason, or by the lease watchdog
           recovering the session ([`Lease]) *)
-  | Retry_exhausted of { attempts : int }
-      (** the request failed retryably [attempts] times and its
-          tenant's retry budget ran dry — the typed end of the backoff
-          ladder *)
   | Failed of exn  (** the request body (or the session) raised *)
   | Delivered
       (** the ticket resolved and its result was already delivered —
@@ -96,8 +92,6 @@ let pp_error ppf : error -> unit = function
   | Pool_closed -> Fmt.pf ppf "pool closed"
   | Timed_out -> Fmt.pf ppf "await timed out"
   | Cancelled r -> Fmt.pf ppf "cancelled (%s)" (Par.Runtime.reason_name r)
-  | Retry_exhausted { attempts } ->
-      Fmt.pf ppf "retry budget exhausted after %d attempts" attempts
   | Failed e -> Fmt.pf ppf "failed: %s" (Printexc.to_string e)
   | Delivered -> Fmt.pf ppf "already delivered"
 
@@ -119,12 +113,6 @@ type config = {
           token set: one that polls unwinds at its next poll, one that
           never polls stays wedged — OCaml domains cannot be preempted
           from outside. *)
-  retries : int;
-      (** per-tenant retry budget for failures from injected chaos
-          faults ({!Par.Chaos.Injected}) only — real bugs surface, not
-          loop; 0 disables the retry machinery entirely *)
-  retry_backoff_s : float;  (** base delay before the first retry *)
-  retry_backoff_max_s : float;  (** backoff clamp (see {!Sched.backoff_s}) *)
   tracer : Obs.Trace.t option;
       (** when set, the pool records every admission / DRR–EDF
           dispatch / completion / degradation decision on a "server"
@@ -139,9 +127,6 @@ let default_config =
     sched = Sched.default_config;
     default_slo_s = 1.0;
     lease_s = 10.;
-    retries = 0;
-    retry_backoff_s = 0.001;
-    retry_backoff_max_s = 0.05;
     tracer = None;
   }
 
@@ -171,22 +156,11 @@ type t = {
   mutable failures : int;
   mutable cancelled : int;  (** tickets resolved [Pool_closed] *)
   mutable cancels : int;  (** tickets resolved [Cancelled _] *)
-  mutable retried : int;  (** failed attempts re-admitted for retry *)
   mutable restarts : int;  (** warm session restarts performed *)
   mutable running : (ticket * float) option;  (** in-flight id, start *)
   mutable cancel_tok : Par.Runtime.cancel_token option;
       (** the in-flight request's token — the handle the watchdog and
           {!cancel} use to unwind it from outside the session *)
-  mutable retry_q : (float * work Sched.req) list;
-      (** backoff parking lot, sorted by ready time; re-admitted to
-          [sched] by the dispatch loop once mature.  The request keeps
-          its original ticket — that id {e is} the idempotency key: an
-          awaiter observes exactly one resolution no matter how many
-          attempts ran *)
-  attempts : (ticket, int) Hashtbl.t;  (** dispatch count per live ticket *)
-  budgets : (string, int) Hashtbl.t;
-      (** per-tenant remaining retry budget (seeded from [cfg.retries]
-          on first use) *)
   mutable flagged : ticket option;  (** in-flight request past its lease *)
   mutable stalls : int;
   mutable degraded : bool;
@@ -195,7 +169,7 @@ type t = {
   mutable up : bool;  (** the session's dispatch loop has started *)
   mutable attempt_up : bool;
       (** the {e current} session attempt's dispatch loop has started —
-          gates warm restart so a boot failure is never retried into a
+          gates warm restart so a boot failure never restarts into a
           spin *)
   mutable failed : exn option;  (** the session itself died *)
   mutable rt_stats : Par.Runtime.stats option;  (** set at teardown *)
@@ -218,7 +192,6 @@ type stats = {
   failures : int;
   cancelled : int;
   cancels : int;  (** cooperative cancellations delivered *)
-  retried : int;  (** failed attempts re-admitted with backoff *)
   restarts : int;  (** warm session restarts *)
   queued : int;
   stalls_detected : int;
@@ -240,7 +213,6 @@ let stats_locked (t : t) : stats =
     failures = t.failures;
     cancelled = t.cancelled;
     cancels = t.cancels;
-    retried = t.retried;
     restarts = t.restarts;
     queued = sc.queued;
     stalls_detected = t.stalls;
@@ -263,16 +235,15 @@ let stats (t : t) : stats =
 
 (** [metrics ?tracer st]: the pool's {!Obs.Metrics} snapshot — the
     session's {!Par.Runtime.metrics} ({!Obs.Metrics.zero} before
-    {!close}) with the pool's own retry, restart and lease-stall
-    counts folded in. *)
+    {!close}) with the pool's own restart and lease-stall counts folded
+    in. *)
 let metrics ?(tracer : Obs.Trace.t option) (st : stats) : Obs.Metrics.t =
   let rt =
     match st.runtime with
     | None -> Obs.Metrics.zero
     | Some rt -> Par.Runtime.metrics ?tracer rt
   in
-  { rt with Obs.Metrics.retries = st.retried; restarts = st.restarts;
-    stalls = st.stalls_detected }
+  { rt with Obs.Metrics.restarts = st.restarts; stalls = st.stalls_detected }
 
 (* ------------------------------------------------------------------ *)
 (* Observability: the pool's trace track and latency accounting.
@@ -350,60 +321,22 @@ let serve_main (t : t) : unit =
   Mutex.unlock t.m;
   let rec loop () =
     Mutex.lock t.m;
-    let next =
-      let rec get () =
-        if t.close_requested then None
-        else begin
-          let now = Mclock.now_s () in
-          (* mature retries re-enter the scheduler under their original
-             ticket; a queue that filled during the backoff resolves
-             them with the same typed backpressure a fresh submit gets *)
-          let due, later =
-            List.partition (fun (ready, _) -> ready <= now) t.retry_q
-          in
-          t.retry_q <- later;
-          List.iter
-            (fun (_, (r : work Sched.req)) ->
-              match Sched.admit t.sched r with
-              | Ok () -> ()
-              | Error `Queue_full ->
-                  t.failures <- t.failures + 1;
-                  Hashtbl.remove t.attempts r.id;
-                  resolve_locked t r.id (Error (Rejected `Queue_full));
-                  Condition.broadcast t.cv)
-            due;
-          match Sched.next t.sched ~now with
-          | Some r -> Some r
-          | None ->
-              if t.retry_q = [] then begin
-                Condition.wait t.cv t.m;
-                get ()
-              end
-              else begin
-                (* a retry is parked but not mature; stdlib [Condition]
-                   has no timed wait, so nap toward its ready time *)
-                let ready =
-                  List.fold_left
-                    (fun acc (rd, _) -> Float.min acc rd)
-                    infinity t.retry_q
-                in
-                Mutex.unlock t.m;
-                Thread.delay (Float.min 0.002 (Float.max 0.0002 (ready -. now)));
-                Mutex.lock t.m;
-                get ()
-              end
-        end
-      in
-      get ()
+    let rec next () =
+      if t.close_requested then None
+      else
+        match Sched.next t.sched ~now:(Mclock.now_s ()) with
+        | Some r -> Some r
+        | None ->
+            Condition.wait t.cv t.m;
+            next ()
     in
-    match next with
+    match next () with
     | None ->
         (* close path: the typed Pool_closed teardown.  Everything
            still queued resolves here, under the mutex, BEFORE the
            session's main task returns — so domain shutdown never
            races a half-drained queue. *)
-        let dropped = Sched.drain t.sched @ List.map snd t.retry_q in
-        t.retry_q <- [];
+        let dropped = Sched.drain t.sched in
         let now = Mclock.now_s () in
         List.iter
           (fun (r : work Sched.req) ->
@@ -421,12 +354,8 @@ let serve_main (t : t) : unit =
         Mutex.unlock t.m;
         run_cbs t
     | Some r ->
-        let attempt =
-          1 + Option.value (Hashtbl.find_opt t.attempts r.id) ~default:0
-        in
-        Hashtbl.replace t.attempts r.id attempt;
-        (* a fresh token per dispatch: the watchdog and [cancel] unwind
-           THIS attempt; a retry starts with a clean slate *)
+        (* a fresh token per request: the watchdog and [cancel] unwind
+           this request and no other *)
         let tok = Par.Runtime.cancel_token () in
         t.cancel_tok <- Some tok;
         t.running <- Some (r.id, Mclock.now_s ());
@@ -436,8 +365,6 @@ let serve_main (t : t) : unit =
         pemit t
           (Obs.Event.Dispatch { tenant = tenant_id t r.tenant; urgency = hint });
         Mutex.unlock t.m;
-        (* retry re-admissions may have staged queue-full rejections *)
-        run_cbs t;
         Par.Runtime.set_cancel (Some tok);
         Par.Runtime.set_urgency hint;
         let res = try Ok (exec r.payload) with e -> Error e in
@@ -465,21 +392,20 @@ let serve_main (t : t) : unit =
                  sojourn_ns = int_of_float (sojourn_s *. 1e9);
                })
         in
-        (* [None] = the ticket stays open (a retry is scheduled);
-           [fatal] = the session's scheduler state can no longer be
+        (* [fatal] = the session's scheduler state can no longer be
            trusted and the pool must warm-restart *)
         let fatal = ref None in
-        let resolved : (completion, error) result option =
+        let resolved : (completion, error) result =
           match res with
           | Ok outcome ->
               let verdict = Sched.complete t.sched ~now:fin r in
               record_latency t ~tenant:r.tenant sojourn_s;
               complete (if verdict = `Met then `Met else `Missed);
-              Some (Ok { outcome; sojourn_s; met_deadline = (verdict = `Met) })
+              Ok { outcome; sojourn_s; met_deadline = (verdict = `Met) }
           | Error (Par.Runtime.Cancelled reason) ->
               t.cancels <- t.cancels + 1;
               complete `Cancelled;
-              Some (Error (Cancelled reason))
+              Error (Cancelled reason)
           | Error (Par.Runtime.Machine_fault _ as e) ->
               (* a scheduler-invariant violation: resolve the victim,
                  then tear the session down for a warm restart — its
@@ -487,44 +413,13 @@ let serve_main (t : t) : unit =
               t.failures <- t.failures + 1;
               complete `Failed;
               fatal := Some e;
-              Some (Error (Failed e))
-          | Error (Par.Chaos.Injected _) when t.cfg.retries > 0 ->
-              let left =
-                Option.value
-                  (Hashtbl.find_opt t.budgets r.tenant)
-                  ~default:t.cfg.retries
-              in
-              if left > 0 then begin
-                Hashtbl.replace t.budgets r.tenant (left - 1);
-                t.retried <- t.retried + 1;
-                pemit t
-                  (Obs.Event.Retry
-                     { tenant = tenant_id t r.tenant; attempt = attempt + 1 });
-                let delay =
-                  Sched.backoff_s ~base_s:t.cfg.retry_backoff_s
-                    ~max_s:t.cfg.retry_backoff_max_s ~seed:0 ~id:r.id ~attempt
-                in
-                t.retry_q <-
-                  List.sort
-                    (fun (a, _) (b, _) -> compare a b)
-                    ((fin +. delay, r) :: t.retry_q);
-                None
-              end
-              else begin
-                t.failures <- t.failures + 1;
-                complete `Failed;
-                Some (Error (Retry_exhausted { attempts = attempt }))
-              end
+              Error (Failed e)
           | Error e ->
               t.failures <- t.failures + 1;
               complete `Failed;
-              Some (Error (Failed e))
+              Error (Failed e)
         in
-        (match resolved with
-        | Some res ->
-            Hashtbl.remove t.attempts r.id;
-            resolve_locked t r.id res
-        | None -> ());
+        resolve_locked t r.id resolved;
         Condition.broadcast t.cv;
         Mutex.unlock t.m;
         run_cbs t;
@@ -591,13 +486,9 @@ let create ?(config = default_config) () : t =
       failures = 0;
       cancelled = 0;
       cancels = 0;
-      retried = 0;
       restarts = 0;
       running = None;
       cancel_tok = None;
-      retry_q = [];
-      attempts = Hashtbl.create 16;
-      budgets = Hashtbl.create 16;
       flagged = None;
       stalls = 0;
       degraded = false;
@@ -643,16 +534,15 @@ let create ?(config = default_config) () : t =
               in
               if can_restart then begin
                 (* warm restart: the in-flight request (if any — its
-                   delivery is uncertain) resolves Failed; queued and
-                   parked-retry work survives untouched and is
-                   re-admitted by the fresh dispatch loop *)
+                   delivery is uncertain) resolves Failed; queued work
+                   survives untouched and the fresh dispatch loop
+                   serves it *)
                 t.restarts <- t.restarts + 1;
                 (match t.running with
                 | Some (id, _) ->
                     t.running <- None;
                     t.cancel_tok <- None;
                     t.failures <- t.failures + 1;
-                    Hashtbl.remove t.attempts id;
                     resolve_locked t id (Error (Failed e))
                 | None -> ());
                 if t.flagged <> None then begin
@@ -679,14 +569,10 @@ let create ?(config = default_config) () : t =
                     t.failures <- t.failures + 1;
                     resolve_locked t id (Error (Failed e))
                 | None -> ());
-                let dropped =
-                  Sched.drain t.sched @ List.map snd t.retry_q
-                in
-                t.retry_q <- [];
                 List.iter
                   (fun (r : work Sched.req) ->
                     resolve_locked t r.id (Error (Failed e)))
-                  dropped;
+                  (Sched.drain t.sched);
                 Condition.broadcast t.cv;
                 Mutex.unlock t.m;
                 run_cbs t
@@ -827,15 +713,12 @@ let await ?timeout_s (t : t) (ticket : ticket) : (completion, error) result =
   in
   wait ()
 
-(** [depth t]: queued + in-flight + parked-for-retry request count —
-    the cheap backlog probe a join-shortest-queue router polls per
-    placement decision. *)
+(** [depth t]: queued + in-flight request count — the cheap backlog
+    probe a join-shortest-queue router polls per placement decision. *)
 let depth (t : t) : int =
   Mutex.lock t.m;
   let d =
-    Sched.length t.sched
-    + (match t.running with Some _ -> 1 | None -> 0)
-    + List.length t.retry_q
+    Sched.length t.sched + (match t.running with Some _ -> 1 | None -> 0)
   in
   Mutex.unlock t.m;
   d
@@ -856,31 +739,16 @@ let running (t : t) : ticket option =
   Mutex.unlock t.m;
   r
 
-(** [cancel t ticket] aborts a request.  Still queued (or parked for
-    retry): it is removed and its ticket resolves
-    [Error (Cancelled reason)] immediately.  In flight: the attempt's
-    cancel token is set and the task tree unwinds cooperatively at its
-    next beat — completion can still win that race, in which case the
-    awaiter sees the completed result.  Returns [false] when the
-    ticket is unknown or already resolved, read or not. *)
+(** [cancel t ticket] aborts a request.  Still queued: it is removed
+    and its ticket resolves [Error (Cancelled reason)] immediately.  In
+    flight: the request's cancel token is set and the task tree
+    unwinds cooperatively at its next beat — completion can still win
+    that race, in which case the awaiter sees the completed result.
+    Returns [false] when the ticket is unknown or already resolved,
+    read or not. *)
 let cancel ?(reason : Par.Runtime.cancel_reason = `Explicit) (t : t)
     (ticket : ticket) : bool =
   Mutex.lock t.m;
-  let resolve_cancelled (r : work Sched.req) =
-    t.cancels <- t.cancels + 1;
-    Hashtbl.remove t.attempts r.id;
-    resolve_locked t r.id (Error (Cancelled reason));
-    pemit t (Obs.Event.Cancel { reason });
-    pemit t
-      (Obs.Event.Complete
-         {
-           tenant = tenant_id t r.tenant;
-           outcome = `Cancelled;
-           sojourn_ns =
-             int_of_float ((Mclock.now_s () -. r.enqueued) *. 1e9);
-         });
-    Condition.broadcast t.cv
-  in
   let hit =
     if Answered.mem t.results ticket then false
     else
@@ -895,19 +763,20 @@ let cancel ?(reason : Par.Runtime.cancel_reason = `Explicit) (t : t)
       | _ -> (
           match Sched.cancel t.sched ~id:ticket with
           | Some r ->
-              resolve_cancelled r;
+              t.cancels <- t.cancels + 1;
+              resolve_locked t r.id (Error (Cancelled reason));
+              pemit t (Obs.Event.Cancel { reason });
+              pemit t
+                (Obs.Event.Complete
+                   {
+                     tenant = tenant_id t r.tenant;
+                     outcome = `Cancelled;
+                     sojourn_ns =
+                       int_of_float ((Mclock.now_s () -. r.enqueued) *. 1e9);
+                   });
+              Condition.broadcast t.cv;
               true
-          | None -> (
-              match
-                List.partition
-                  (fun (_, (r : work Sched.req)) -> r.id = ticket)
-                  t.retry_q
-              with
-              | (_, r) :: _, rest ->
-                  t.retry_q <- rest;
-                  resolve_cancelled r;
-                  true
-              | [], _ -> false))
+          | None -> false)
   in
   Mutex.unlock t.m;
   run_cbs t;

@@ -368,33 +368,6 @@ let stats (s : _ t) : stats =
 
 (* ------------------------------------------------------------------ *)
 
-(** [backoff_s ~base_s ~max_s ~seed ~id ~attempt]: the retry delay
-    before attempt [attempt + 1] of request [id] — exponential in the
-    attempt number with deterministic jitter, a pure function of its
-    arguments so the virtual-clock tests can assert exact values and
-    two runs of one seed schedule retries identically.  The jitter is
-    a splitmix-style hash of (seed, id, attempt) mapped into
-    [0.5, 1.0] — full-jitter's thundering-herd spread without
-    randomness the audit could not replay.  Clamped to [max_s]. *)
-let backoff_s ~(base_s : float) ~(max_s : float) ~(seed : int) ~(id : int)
-    ~(attempt : int) : float =
-  let expo = base_s *. float_of_int (1 lsl min (max 0 (attempt - 1)) 16) in
-  let h = ref (Int64.of_int ((seed * 0x1000193) lxor (id * 31) lxor attempt)) in
-  h := Int64.add !h 0x9E3779B97F4A7C15L;
-  let z = !h in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL
-  in
-  let u =
-    Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0
-  in
-  Float.min max_s (expo *. (0.5 +. (0.5 *. u)))
-
 (** [promotion_hint ~now r] maps a request's remaining slack to a
     {!Par.Runtime.set_urgency} shift: 0 with more than half its
     deadline budget left, rising by 1 as the remaining fraction

@@ -9,8 +9,8 @@
 
 open Tpal
 
-let pool_config ?(chaos : Par.Chaos.plan option) ?(retries = 0)
-    ~(domains : int) ~(heart_us : float) () : Pool.config =
+let pool_config ?(chaos : Par.Chaos.plan option) ~(domains : int)
+    ~(heart_us : float) () : Pool.config =
   {
     Pool.default_config with
     runtime =
@@ -23,7 +23,6 @@ let pool_config ?(chaos : Par.Chaos.plan option) ?(retries = 0)
     (* fuzz programs are tiny; a generous lease keeps the watchdog
        thread out of the measurement entirely *)
     lease_s = 0.;
-    retries;
   }
 
 (** What a through-pool execution can come back as, with cancellation
@@ -35,15 +34,12 @@ type served =
   | `Cancelled of Par.Runtime.cancel_reason
   | `Error of Pool.error ]
 
-(** [run_outcome ?options ?domains ?heart_us ?chaos ?retries p] boots
+(** [run_outcome ?options ?domains ?heart_us ?chaos p] boots
     a fresh pool, executes [p] through it, closes the pool, and
     returns the typed outcome plus the pool statistics. *)
 let run_outcome ?(options = Eval.default_options) ?(domains = 1)
-    ?(heart_us = 50.) ?chaos ?(retries = 0) (p : Ast.program) :
-    served * Pool.stats =
-  let pool =
-    Pool.create ~config:(pool_config ?chaos ~retries ~domains ~heart_us ()) ()
-  in
+    ?(heart_us = 50.) ?chaos (p : Ast.program) : served * Pool.stats =
+  let pool = Pool.create ~config:(pool_config ?chaos ~domains ~heart_us ()) () in
   let finish r =
     let st = Pool.close pool in
     (r, st)

@@ -536,19 +536,19 @@ let test_shard_one_ticket_per_request () =
         ss.routed ss.pool.submitted)
     st.per_shard
 
-let test_shard_retry_backoff_counts () =
-  (* the pool's only work is a retry waiting out a 10-20 s backoff: the
-     JSQ router must still see it *)
-  let pool =
-    { (pool_config ()) with retries = 1; retry_backoff_s = 20.; retry_backoff_max_s = 20. }
-  in
-  let t = Net.Shard.create ~config:{ (shard_config ~shards:1 ()) with pool } () in
+(* A raising body ends its request through the shard as through the
+   pool: typed [Failed], and nothing of it stays in the depth the JSQ
+   router reads. *)
+let test_shard_raise_fails_typed () =
+  let t = Net.Shard.create ~config:(shard_config ~shards:1 ()) () in
   Fun.protect ~finally:(fun () -> ignore (Net.Shard.close t)) @@ fun () ->
   let fault = Serve.Pool.Thunk (fun _ -> raise (Par.Chaos.Injected { domain = 0; beat = 0 })) in
-  ignore (submit_ok ~size:16 t "f" fault);
-  check "the first attempt failed into backoff" true
-    (wait_until (fun () -> (Net.Shard.stats t).per_shard.(0).pool.retried = 1));
-  check_int "the retry still counts toward depth" 1 (Net.Shard.depths t).(0)
+  let tk = submit_ok ~size:16 t "f" fault in
+  (match Net.Shard.await ~timeout_s:10. t tk with
+  | Error (Serve.Pool.Failed (Par.Chaos.Injected _)) -> ()
+  | Ok _ -> Alcotest.fail "the raising request completed"
+  | Error e -> Alcotest.failf "the raising request: %a" Serve.Pool.pp_error e);
+  check_int "it no longer counts toward depth" 0 (Net.Shard.depths t).(0)
 
 (* ------------------------------------------------------------------ *)
 (* Loopback server: end-to-end smoke with the full audit. *)
@@ -1186,6 +1186,13 @@ let test_addr_of_string () =
       ("7411", None);
       ("host:port", None);
       ("host:65536", None);
+      ("127.0.0.1:0x1_F41", None);
+      ("127.0.0.1:+80", None);
+      ("127.0.0.1:0b1010", None);
+      ("127.0.0.1:0o17", None);
+      ("127.0.0.1:1_000", None);
+      ("127.0.0.1:-1", None);
+      ("127.0.0.1:08080", Some (Net.Server.Tcp { host = "127.0.0.1"; port = 8080 }));
       ("unix:", None);
       ("", None);
     ]
@@ -1237,8 +1244,8 @@ let suite =
         test_shard_cancel_running;
       Alcotest.test_case "shard: one pool ticket per request" `Quick
         test_shard_one_ticket_per_request;
-      Alcotest.test_case "shard: a retry in backoff counts toward depth" `Quick
-        test_shard_retry_backoff_counts;
+      Alcotest.test_case "shard: a raising request fails typed" `Quick
+        test_shard_raise_fails_typed;
       Alcotest.test_case "server: loopback audit" `Slow
         test_server_loopback_audit;
       Alcotest.test_case "server: peers that hang up never kill it" `Quick

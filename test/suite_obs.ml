@@ -90,7 +90,6 @@ let test_event_roundtrip () =
       Cancel { reason = `Explicit };
       Cancel { reason = `Deadline };
       Cancel { reason = `Lease };
-      Retry { tenant = 3; attempt = 2 };
       Restart { attempt = 1 };
       Conn { up = true };
       Conn { up = false };

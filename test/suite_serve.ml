@@ -568,8 +568,8 @@ let test_watchdog_degradation () =
   check "not degraded at close" false st.degraded
 
 (* ------------------------------------------------------------------ *)
-(* Cancellation, retry and warm-restart: the chaos-hardening PR's
-   serving-layer edges. *)
+(* Cancellation, injected faults and warm restart: the serving layer's
+   failure edges. *)
 
 (* Sched.cancel as a pure policy operation: surgical removal, heap
    rebuilt, unknown ids refused. *)
@@ -591,27 +591,6 @@ let test_sched_cancel () =
   check "victim never dispatches" true
     (a <> 2 && b <> 2 && List.sort compare [ a; b ] = [ 1; 3 ]);
   check "drained" true (Serve.Sched.next s ~now:0. = None)
-
-(* Deterministic exponential backoff with jitter: pure, seeded,
-   monotone in attempt, clamped. *)
-let test_backoff () =
-  let b ~attempt =
-    Serve.Sched.backoff_s ~base_s:0.001 ~max_s:10. ~seed:7 ~id:3 ~attempt
-  in
-  check "deterministic" true (b ~attempt:1 = b ~attempt:1);
-  check "different attempts differ" true (b ~attempt:1 <> b ~attempt:2);
-  (* jitter multiplier lives in [0.5, 1.0]: attempt n is bounded by
-     base·2^(n-1), and 3 doublings always dominate one halving *)
-  for n = 1 to 8 do
-    let v = b ~attempt:n in
-    let expo = 0.001 *. (2. ** float_of_int (n - 1)) in
-    check (Printf.sprintf "attempt %d in [expo/2, expo]" n) true
-      (v >= (expo /. 2.) -. 1e-12 && v <= expo +. 1e-12)
-  done;
-  check "monotone across 3 doublings" true (b ~attempt:4 > b ~attempt:1);
-  check "clamped to max_s" true
-    (Serve.Sched.backoff_s ~base_s:1. ~max_s:0.05 ~seed:0 ~id:0 ~attempt:30
-    = 0.05)
 
 (* Cancel while queued: the victim resolves with the typed error
    without ever executing; the pool keeps serving. *)
@@ -714,64 +693,44 @@ let test_timeout_races_completion () =
   | Error _ -> Alcotest.fail "quick submit rejected");
   ignore (Serve.Pool.close pool)
 
-let retry_config ~retries () =
-  { (pool_config ()) with Serve.Pool.retries = retries }
-
-(* A transient injected fault with budget left: the request is
-   re-admitted under the same ticket (idempotent), backs off, and the
-   second attempt resolves it — exactly-once for the awaiter. *)
-let test_retry_recovers () =
-  let pool = Serve.Pool.create ~config:(retry_config ~retries:2 ()) () in
-  let attempts = Atomic.make 0 in
+(* An injected fault ends its request like any other exception from a
+   request body: typed [Failed], once — the body runs once, its hook
+   fires once, a second read is [Delivered] — and the pool serves on. *)
+let test_injected_raise_fails_once () =
+  let pool = Serve.Pool.create () in
+  let runs = Atomic.make 0 and hooks = Atomic.make 0 in
   let work =
     Serve.Pool.Thunk
       (fun _ ->
-        if Atomic.fetch_and_add attempts 1 = 0 then
-          raise (Par.Chaos.Injected { domain = 0; beat = 0 });
-        17)
-  in
-  let t =
-    match Serve.Pool.submit pool ~tenant:"a" work with
-    | Ok t -> t
-    | Error _ -> Alcotest.fail "submit rejected"
-  in
-  (match Serve.Pool.await ~timeout_s:30. pool t with
-  | Ok { outcome = Serve.Pool.Checksum 17; _ } -> ()
-  | Ok _ -> Alcotest.fail "unexpected outcome kind"
-  | Error _ -> Alcotest.fail "retried request did not recover");
-  check_int "two attempts ran" 2 (Atomic.get attempts);
-  let st = Serve.Pool.close pool in
-  check_int "one retry on the books" 1 st.retried;
-  check_int "no failures" 0 st.failures;
-  (* sched-level [served] counts dispatches (it feeds the DRR share
-     accounting), so the retried attempt shows up there — while the
-     awaiter above saw exactly one resolution *)
-  check_int "both attempts dispatched" 2 st.served
-
-(* Budget exhaustion: a permanently-failing request burns the tenant's
-   budget and resolves with the typed Retry_exhausted, not a hang. *)
-let test_retry_budget_exhaustion () =
-  let pool = Serve.Pool.create ~config:(retry_config ~retries:1 ()) () in
-  let attempts = Atomic.make 0 in
-  let work =
-    Serve.Pool.Thunk
-      (fun _ ->
-        Atomic.incr attempts;
+        Atomic.incr runs;
         raise (Par.Chaos.Injected { domain = 0; beat = 0 }))
   in
+  let on_resolve = function
+    | Error (Serve.Pool.Failed (Par.Chaos.Injected _)) -> Atomic.incr hooks
+    | _ -> ()
+  in
   let t =
-    match Serve.Pool.submit pool ~tenant:"a" work with
+    match Serve.Pool.submit pool ~tenant:"a" ~on_resolve work with
     | Ok t -> t
     | Error _ -> Alcotest.fail "submit rejected"
   in
   (match Serve.Pool.await ~timeout_s:30. pool t with
-  | Error (Serve.Pool.Retry_exhausted { attempts = n }) ->
-      check_int "typed rejection counts the attempts" 2 n
-  | Ok _ -> Alcotest.fail "doomed request completed"
-  | Error _ -> Alcotest.fail "doomed request got the wrong error");
-  check_int "budget bounded the attempts" 2 (Atomic.get attempts);
+  | Error (Serve.Pool.Failed (Par.Chaos.Injected _)) -> ()
+  | Ok _ -> Alcotest.fail "faulted request completed"
+  | Error e -> Alcotest.failf "faulted request: %a" Serve.Pool.pp_error e);
+  (match Serve.Pool.await ~timeout_s:30. pool t with
+  | Error Serve.Pool.Delivered -> ()
+  | _ -> Alcotest.fail "a second read did not return Delivered");
+  (match Serve.Pool.submit pool ~tenant:"a" (quick_thunk 9) with
+  | Ok t -> (
+      match Serve.Pool.await ~timeout_s:30. pool t with
+      | Ok { outcome = Serve.Pool.Checksum 9; _ } -> ()
+      | _ -> Alcotest.fail "the next request did not complete")
+  | Error _ -> Alcotest.fail "the next submit was rejected");
+  (* [close] joins the dispatch loop, which runs every staged hook *)
   let st = Serve.Pool.close pool in
-  check_int "one retry spent" 1 st.retried;
+  check_int "the body ran once" 1 (Atomic.get runs);
+  check_int "its hook fired once, with the typed failure" 1 (Atomic.get hooks);
   check_int "one failure" 1 st.failures
 
 (* Lease-based recovery, the full loop: a Machine_fault kills the warm
@@ -1182,15 +1141,12 @@ let suite =
       Alcotest.test_case "pool: lease watchdog degradation" `Quick
         test_watchdog_degradation;
       Alcotest.test_case "sched: surgical cancel" `Quick test_sched_cancel;
-      Alcotest.test_case "sched: deterministic backoff" `Quick test_backoff;
       Alcotest.test_case "pool: cancel while queued" `Quick test_cancel_queued;
       Alcotest.test_case "pool: cancel mid-strip" `Quick test_cancel_in_flight;
       Alcotest.test_case "pool: timeout races completion" `Quick
         test_timeout_races_completion;
-      Alcotest.test_case "pool: retry recovers a transient fault" `Quick
-        test_retry_recovers;
-      Alcotest.test_case "pool: retry budget exhausts typed" `Quick
-        test_retry_budget_exhaustion;
+      Alcotest.test_case "pool: an injected raise fails its request once"
+        `Quick test_injected_raise_fails_once;
       Alcotest.test_case "pool: warm restart after Machine_fault" `Quick
         test_warm_restart;
       QCheck_alcotest.to_alcotest prop_answered;
