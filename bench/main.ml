@@ -162,14 +162,7 @@ type par_row = {
          [seconds] for serial rows) *)
   speedup : float;  (* serial kernel seconds / kernel seconds *)
   checksum : int;
-  promotions : int;
-  steals : int;
-  steal_attempts : int;
-  joins : int;
-  beats : int;
-  polls : int;  (* promotion-ready polls: loop strip ends, fork points *)
-  max_deque : int;
-  idle_ms : float;  (* total worker idle-backoff sleep *)
+  counters : Obs.Metrics.counters;  (* the session's totals *)
   minor_gcs : int;  (* minor collections during the timed kernel call *)
 }
 
@@ -229,8 +222,9 @@ let write_file (path : string) (text : string) : unit =
 
 (* The writer of [path]'s trajectory, which prints the whole document
    with the runs it is given added.  When appending to a file that
-   exists, the file is parsed now: one that does not parse, or whose
-   "trajectory" is not a list, is refused (exit 2) and left untouched. *)
+   exists, the file is parsed now: one that does not parse, whose
+   "suite" is not [suite], or whose "trajectory" is not a list, is
+   refused (exit 2) and left untouched. *)
 let open_trajectory ~(suite : string) ~(append : bool) (path : string) :
     J.t list -> unit =
   check_writable path;
@@ -243,6 +237,8 @@ let open_trajectory ~(suite : string) ~(append : bool) (path : string) :
       [ ("suite", J.Str suite); ("trajectory", J.List []) ]
     else
       match J.of_string (In_channel.with_open_bin path In_channel.input_all) with
+      | Ok (J.Obj members) when List.assoc_opt "suite" members <> Some (J.Str suite) ->
+          refuse ("not a " ^ suite ^ " trajectory")
       | Ok (J.Obj members)
         when List.exists (function "trajectory", J.List _ -> true | _ -> false) members ->
           members
@@ -260,19 +256,60 @@ let open_trajectory ~(suite : string) ~(append : bool) (path : string) :
 
 let run_json ~(label : string) ~(scale : int) (rows : par_row list) : J.t =
   let row (r : par_row) =
+    let c = r.counters in
     J.Obj
       [ ("bench", J.Str r.bench); int "domains" r.domains;
         num 1e6 "seconds" r.seconds; num 1e6 "session_seconds" r.session_seconds;
         num 1e3 "speedup" r.speedup; int "checksum" r.checksum;
-        int "promotions" r.promotions; int "steals" r.steals;
-        int "steal_attempts" r.steal_attempts; int "joins" r.joins;
-        int "beats" r.beats; int "polls" r.polls; int "max_deque" r.max_deque;
-        num 1e3 "idle_ms" r.idle_ms; int "minor_gcs" r.minor_gcs ]
+        int "promotions" c.promotions; int "steals" c.steals;
+        int "steal_attempts" c.steal_attempts; int "joins" c.joins;
+        int "beats" c.beats; int "polls" c.polls; int "max_deque" c.max_deque;
+        num 1e3 "idle_ms" (float_of_int c.idle_ns /. 1e6);
+        int "minor_gcs" r.minor_gcs ]
   in
   J.Obj
     [ ("label", J.Str label);
       int "host_cores" (Domain.recommended_domain_count ());
       int "scale" scale; ("results", J.List (List.map row rows)) ]
+
+(* [b] once on [domains] domains with ring tracers and a GC census on
+   the kernel's tracer: prints the session's metrics, one line per
+   worker and the census table, and returns the tracer *)
+let traced_run ~(domains : int) ~(scale : int) (b : Workloads.Real_bench.t)
+    (serial_sum : int) : Obs.Trace.t =
+  let tr = Obs.Trace.create () in
+  let config = { Par.Runtime.default_config with domains; tracer = Some tr } in
+  Printf.printf
+    "\n=== traced run: %s, %d items at scale %d, %d domain(s), heart %.0f us ===\n%!"
+    b.name (b.base_items ~scale) scale domains config.heart_us;
+  let census =
+    let c = Gc_census.create ~tracer:tr () in
+    match Gc_census.start c with
+    | () -> Some c
+    | exception Sys_error msg ->
+        Printf.eprintf "gc census off: %s\n%!" msg;
+        None
+  in
+  let sum, st =
+    Par.Runtime.run ~config (fun () -> b.run (module Par.Runtime.Exec) ~scale)
+  in
+  Option.iter Gc_census.stop census;
+  if sum <> serial_sum then begin
+    Printf.eprintf "FATAL: %s traced run diverged from serial\n%!" b.name;
+    exit 1
+  end;
+  Format.printf "%a@." Obs.Metrics.pp (Par.Runtime.metrics ~tracer:tr st);
+  Array.iteri
+    (fun i (w : Par.Runtime.worker_stats) ->
+      Printf.printf
+        "  worker %d: tasks %d  promotions %d  steals %d/%d  joins %d  max \
+         deque %d  idle %.3f ms\n"
+        i w.tasks_run w.promotions w.steals w.steal_attempts w.joins
+        w.max_deque
+        (float_of_int w.idle_ns /. 1e6))
+    st.per_worker;
+  Option.iter (Format.printf "%a@." Gc_census.pp) census;
+  tr
 
 let run_par_bench ~(domains : int list) ~(scale : int)
     ~(json : (J.t list -> unit) option) ~(benches : string list option)
@@ -301,15 +338,16 @@ let run_par_bench ~(domains : int list) ~(scale : int)
     "bench" "domains" "kernel_s" "session_s" "speedup" "promos" "steals"
     "joins" "beats" "polls" "minor_gcs";
   let rows = ref [] in
-  let traces = ref [] in
   let emit r =
     rows := r :: !rows;
+    let c = r.counters in
     Printf.printf "%-16s %8s %10.4f %10.4f %7.2fx %10d %8d %8d %8d %8d %9d\n%!"
       r.bench
       (if r.domains = 0 then "serial" else string_of_int r.domains)
-      r.seconds r.session_seconds r.speedup r.promotions r.steals r.joins
-      r.beats r.polls r.minor_gcs
+      r.seconds r.session_seconds r.speedup c.promotions c.steals c.joins
+      c.beats c.polls r.minor_gcs
   in
+  let serial_sums = ref [] in
   List.iter
     (fun (b : Workloads.Real_bench.t) ->
       let serial_s, serial_gcs, serial_sum =
@@ -324,14 +362,7 @@ let run_par_bench ~(domains : int list) ~(scale : int)
           session_seconds = serial_s;
           speedup = 1.0;
           checksum = serial_sum;
-          promotions = 0;
-          steals = 0;
-          steal_attempts = 0;
-          joins = 0;
-          beats = 0;
-          polls = 0;
-          max_deque = 0;
-          idle_ms = 0.;
+          counters = Obs.Metrics.zero;
           minor_gcs = serial_gcs;
         };
       List.iter
@@ -369,55 +400,35 @@ let run_par_bench ~(domains : int list) ~(scale : int)
               session_seconds = session_s;
               speedup = serial_s /. kernel_s;
               checksum = par_sum;
-              promotions = st.total.promotions;
-              steals = st.total.steals;
-              steal_attempts = st.total.steal_attempts;
-              joins = st.total.joins;
-              beats = st.total.beats;
-              polls = st.total.polls;
-              max_deque = st.total.max_deque;
-              idle_ms = float_of_int st.total.idle_ns /. 1e6;
+              counters = st.total;
               minor_gcs = gcs;
             })
         domains;
-      (* one extra run per kernel with the ring tracers attached, at
-         the widest domain count, outside the timed battery so tracing
-         cannot perturb the recorded rows *)
-      match trace with
-      | None -> ()
-      | Some _ ->
-          let d = List.fold_left max 1 domains in
-          let tr = Obs.Trace.create () in
-          let cfg =
-            {
-              Par.Runtime.default_config with
-              domains = d;
-              tracer = Some tr;
-            }
-          in
-          let sum, _ =
-            Par.Runtime.run ~config:cfg (fun () ->
-                b.run (module Par.Runtime.Exec) ~scale)
-          in
-          if sum <> serial_sum then begin
-            Printf.eprintf "FATAL: %s traced run diverged from serial\n%!"
-              b.name;
-            exit 1
-          end;
-          traces := (b.name, tr) :: !traces)
+      serial_sums := (b, serial_sum) :: !serial_sums)
     benches;
+  (* one more run per kernel at the widest domain count, with the ring
+     tracers and a GC census attached, after the whole timed battery:
+     runtime events can be paused but not switched off, so no timed row
+     may follow a census *)
   (match trace with
   | None -> ()
   | Some file ->
-      write_file file (Obs.Export.many_to_chrome_string (List.rev !traces));
+      let domains = List.fold_left max 1 domains in
+      let traces =
+        List.map
+          (fun ((b : Workloads.Real_bench.t), serial_sum) ->
+            (b.name, traced_run ~domains ~scale b serial_sum))
+          (List.rev !serial_sums)
+      in
+      write_file file (Obs.Export.many_to_chrome_string traces);
       Printf.printf "wrote %s (%d processes, %d events, %d dropped)\n%!" file
-        (List.length !traces)
+        (List.length traces)
         (List.fold_left
            (fun acc (_, tr) -> acc + Obs.Trace.total_written tr)
-           0 !traces)
+           0 traces)
         (List.fold_left
            (fun acc (_, tr) -> acc + Obs.Trace.total_dropped tr)
-           0 !traces));
+           0 traces));
   let rows = List.rev !rows in
   Option.iter (fun write -> write [ run_json ~label ~scale rows ]) json;
   match assert_geomean with
@@ -733,7 +744,8 @@ let usage () =
     \  --small-max N (the small class: size-aware routing, latency split)\n\
     \  --append            add this run to the file's trajectory instead\n\
     \                      of overwriting (exit 2, file untouched, when\n\
-    \                      it does not parse or has no trajectory list)\n\
+    \                      it does not parse, is another mode's suite or\n\
+    \                      has no trajectory list)\n\
     \  --label NAME        label for this trajectory entry\n\
     \  --assert-geomean F  exit 1 unless the geomean 1-domain speedup\n\
     \                      over the measured kernels is >= F (the\n\

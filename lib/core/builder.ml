@@ -49,7 +49,6 @@ let prmsplit (rs : string) (rp : string) : Ast.instr = Ast.Prmsplit (rs, rp)
 
 (* Terminators *)
 let jump (l : string) : Ast.terminator = Ast.Jump (Ast.Lab l)
-let jump_reg (r : string) : Ast.terminator = Ast.Jump (Ast.Reg r)
 let halt : Ast.terminator = Ast.Halt
 let join (r : string) : Ast.terminator = Ast.Join r
 

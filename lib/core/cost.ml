@@ -114,6 +114,3 @@ let brent_bound ~(procs : int) (s : summary) : float =
 
 let pp_summary ppf (s : summary) =
   Fmt.pf ppf "work=%d span=%d forks=%d" s.work s.span s.forks
-
-let equal_summary (a : summary) (b : summary) =
-  a.work = b.work && a.span = b.span && a.forks = b.forks

@@ -88,5 +88,3 @@ let program_to_string (p : Ast.program) : string =
       block_to_buffer buf l b)
     entry_first;
   Buffer.contents buf
-
-let pp_program ppf p = Fmt.string ppf (program_to_string p)

@@ -36,11 +36,6 @@ type t = {
 (** Label of the rollforward copy of [l]. *)
 let rf_label (l : Ast.label) : Ast.label = "rf$" ^ l
 
-let is_prppt (heap : Heap.t) (l : Ast.label) : bool =
-  match Heap.find_opt l heap with
-  | Some { annot = Ast.Prppt _; _ } -> true
-  | _ -> false
-
 let handler_of (heap : Heap.t) (l : Ast.label) : Ast.label option =
   match Heap.find_opt l heap with
   | Some { annot = Ast.Prppt h; _ } -> Some h

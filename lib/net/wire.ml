@@ -112,17 +112,6 @@ let tag_of : frame -> int = function
   | Drain _ -> 8
   | Bye -> 9
 
-let frame_name : frame -> string = function
-  | Hello _ -> "hello"
-  | Hello_ok _ -> "hello-ok"
-  | Submit _ -> "submit"
-  | Cancel _ -> "cancel"
-  | Response _ -> "response"
-  | Metrics_request -> "metrics-request"
-  | Metrics _ -> "metrics"
-  | Drain _ -> "drain"
-  | Bye -> "bye"
-
 let status_code : status -> int = function
   | Done { met = true } -> 0
   | Done { met = false } -> 1

@@ -14,7 +14,8 @@
       unattributed totals coincide exactly with the evaluator's own
       {!Tpal.Cost.summary} — a reconciliation the test suite checks on
       fuzz-generated programs.  Units: instructions.
-    - {!of_trace} reads a real (or simulated) {!Trace}: region work is
+    - {!of_trace} reads a real runtime's {!Trace} (the simulator
+      records a [Sim.Sim_trace], which it cannot read): region work is
       the summed wall-time of its task spans, region span its
       {e serialized} time — wall-time during which that region's tasks
       were the only ones running anywhere, i.e. time no amount of

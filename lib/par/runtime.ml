@@ -227,28 +227,13 @@ type ctx = { pool : pool; worker : worker }
     fault (the runtime's states map onto the abstract machine's). *)
 exception Machine_fault of Tpal.Machine_error.t
 
-type worker_stats = {
-  beats : int;
-  promotions : int;
-  loop_promotions : int;
-  branch_promotions : int;
-  joins : int;  (** parents parked on a join record (each resumed once) *)
-  resumes : int;  (** parents re-enqueued by their last child *)
-  steals : int;
-  steal_attempts : int;
-  tasks_run : int;
-  max_deque : int;
-  idle_ns : int;  (** nanoseconds slept in idle backoff (naps only) *)
-  faults_injected : int;  (** chaos-schedule faults that fired *)
-  cancels : int;  (** polls that observed a cancel token and unwound *)
-  polls : int;  (** promotion-ready polls: loop strip ends and fork points *)
-}
+type worker_stats = Obs.Metrics.counters
 
 type stats = {
   domains : int;
   elapsed_s : float;
       (** the whole session, on the monotonic clock {!live_stats} reads *)
-  total : worker_stats;  (** sums over workers; [max_deque] is a max *)
+  total : worker_stats;  (** the {!Obs.Metrics.add} fold of [per_worker] *)
   per_worker : worker_stats array;
 }
 
@@ -907,44 +892,8 @@ let worker_stats (w : worker) : worker_stats =
     polls = w.st_polls;
   }
 
-let zero_stats =
-  {
-    beats = 0;
-    promotions = 0;
-    loop_promotions = 0;
-    branch_promotions = 0;
-    joins = 0;
-    resumes = 0;
-    steals = 0;
-    steal_attempts = 0;
-    tasks_run = 0;
-    max_deque = 0;
-    idle_ns = 0;
-    faults_injected = 0;
-    cancels = 0;
-    polls = 0;
-  }
-
 let sum_stats (per : worker_stats array) : worker_stats =
-  Array.fold_left
-    (fun acc (s : worker_stats) ->
-      {
-        beats = acc.beats + s.beats;
-        promotions = acc.promotions + s.promotions;
-        loop_promotions = acc.loop_promotions + s.loop_promotions;
-        branch_promotions = acc.branch_promotions + s.branch_promotions;
-        joins = acc.joins + s.joins;
-        resumes = acc.resumes + s.resumes;
-        steals = acc.steals + s.steals;
-        steal_attempts = acc.steal_attempts + s.steal_attempts;
-        tasks_run = acc.tasks_run + s.tasks_run;
-        max_deque = max acc.max_deque s.max_deque;
-        idle_ns = acc.idle_ns + s.idle_ns;
-        faults_injected = acc.faults_injected + s.faults_injected;
-        cancels = acc.cancels + s.cancels;
-        polls = acc.polls + s.polls;
-      })
-    zero_stats per
+  Array.fold_left Obs.Metrics.add Obs.Metrics.zero per
 
 (** [live_stats ()]: a racy-but-safe snapshot of the running session's
     per-worker counters, from inside {!run} (any worker domain, or
@@ -969,20 +918,7 @@ let metrics ?(tracer : Obs.Trace.t option) (st : stats) : Obs.Metrics.t =
   {
     Obs.Metrics.domains = st.domains;
     elapsed_s = st.elapsed_s;
-    beats = st.total.beats;
-    promotions = st.total.promotions;
-    loop_promotions = st.total.loop_promotions;
-    branch_promotions = st.total.branch_promotions;
-    joins = st.total.joins;
-    resumes = st.total.resumes;
-    steals = st.total.steals;
-    steal_attempts = st.total.steal_attempts;
-    tasks = st.total.tasks_run;
-    max_deque = st.total.max_deque;
-    idle_ns = st.total.idle_ns;
-    faults_injected = st.total.faults_injected;
-    cancels = st.total.cancels;
-    polls = st.total.polls;
+    total = st.total;
     restarts = 0;
     stalls = 0;
     traced = (match tracer with None -> 0 | Some tr -> Obs.Trace.total_written tr);

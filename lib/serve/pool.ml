@@ -234,13 +234,14 @@ let stats (t : t) : stats =
   s
 
 (** [metrics ?tracer st]: the pool's {!Obs.Metrics} snapshot — the
-    session's {!Par.Runtime.metrics} ({!Obs.Metrics.zero} before
-    {!close}) with the pool's own restart and lease-stall counts folded
-    in. *)
+    session's {!Par.Runtime.metrics} (zero counters before {!close})
+    with the pool's own restart and lease-stall counts folded in. *)
 let metrics ?(tracer : Obs.Trace.t option) (st : stats) : Obs.Metrics.t =
   let rt =
     match st.runtime with
-    | None -> Obs.Metrics.zero
+    | None ->
+        { Obs.Metrics.domains = 0; elapsed_s = 0.; total = Obs.Metrics.zero;
+          restarts = 0; stalls = 0; traced = 0; dropped = 0 }
     | Some rt -> Par.Runtime.metrics ?tracer rt
   in
   { rt with Obs.Metrics.restarts = st.restarts; stalls = st.stalls_detected }

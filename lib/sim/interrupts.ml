@@ -55,12 +55,6 @@ type core_fault_kind = Crash | Stall of int | Slow of float
 
 type core_fault = { victim : int; at : int; kind : core_fault_kind }
 
-let pp_core_fault ppf (f : core_fault) =
-  match f.kind with
-  | Crash -> Fmt.pf ppf "core %d: crash at %d" f.victim f.at
-  | Stall n -> Fmt.pf ppf "core %d: stall at %d for %d" f.victim f.at n
-  | Slow x -> Fmt.pf ppf "core %d: slow at %d factor %g" f.victim f.at x
-
 (** Fault-injection knobs for torture testing (differential fuzzing):
     beats may be dropped, duplicated, or arbitrarily delayed beyond the
     mechanism's native jitter, steal probes may spuriously fail
@@ -83,10 +77,6 @@ type faults = {
 
 let no_faults =
   { drop = 0.; dup = 0.; fault_jitter = 0; steal_fail = 0.; schedule = [] }
-
-let faults_active (f : faults) : bool =
-  f.drop > 0. || f.dup > 0. || f.fault_jitter > 0 || f.steal_fail > 0.
-  || f.schedule <> []
 
 (** [random_schedule ~seed ~procs ~horizon] draws a crash/stall/slow
     schedule for a [procs]-core run expected to span about [horizon]

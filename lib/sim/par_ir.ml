@@ -35,9 +35,6 @@ let for_fn ~n f = For { n; cost = Fn f }
 let for_nested ~n body = For_nested { n; body }
 let spawn2 a b = Spawn2 (a, b)
 
-let iter_cost (c : cost) (i : int) : int =
-  match c with Const k -> k | Fn f -> f i
-
 (** Total algorithm work in cycles (no scheduling overheads) —
     the serial execution time of the program.  Iterative so that deep
     [Spawn2] recursions (e.g. a million-node task tree) cannot

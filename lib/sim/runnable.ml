@@ -24,8 +24,6 @@
 
 type mode = Serial | Cilk | Tpal
 
-let mode_name = function Serial -> "serial" | Cilk -> "cilk" | Tpal -> "tpal"
-
 (** Join bookkeeping for a frame that spawned or promoted children. *)
 type sync = { mutable pending : int; mutable waiter : task option }
 
@@ -377,14 +375,3 @@ let try_promote (cfg : cfg) (task : task) : task option =
   in
   scan
     (if cfg.promote_innermost then task.stack else List.rev task.stack)
-
-(** Does the task hold any promotable parallelism?  (Diagnostics and
-    tests; promotion itself uses {!try_promote}.) *)
-let has_latent (task : task) : bool =
-  List.exists
-    (function
-      | F_for r -> r.hi - r.i >= 2
-      | F_nest r -> r.hi - r.i >= 2
-      | F_spawn r -> r.second <> None
-      | F_leaf _ | F_seq _ -> false)
-    task.stack

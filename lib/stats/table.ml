@@ -23,8 +23,6 @@ let make ~(title : string) ~(header : string list) ?(aligns : align list = [])
 let fmt_float ?(decimals = 2) (x : float) : string =
   if Float.is_nan x then "-" else Printf.sprintf "%.*f" decimals x
 
-let fmt_int (n : int) : string = string_of_int n
-
 (** Integers with thousands separators, for heartbeat-rate tables. *)
 let fmt_int_grouped (n : int) : string =
   let s = string_of_int (abs n) in

@@ -226,10 +226,3 @@ let spmv_serial (m : t) (x : float array) : float array =
   let y = Array.make m.nrows 0. in
   spmv (module Exec.Serial) m x y;
   y
-
-(** Simulator cost model: the per-row iteration cost of spmv in
-    cycles, [cost_per_nnz] per non-zero plus a fixed row cost.  Used
-    by the workload registry to build {!Sim.Par_ir} programs whose
-    irregularity matches the actual generated matrix. *)
-let row_cost ?(cost_per_nnz = 10) ?(row_fixed = 14) (m : t) (r : int) : int =
-  row_fixed + (cost_per_nnz * row_length m r)

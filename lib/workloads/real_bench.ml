@@ -1,9 +1,11 @@
 (** Named registry of real workload kernels with deterministic inputs
     and integer checksums — the shared vocabulary of the benchmark
-    pipeline ([bench/main.ml --par-bench]), the repro CLI
-    ([repro_cli --workload NAME --domains N]), and the multi-domain
-    equality tests: every consumer runs the same kernel on the same
-    input through any {!Exec.S} executor and compares checksums.
+    pipeline ([bench/main.ml --par-bench], whose [--trace] run also
+    prints each kernel's scheduler counters and GC census), the
+    serving layer's kernel requests ([tpal_serve --kernel NAME]), and
+    the multi-domain equality tests: every consumer runs the same
+    kernel on the same input through any {!Exec.S} executor and
+    compares checksums.
 
     Every entry is {e schedule-deterministic}: its checksum is
     identical under the serial executor and the heartbeat runtime at

@@ -212,9 +212,9 @@ let test_stalls_flow_into_metrics () =
       let m = Serve.Pool.metrics st in
       check_int "stalls fold into Obs.Metrics" st.stalls_detected
         m.Obs.Metrics.stalls;
-      check_int "beats fold" rt.beats m.Obs.Metrics.beats;
-      check_int "promotions fold" rt.promotions m.Obs.Metrics.promotions;
-      check_int "joins fold" rt.joins m.Obs.Metrics.joins;
+      check_int "beats fold" rt.beats m.Obs.Metrics.total.beats;
+      check_int "promotions fold" rt.promotions m.Obs.Metrics.total.promotions;
+      check_int "joins fold" rt.joins m.Obs.Metrics.total.joins;
       check_int "single-domain snapshot" 1 m.Obs.Metrics.domains
 
 let prop_par_for_sums_correctly =

@@ -299,7 +299,7 @@ let test_ring_invariants_and_export () =
   (* the metrics fold sees the same session *)
   let m = Par.Runtime.metrics ~tracer:tr st in
   check_int "metrics domains" domains m.domains;
-  check "metrics beats" true (m.beats > 0);
+  check "metrics beats" true (m.total.beats > 0);
   check "metrics traced" true (m.traced = Obs.Trace.total_written tr);
   (* and the Chrome export is loadable: valid JSON naming every worker
      track and the heartbeat events *)

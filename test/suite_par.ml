@@ -596,6 +596,78 @@ let test_stats_accounting () =
    naturally, so promotions stay at zero; raising the urgency shifts
    the effective period down until every poll beats.  Also pins the
    clamp and the outside-session rejection. *)
+(* Every one of the 14 counters, by name; the expected totals below
+   are computed field by field, not through [Obs.Metrics.add]. *)
+let counter_fields : (string * (Obs.Metrics.counters -> int)) list =
+  [ ("beats", fun c -> c.beats); ("promotions", fun c -> c.promotions);
+    ("loop_promotions", fun c -> c.loop_promotions);
+    ("branch_promotions", fun c -> c.branch_promotions);
+    ("joins", fun c -> c.joins); ("resumes", fun c -> c.resumes);
+    ("steals", fun c -> c.steals);
+    ("steal_attempts", fun c -> c.steal_attempts);
+    ("tasks_run", fun c -> c.tasks_run); ("max_deque", fun c -> c.max_deque);
+    ("idle_ns", fun c -> c.idle_ns);
+    ("faults_injected", fun c -> c.faults_injected);
+    ("cancels", fun c -> c.cancels); ("polls", fun c -> c.polls) ]
+
+(* [total] is the sum over [per] of each counter, and the maximum for
+   [max_deque] *)
+let check_fold what (per : Obs.Metrics.counters array)
+    (total : Obs.Metrics.counters) =
+  List.iter
+    (fun (name, get) ->
+      let vals = Array.map get per in
+      let want =
+        if name = "max_deque" then Array.fold_left max 0 vals
+        else Array.fold_left ( + ) 0 vals
+      in
+      check_int (Printf.sprintf "%s: %s" what name) want (get total))
+    counter_fields
+
+let test_counter_fold () =
+  let rec fib n =
+    if n < 2 then n
+    else begin
+      let a = ref 0 and b = ref 0 in
+      Par.Runtime.fork2
+        (fun () -> a := fib (n - 1))
+        (fun () -> b := fib (n - 2));
+      !a + !b
+    end
+  in
+  (* a fork-heavy 2-domain session that stole and joined; a busy host
+     can keep the second domain from stealing, so a few tries *)
+  let rec session tries =
+    let r, (st : Par.Runtime.stats) =
+      Par.Runtime.run ~config:(cfg ~domains:2 ~heart_us:10. ()) (fun () ->
+          fib 22)
+    in
+    check_int "fib 22" 17711 r;
+    if (st.total.steals > 0 && st.total.joins > 0) || tries = 1 then st
+    else session (tries - 1)
+  in
+  let st = session 5 in
+  check (Printf.sprintf "steals (%d) and joins (%d)" st.total.steals
+           st.total.joins)
+    true
+    (st.total.steals > 0 && st.total.joins > 0);
+  check_int "one counters record per worker" 2 (Array.length st.per_worker);
+  check_fold "session" st.per_worker st.total;
+  check "Obs.Metrics carries the session's totals" true
+    ((Par.Runtime.metrics st).total = st.total);
+  (* counters this session leaves at 0 (faults, cancels) still fold:
+     three workers with a distinct value in every field, and a largest
+     deque that is neither the first, the last nor the sum *)
+  let synthetic w : Obs.Metrics.counters =
+    let v k = ((w + 1) * 100) + k in
+    { beats = v 1; promotions = v 2; loop_promotions = v 3;
+      branch_promotions = v 4; joins = v 5; resumes = v 6; steals = v 7;
+      steal_attempts = v 8; tasks_run = v 9; max_deque = [| 5; 9; 2 |].(w);
+      idle_ns = v 11; faults_injected = v 12; cancels = v 13; polls = v 14 }
+  in
+  let per = Array.init 3 synthetic in
+  check_fold "synthetic" per (Par.Runtime.sum_stats per)
+
 let test_urgency_promotes () =
   let config = cfg ~domains:1 ~heart_us:1e12 () in
   let work () =
@@ -746,7 +818,7 @@ let test_one_store_loop_polls_rarely () =
        (fun k (w : Par.Runtime.worker_stats) -> k + w.polls)
        0 st.per_worker);
   check_int "polls reach Obs.Metrics" st.total.polls
-    (Par.Runtime.metrics st).polls
+    (Par.Runtime.metrics st).total.polls
 
 (* Iterations that turn 1000x slower partway through: the strip grown
    on fast iterations may run its full length on slow ones, so the
@@ -961,6 +1033,8 @@ let suite =
         test_exception_propagation;
       Alcotest.test_case "stats and events account" `Quick
         test_stats_accounting;
+      Alcotest.test_case "session totals fold every counter" `Quick
+        test_counter_fold;
       Alcotest.test_case "urgency hint forces promotions" `Quick
         test_urgency_promotes;
       Alcotest.test_case "knapsack incumbent is monotone" `Quick
